@@ -3,12 +3,12 @@
 //! merge-join — the ablation level below the per-figure harnesses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use iawj_common::{ColumnarStream, Rng, Tuple};
+use iawj_common::{ColumnarStream, KernelBackend, Rng, Tuple};
 use iawj_exec::merge::{kway_merge, kway_merge_loser, merge_two_into, merge_two_into_branchless};
 use iawj_exec::mergejoin::count_matches;
-use iawj_exec::radix::{partition_parallel, partition_seq, partition_seq_buffered};
+use iawj_exec::radix::{partition_parallel_exec, partition_seq, PartitionPass, PassKnobs};
 use iawj_exec::sort::{pack_tuples, sort_packed, SortBackend};
-use iawj_exec::{run_workers, LocalTable, SharedTable, StripedTable};
+use iawj_exec::{run_workers, Executor, LocalTable, PinPolicy, ScatterMode, SharedTable};
 use std::hint::black_box;
 
 const N: usize = 1 << 16;
@@ -55,21 +55,9 @@ fn bench_hashtables(c: &mut Criterion) {
             black_box(t.len())
         })
     });
-    // Latching ablation under 4-way contention: per-bucket vs striped.
     g.bench_function("shared_build_contended_per_bucket", |b| {
         b.iter(|| {
             let t = SharedTable::with_capacity(N);
-            run_workers(4, |tid| {
-                for tup in &data[tid * N / 4..(tid + 1) * N / 4] {
-                    t.insert(tup.key, tup.ts);
-                }
-            });
-            black_box(t.len())
-        })
-    });
-    g.bench_function("shared_build_contended_striped_256", |b| {
-        b.iter(|| {
-            let t = StripedTable::with_capacity(N, 256);
             run_workers(4, |tid| {
                 for tup in &data[tid * N / 4..(tid + 1) * N / 4] {
                     t.insert(tup.key, tup.ts);
@@ -87,16 +75,36 @@ fn bench_radix(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N as u64));
     for bits in [6u32, 10, 14] {
         g.bench_with_input(BenchmarkId::new("seq", bits), &bits, |b, &bits| {
-            b.iter(|| black_box(partition_seq(&data, 0, bits).data.len()))
+            b.iter(|| {
+                black_box(
+                    partition_seq(&data, 0, bits, KernelBackend::Scalar)
+                        .data
+                        .len(),
+                )
+            })
         });
     }
+    let exec = Executor::new(PinPolicy::None, 4);
     g.bench_function("parallel_10bit_4t", |b| {
-        b.iter(|| black_box(partition_parallel(&data, 0, 10, 4).data.len()))
+        b.iter(|| black_box(partition_parallel_exec(&data, 0, 10, 4, &exec).data.len()))
     });
-    // SWWCB ablation: direct vs write-combined scatter at high fan-out.
+    // SWWCB ablation: direct vs write-combined scatter at high fan-out
+    // (one lane, so the scatter path is the only difference from `seq`).
+    let swwc = PassKnobs {
+        scatter: ScatterMode::Swwc,
+        kernel: KernelBackend::Scalar,
+        ..PassKnobs::default()
+    };
     for bits in [10u32, 14] {
         g.bench_with_input(BenchmarkId::new("seq_buffered", bits), &bits, |b, &bits| {
-            b.iter(|| black_box(partition_seq_buffered(&data, 0, bits).data.len()))
+            b.iter(|| {
+                black_box(
+                    PartitionPass::new(&data, 0, bits, 1, swwc)
+                        .run(&exec)
+                        .data
+                        .len(),
+                )
+            })
         });
     }
     g.finish();

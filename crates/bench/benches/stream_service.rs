@@ -9,13 +9,15 @@
 //! in flight. Sliding cells run the pane-sharing path; the `no-share`
 //! column re-runs them naively to show what sharing buys.
 //!
-//! Emits `BENCH_stream.json` when `IAWJ_BENCH_DIR` is set.
+//! Emits `BENCH_stream.json` when `IAWJ_BENCH_DIR` is set. The committed
+//! baseline also holds `Stream/exec-{spawn,pool}` rows: the close-latency
+//! A/B that justified deleting the per-close-spawning executor.
 
 use iawj_bench::{banner, fmt, fmt_opt, print_table, BenchEnv, SnapshotWriter};
 use iawj_common::Rate;
 use iawj_core::streaming::{run_replay, StreamConfig};
 use iawj_core::windowing::WindowSpec;
-use iawj_core::{Algorithm, ExecMode};
+use iawj_core::Algorithm;
 use iawj_datagen::rate_stream;
 
 const QUEUE_CAP: usize = 1024;
@@ -104,56 +106,5 @@ fn main() {
         );
     }
 
-    // Executor comparison: the service runs an engine per window close, so
-    // per-close thread provisioning is on the latency path. Re-measure the
-    // close-latency distribution with the persistent pool (the default,
-    // provisioned once in `StreamingJoin::new`) against per-close spawning.
-    // Short windows on purpose: 320 closes per cell put the p99 deep
-    // enough into the sample that a stray OS stall can't decide it, and
-    // the small per-close join makes provisioning cost a large fraction
-    // of each close — the quantity under test.
-    let spec = WindowSpec::Tumbling { len_ms: 25 };
-    println!("\n--- executor (close latency, {}) ---", spec_label(spec));
-    let mut rows = Vec::new();
-    for engine in engines {
-        let mut row = vec![engine.name().to_string()];
-        // A p99 over one replay is decided by a handful of worst closes —
-        // one OS stall anywhere flips it. Replay each cell three times
-        // with the modes interleaved (so environment drift across the
-        // harness run hits both equally) and keep each mode's median-p99
-        // run.
-        let modes = [ExecMode::Spawn, ExecMode::Pool];
-        let mut reports: [Vec<iawj_core::StreamReport>; 2] = [Vec::new(), Vec::new()];
-        for _rep in 0..3 {
-            for (m, mode) in modes.into_iter().enumerate() {
-                let cfg = StreamConfig::new(spec, engine)
-                    .run_config(env.config().executor(mode))
-                    .tick_every_ms(0.0);
-                reports[m].push(run_replay(cfg, r.clone(), s.clone(), QUEUE_CAP));
-            }
-        }
-        for (m, mode) in modes.into_iter().enumerate() {
-            let cell = &mut reports[m];
-            cell.sort_by(|a, b| {
-                let q = |r: &iawj_core::StreamReport| {
-                    r.close_hist.quantile_ms(0.99).unwrap_or(f64::MAX)
-                };
-                q(a).partial_cmp(&q(b)).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let report = cell.swap_remove(1);
-            let tag = match mode {
-                ExecMode::Spawn => "exec-spawn",
-                ExecMode::Pool => "exec-pool",
-            };
-            snap.record_stream(&format!("Stream/{tag}"), engine.name(), &report);
-            row.push(format!(
-                "p50 {} / p99 {} ms",
-                fmt_opt(report.close_hist.quantile_ms(0.50)),
-                fmt_opt(report.close_hist.quantile_ms(0.99)),
-            ));
-        }
-        rows.push(row);
-    }
-    print_table(&["engine", "spawn", "pool"], &rows);
     snap.write();
 }

@@ -82,8 +82,6 @@ RUN OPTIONS (run, sweep, trace):
                      |IBWJ|IBWJ_PART (dashes accepted: ibwj-part)
   --threads N        worker threads (default 4, capped to the affinity mask;
                      oversubscribing the mask warns)
-  --executor MODE    worker provisioning: pool (persistent parked workers,
-                     the default) | spawn (fresh threads per run)
   --pin POLICY       pool worker placement: none|compact|scatter (default
                      none; compact packs SMT siblings and NUMA nodes,
                      scatter round-robins across nodes)
@@ -91,7 +89,7 @@ RUN OPTIONS (run, sweep, trace):
   --sample-every N   match sampling rate (default 64)
   --delta F          PMJ sorting step size (default 0.2)
   --eager-merge      PMJ: progressive per-run merging instead of a final merge
-  --radix-bits N     PRJ radix bits (default 10)
+  --radix-bits N     PRJ radix bits (default 10, must be in 1..=24)
   --group-size N     JB group size (default 2)
   --scalar-sort      disable the vectorizable sort backend
   --scheduler MODE   work distribution: static|steal (default static)
@@ -811,6 +809,32 @@ mod tests {
     fn unknown_option_is_reported() {
         let err = run_cli_str(&["run", "--algo", "NPJ", "--bogus", "1"]).unwrap_err();
         assert!(err.contains("bogus"), "{err}");
+        // The deleted spawn executor's flag is an unknown option now.
+        let err = run_cli_str(&["run", "--algo", "NPJ", "--executor", "spawn"]).unwrap_err();
+        assert!(err.contains("unknown option --executor"), "{err}");
+    }
+
+    #[test]
+    fn oversized_radix_bits_are_rejected_not_run() {
+        let err = run_cli_str(&[
+            "run",
+            "--algo",
+            "PRJ",
+            "--static",
+            "--count-r",
+            "5000",
+            "--count-s",
+            "5000",
+            "--threads",
+            "2",
+            "--radix-bits",
+            "33",
+        ])
+        .unwrap_err();
+        assert!(
+            err.contains("radix-bits") && err.contains("1..=24"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use crate::args::{ArgError, Args};
 use iawj_common::KernelBackend;
-use iawj_core::{Algorithm, ExecMode, NpjTable, PinPolicy, RunConfig, ScatterMode, Scheduler};
+use iawj_core::config::MAX_RADIX_BITS;
+use iawj_core::{Algorithm, NpjTable, PinPolicy, RunConfig, ScatterMode, Scheduler};
 use iawj_datagen::{debs, rovio, stock, ysb, Dataset, MicroSpec};
 use iawj_exec::{affinity_core_count, SortBackend};
 
@@ -28,7 +29,6 @@ pub const RUN_OPTS: &[&str] = &[
     "npj-table",
     "kernel",
     "prefetch-dist",
-    "executor",
     "pin",
     "index-partitions",
     "index-epochs",
@@ -173,17 +173,10 @@ pub fn warn_if_oversubscribed(threads: usize) {
     }
 }
 
-/// Apply `--executor` / `--pin` to a run configuration. Shared by every
-/// subcommand that executes joins so the knobs mean the same thing in
-/// one-shot runs and the streaming service.
+/// Apply `--pin` to a run configuration. Shared by every subcommand that
+/// executes joins so the knob means the same thing in one-shot runs and
+/// the streaming service.
 pub fn apply_exec_opts(args: &Args, cfg: &mut RunConfig) -> Result<(), ArgError> {
-    if let Some(v) = args.get("executor") {
-        cfg.exec.mode = v.parse::<ExecMode>().map_err(|_| ArgError::Invalid {
-            key: "executor".into(),
-            value: v.into(),
-            expected: "spawn|pool",
-        })?;
-    }
     if let Some(v) = args.get("pin") {
         cfg.exec.pin = v.parse::<PinPolicy>().map_err(|_| ArgError::Invalid {
             key: "pin".into(),
@@ -203,6 +196,13 @@ pub fn build_config(args: &Args) -> Result<RunConfig, ArgError> {
     cfg.sample_every = args.get_or("sample-every", 64)?;
     cfg.pmj.delta = args.get_or("delta", cfg.pmj.delta)?;
     cfg.prj.radix_bits = args.get_or("radix-bits", cfg.prj.radix_bits)?;
+    if !(1..=MAX_RADIX_BITS).contains(&cfg.prj.radix_bits) {
+        return Err(ArgError::Invalid {
+            key: "radix-bits".into(),
+            value: cfg.prj.radix_bits.to_string(),
+            expected: "a bit count in 1..=24",
+        });
+    }
     cfg.jb.group_size = args.get_or("group-size", cfg.jb.group_size)?;
     if args.flag("scalar-sort") {
         cfg.sort = SortBackend::Scalar;
@@ -373,6 +373,24 @@ mod tests {
     }
 
     #[test]
+    fn radix_bits_knob_is_bounded() {
+        assert_eq!(
+            build_config(&parse("--radix-bits 14"))
+                .unwrap()
+                .prj
+                .radix_bits,
+            14
+        );
+        for bad in ["0", "25", "33", "40", "64"] {
+            let err = build_config(&parse(&format!("--radix-bits {bad}"))).unwrap_err();
+            assert!(
+                err.to_string().contains("radix-bits"),
+                "--radix-bits {bad} must be rejected at the flag level: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn npj_table_knob() {
         let cfg = build_config(&parse("")).unwrap();
         assert_eq!(cfg.npj.table, NpjTable::Latch);
@@ -418,18 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn executor_and_pin_knobs() {
+    fn pin_knob() {
         let cfg = build_config(&parse("")).unwrap();
-        assert_eq!(cfg.exec.mode, ExecMode::Pool);
         assert_eq!(cfg.exec.pin, PinPolicy::None);
-        let cfg = build_config(&parse("--executor spawn")).unwrap();
-        assert_eq!(cfg.exec.mode, ExecMode::Spawn);
-        let cfg = build_config(&parse("--executor pool --pin compact")).unwrap();
-        assert_eq!(cfg.exec.mode, ExecMode::Pool);
+        let cfg = build_config(&parse("--pin compact")).unwrap();
         assert_eq!(cfg.exec.pin, PinPolicy::Compact);
         let cfg = build_config(&parse("--pin scatter")).unwrap();
         assert_eq!(cfg.exec.pin, PinPolicy::Scatter);
-        assert!(build_config(&parse("--executor rayon")).is_err());
         assert!(build_config(&parse("--pin numa")).is_err());
     }
 

@@ -2,16 +2,12 @@
 //! knobs of §5.5, and harness controls (time compression, match sampling).
 
 use iawj_common::{KernelBackend, DEFAULT_PREFETCH_DIST};
-use iawj_exec::morsel::{MorselQueue, DEFAULT_MORSEL};
-use iawj_exec::{ExecMode, Executor, NpjTable, PinPolicy, ScatterMode, Scheduler, SortBackend};
+use iawj_exec::morsel::DEFAULT_MORSEL;
+use iawj_exec::{Executor, NpjTable, PinPolicy, ScatterMode, Scheduler, SortBackend};
 
-/// Executor knobs: how worker threads are provisioned and placed.
+/// Executor knobs: how the pool's worker threads are placed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker provisioning: fresh scoped threads per run (`spawn`, the seed
-    /// behaviour) or a persistent parked pool reused across runs (`pool`,
-    /// the default).
-    pub mode: ExecMode,
     /// Core-placement policy for pool workers (`none` leaves the OS
     /// scheduler in charge; `compact`/`scatter` pin via `sched_setaffinity`).
     pub pin: PinPolicy,
@@ -40,16 +36,12 @@ impl Default for KernelConfig {
     }
 }
 
-/// NPJ knobs (latching ablation; see DESIGN.md §5).
+/// NPJ knobs (see DESIGN.md §5).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NpjConfig {
     /// Which shared table the build phase fills: per-bucket latched (the
     /// paper's default) or lock-free CAS-chained (the Fig. 8 A/B).
     pub table: NpjTable,
-    /// Use a striped-latch shared table with this many latches instead of
-    /// the default per-bucket latches. Latch mode only — incompatible with
-    /// [`NpjTable::LockFree`], which has no latches to stripe.
-    pub striped_latches: Option<usize>,
 }
 
 /// PRJ knobs (§5.5, Figure 18).
@@ -64,6 +56,16 @@ pub struct PrjConfig {
     /// (Balkesen et al.'s SWWCB) flushed a cache line at a time.
     pub scatter: ScatterMode,
 }
+
+/// Largest accepted [`PrjConfig::radix_bits`]: 2^24 final partitions is
+/// already far past the paper's 8–18 sweep, and the second pass's fan-out
+/// (`radix_bits − max_bits_per_pass` bits per first-pass partition) is
+/// allocated per partition joined.
+pub const MAX_RADIX_BITS: u32 = 24;
+
+/// Largest accepted [`PrjConfig::max_bits_per_pass`]: the first pass
+/// allocates one `2^bits` histogram per scatter slot.
+pub const MAX_BITS_PER_PASS: u32 = 16;
 
 impl Default for PrjConfig {
     fn default() -> Self {
@@ -193,18 +195,6 @@ impl SchedConfig {
     pub fn stealing(&self) -> bool {
         self.scheduler == Scheduler::Steal
     }
-
-    /// A morsel queue over `0..len` for `workers` workers, at the
-    /// configured morsel size.
-    pub fn queue(&self, len: usize, workers: usize) -> MorselQueue {
-        MorselQueue::new(len, workers, self.morsel_size)
-    }
-
-    /// A queue over coarse work items (radix partitions, merge ranges)
-    /// claimed one at a time rather than in morsel-size runs.
-    pub fn item_queue(&self, items: usize, workers: usize) -> MorselQueue {
-        MorselQueue::new(items, workers, 1)
-    }
 }
 
 /// Complete configuration of one run.
@@ -232,7 +222,7 @@ pub struct RunConfig {
     /// cache/TLB misses, branch mispredicts) per phase on every worker.
     /// Degrades silently to zero counters when the kernel refuses.
     pub perf: bool,
-    /// Executor knobs (worker provisioning + core placement).
+    /// Executor knobs (core placement).
     pub exec: ExecConfig,
     /// Work-distribution knobs (scheduler + morsel size).
     pub sched: SchedConfig,
@@ -318,12 +308,6 @@ impl RunConfig {
         self
     }
 
-    /// Builder: select the executor mode (spawn-per-run vs persistent pool).
-    pub fn executor(mut self, mode: ExecMode) -> Self {
-        self.exec.mode = mode;
-        self
-    }
-
     /// Builder: select the core-placement policy for pool workers.
     pub fn pin(mut self, pin: PinPolicy) -> Self {
         self.exec.pin = pin;
@@ -368,7 +352,9 @@ impl RunConfig {
 
     /// Check the knobs that would otherwise fail far from their cause —
     /// a zero morsel size would spin the morsel driver (or divide by zero
-    /// in grid-cell arithmetic), a zero thread count has no workers to run.
+    /// in grid-cell arithmetic), a zero thread count has no workers to run,
+    /// and radix bits beyond the key width allocate `2^bits` histogram
+    /// slots per scatter slot (or overflow the shift outright).
     /// The runner calls this before dispatch; CLI parsing rejects the same
     /// values with a flag-level error message.
     pub fn validate(&self) -> Result<(), String> {
@@ -381,10 +367,16 @@ impl RunConfig {
         if self.kernel.prefetch_dist == 0 {
             return Err("prefetch distance must be at least 1 tuple".into());
         }
-        if self.npj.table == NpjTable::LockFree && self.npj.striped_latches.is_some() {
-            return Err("striped latches require the latched NPJ table; \
-                 the lock-free table has no latches to stripe"
-                .into());
+        if !(1..=MAX_RADIX_BITS).contains(&self.prj.radix_bits) {
+            return Err(format!(
+                "PRJ radix bits must be in 1..={MAX_RADIX_BITS} (keys are 32-bit; \
+                 the paper sweeps 8-18)"
+            ));
+        }
+        if !(1..=MAX_BITS_PER_PASS).contains(&self.prj.max_bits_per_pass) {
+            return Err(format!(
+                "PRJ bits per pass must be in 1..={MAX_BITS_PER_PASS}"
+            ));
         }
         if self.index.epochs == 0 {
             return Err("index epochs must be at least 1".into());
@@ -396,13 +388,12 @@ impl RunConfig {
     }
 
     /// Build the executor this config asks for: a persistent pool sized to
-    /// `threads` under the configured placement policy, or a spawn-mode
-    /// shim that delegates every run to fresh scoped threads. Callers that
+    /// `threads` under the configured placement policy. Callers that
     /// run many joins (benchmarks, the streaming service) should build one
     /// executor and pass it to [`crate::execute_on`] instead of paying
     /// pool construction per run.
     pub fn make_executor(&self) -> Executor {
-        Executor::new(self.exec.mode, self.exec.pin, self.threads)
+        Executor::new(self.exec.pin, self.threads)
     }
 
     /// A journal for one worker, relative to `epoch`: ring-buffered at
@@ -567,17 +558,25 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_striped_latches_with_lockfree_table() {
-        let mut c = RunConfig::default().npj_table(NpjTable::LockFree);
-        c.npj.striped_latches = Some(64);
-        let err = c.validate().unwrap_err();
-        assert!(err.contains("striped"), "unexpected message: {err}");
-        // Each knob alone stays valid.
-        c.npj.table = NpjTable::Latch;
-        assert!(c.validate().is_ok());
-        c.npj.striped_latches = None;
-        c.npj.table = NpjTable::LockFree;
-        assert!(c.validate().is_ok());
+    fn validate_bounds_prj_radix_bits() {
+        let with_bits = |radix: u32, per_pass: u32| {
+            let mut c = RunConfig::default();
+            c.prj.radix_bits = radix;
+            c.prj.max_bits_per_pass = per_pass;
+            c.validate()
+        };
+        for radix in [1, 8, 18, MAX_RADIX_BITS] {
+            assert!(with_bits(radix, 8).is_ok(), "radix_bits={radix}");
+        }
+        for radix in [0, MAX_RADIX_BITS + 1, 33, 40, 64] {
+            let err = with_bits(radix, 8).unwrap_err();
+            assert!(err.contains("radix bits"), "radix_bits={radix}: {err}");
+        }
+        assert!(with_bits(10, 1).is_ok() && with_bits(10, MAX_BITS_PER_PASS).is_ok());
+        for per_pass in [0, MAX_BITS_PER_PASS + 1, 64] {
+            let err = with_bits(10, per_pass).unwrap_err();
+            assert!(err.contains("bits per pass"), "per_pass={per_pass}: {err}");
+        }
     }
 
     #[test]
@@ -600,32 +599,24 @@ mod tests {
         assert_eq!(c.sched.scheduler, Scheduler::Static);
         assert!(!c.sched.stealing());
         assert_eq!(c.sched.morsel_size, iawj_exec::DEFAULT_MORSEL);
-        let q = c.sched.queue(100, 4);
-        assert_eq!((q.len(), q.workers()), (100, 4));
-        assert_eq!(c.sched.item_queue(16, 4).morsel(), 1);
     }
 
     #[test]
     fn exec_defaults_to_unpinned_pool() {
         let c = RunConfig::default();
-        assert_eq!(c.exec.mode, ExecMode::Pool);
         assert_eq!(c.exec.pin, PinPolicy::None);
-        let c = c.executor(ExecMode::Spawn).pin(PinPolicy::Compact);
-        assert_eq!(c.exec.mode, ExecMode::Spawn);
-        assert_eq!(c.exec.pin, PinPolicy::Compact);
+        assert_eq!(c.pin(PinPolicy::Compact).exec.pin, PinPolicy::Compact);
     }
 
     #[test]
     fn make_executor_matches_config() {
-        let exec = RunConfig::with_threads(3).make_executor();
-        assert_eq!(exec.mode(), ExecMode::Pool);
+        let exec = RunConfig::with_threads(3)
+            .pin(PinPolicy::Scatter)
+            .make_executor();
         assert_eq!(exec.capacity(), 3);
+        assert_eq!(exec.pin_policy(), PinPolicy::Scatter);
         let results = exec.run(3, |tid| tid * 10);
         assert_eq!(results, vec![0, 10, 20]);
-        let spawn = RunConfig::with_threads(2)
-            .executor(ExecMode::Spawn)
-            .make_executor();
-        assert_eq!(spawn.mode(), ExecMode::Spawn);
     }
 
     #[test]

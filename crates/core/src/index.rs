@@ -27,14 +27,13 @@
 //! single-writer/multi-reader contract the streaming service uses).
 
 use crate::clock::EventClock;
-use crate::config::RunConfig;
+use crate::config::{RunConfig, SchedConfig};
 use crate::eager::Engine;
-use crate::lazy::EmitClock;
+use crate::lazy::{EmitClock, Scan};
 use crate::output::WorkerOut;
 use iawj_common::hash::hash_key;
 use iawj_common::kernel::tuple_buckets_into;
 use iawj_common::{KernelBackend, Phase, Sink, Tuple, Ts};
-use iawj_exec::morsel::MARK_CLAIM;
 use iawj_exec::{Executor, PhaseTimer, WindowIndex};
 use iawj_obs::{MARK_INDEX_EVICT, MARK_INDEX_INSERT, MARK_INDEX_REPART};
 use std::sync::{Barrier, Mutex};
@@ -316,7 +315,6 @@ fn build_plan(
 /// insert the R batch then probe S with it, insert the S batch then probe
 /// R with it — the SHJ order that makes each cross-epoch and intra-epoch
 /// pair match exactly once.
-#[allow(clippy::too_many_arguments)]
 fn join_partition(
     st: &mut PartState,
     r_batch: &[Tuple],
@@ -324,21 +322,13 @@ fn join_partition(
     timer: &mut PhaseTimer,
     emit: &mut EmitClock<'_>,
     out: &mut WorkerOut,
-    morsel: Option<usize>,
+    sched: &SchedConfig,
 ) {
-    let chunked = |batch: &[Tuple], timer: &mut PhaseTimer, f: &mut dyn FnMut(&[Tuple], &mut PhaseTimer)| {
-        match morsel {
-            Some(m) => {
-                for chunk in batch.chunks(m) {
-                    timer.instant(MARK_CLAIM);
-                    f(chunk, timer);
-                }
-            }
-            None => f(batch, timer),
-        }
-    };
+    // One owner per partition, so the scan is single-worker: steal mode
+    // only changes the claim granularity (and journals each morsel).
     if !r_batch.is_empty() {
-        chunked(r_batch, timer, &mut |chunk, timer| {
+        Scan::new(sched, r_batch.len(), 1).run(0, timer, |range, timer| {
+            let chunk = &r_batch[range];
             timer.switch_to(Phase::BuildSort);
             for t in chunk {
                 st.r.insert(t.key, t.ts);
@@ -352,7 +342,8 @@ fn join_partition(
         });
     }
     if !s_batch.is_empty() {
-        chunked(s_batch, timer, &mut |chunk, timer| {
+        Scan::new(sched, s_batch.len(), 1).run(0, timer, |range, timer| {
+            let chunk = &s_batch[range];
             timer.switch_to(Phase::BuildSort);
             for t in chunk {
                 st.s.insert(t.key, t.ts);
@@ -394,7 +385,6 @@ pub fn run_part_on(
         })
         .collect();
     let barrier = Barrier::new(workers);
-    let morsel = cfg.sched.stealing().then(|| cfg.sched.morsel_size.max(1));
 
     exec.run(workers, |w| {
         let mut out = WorkerOut::new(cfg.sample_every);
@@ -439,7 +429,7 @@ pub fn run_part_on(
                 }
                 let mut st = parts[p].lock().unwrap();
                 join_partition(
-                    &mut st, &owned_r[p], &owned_s[p], &mut timer, &mut emit, &mut out, morsel,
+                    &mut st, &owned_r[p], &owned_s[p], &mut timer, &mut emit, &mut out, &cfg.sched,
                 );
                 if let Some(h) = cfg.index.evict_horizon_ms {
                     let horizon = ep.wait_ts.saturating_sub(h);

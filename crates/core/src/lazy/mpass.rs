@@ -10,28 +10,15 @@
 use crate::clock::EventClock;
 use crate::config::RunConfig;
 use crate::lazy::mway::{key_aligned_splitters, segment, STEAL_OVERSPLIT};
-use crate::lazy::{EmitClock, Slots};
+use crate::lazy::{EmitClock, Scan, Slots};
 use crate::output::WorkerOut;
 use iawj_common::{Phase, Sink, Ts, Tuple};
 use iawj_exec::merge::{
     choose_splitters, merge_two_into, merge_two_into_branchless, splitter_bounds,
 };
-use iawj_exec::morsel::{for_each_morsel, MARK_CLAIM, MARK_STEAL};
 use iawj_exec::pool::{barrier, chunk_range};
 use iawj_exec::sort::{pack_tuples, sort_packed_kernel, SortBackend};
 use iawj_exec::{Executor, Latch};
-
-/// Run MPass. Convenience wrapper over [`run_on`] that builds the executor
-/// [`RunConfig`] asks for.
-pub fn run(
-    r: &[Tuple],
-    s: &[Tuple],
-    cfg: &RunConfig,
-    clock: &EventClock,
-    arrive_by: Ts,
-) -> Vec<WorkerOut> {
-    run_on(r, s, cfg, clock, arrive_by, &cfg.make_executor())
-}
 
 /// Run MPass on an existing executor (reused across runs / window closes).
 pub fn run_on(
@@ -43,13 +30,12 @@ pub fn run_on(
     exec: &Executor,
 ) -> Vec<WorkerOut> {
     let threads = cfg.threads;
-    let stealing = cfg.sched.stealing();
-    let parts = if stealing {
+    let parts = if cfg.sched.stealing() {
         threads * STEAL_OVERSPLIT
     } else {
         threads
     };
-    let range_q = cfg.sched.item_queue(parts, threads);
+    let ranges = Scan::items(&cfg.sched, parts, threads);
     // Mutable run storage for the merge passes: slot i holds the run that
     // started as thread i's sorted chunk and absorbs its merge partners.
     let r_store: Vec<Latch<Option<Vec<u64>>>> = (0..threads).map(|_| Latch::new(None)).collect();
@@ -140,29 +126,19 @@ pub fn run_on(
         timer.instant("barrier:splitters_done");
         let bounds = splitter_bounds(splitters.get(0));
         let mut emit = EmitClock::new(clock);
-        if stealing {
-            for_each_morsel(&range_q, tid, |claimed, stolen| {
-                timer.instant(if stolen { MARK_STEAL } else { MARK_CLAIM });
-                for i in claimed {
-                    if i >= bounds.len() {
-                        continue; // key alignment merged this range away
-                    }
-                    timer.switch_to(Phase::Probe);
-                    iawj_exec::mergejoin::merge_join(
-                        segment(r_all, &bounds, i),
-                        segment(s_all, &bounds, i),
-                        |k, rts, sts| out.sink.push(k, rts, sts, emit.now()),
-                    );
+        ranges.run(tid, &mut timer, |claimed, timer| {
+            for i in claimed {
+                if i >= bounds.len() {
+                    continue; // key alignment merged this range away
                 }
-            });
-        } else if tid < bounds.len() {
-            timer.switch_to(Phase::Probe);
-            iawj_exec::mergejoin::merge_join(
-                segment(r_all, &bounds, tid),
-                segment(s_all, &bounds, tid),
-                |k, rts, sts| out.sink.push(k, rts, sts, emit.now()),
-            );
-        }
+                timer.switch_to(Phase::Probe);
+                iawj_exec::mergejoin::merge_join(
+                    segment(r_all, &bounds, i),
+                    segment(s_all, &bounds, i),
+                    |k, rts, sts| out.sink.push(k, rts, sts, emit.now()),
+                );
+            }
+        });
         out.set_timing(timer.finish_parts());
         out
     })
@@ -197,7 +173,7 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             let cfg = RunConfig::with_threads(threads).record_all();
             let clock = EventClock::ungated();
-            let outs = run(&r, &s, &cfg, &clock, 0);
+            let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
             assert_eq!(
                 canonical(&outs),
                 nested_loop_join(&r, &s, Window::of_len(64)),
@@ -214,7 +190,7 @@ mod tests {
             .record_all()
             .sort(SortBackend::Scalar);
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         assert_eq!(
             canonical(&outs),
             nested_loop_join(&r, &s, Window::of_len(64))
@@ -229,7 +205,7 @@ mod tests {
         let s = random_stream(600, 50, 6);
         let cfg = RunConfig::with_threads(3).record_all();
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         assert_eq!(
             canonical(&outs),
             nested_loop_join(&r, &s, Window::of_len(64))
@@ -247,7 +223,7 @@ mod tests {
                 .record_all()
                 .scheduler(Scheduler::Steal);
             let clock = EventClock::ungated();
-            let outs = run(&r, &s, &cfg, &clock, 0);
+            let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
             assert_eq!(canonical(&outs), expect, "threads={threads}");
         }
     }
@@ -258,7 +234,7 @@ mod tests {
         let s = random_stream(1500, 4, 8);
         let cfg = RunConfig::with_threads(4).record_all();
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let total: u64 = outs.iter().map(|w| w.sink.count()).sum();
         assert_eq!(
             total,

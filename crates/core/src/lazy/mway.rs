@@ -8,11 +8,10 @@
 
 use crate::clock::EventClock;
 use crate::config::RunConfig;
-use crate::lazy::{EmitClock, Slots};
+use crate::lazy::{EmitClock, Scan, Slots};
 use crate::output::WorkerOut;
 use iawj_common::{Phase, Sink, Ts, Tuple};
 use iawj_exec::merge::{choose_splitters, kway_merge_loser, splitter_bounds};
-use iawj_exec::morsel::{for_each_morsel, MARK_CLAIM, MARK_STEAL};
 use iawj_exec::pool::{barrier, chunk_range};
 use iawj_exec::sort::{pack_tuples, sort_packed_kernel};
 use iawj_exec::{Executor, PhaseTimer};
@@ -47,18 +46,6 @@ pub(crate) fn segment<'a>(run: &'a [u64], bounds: &[(u64, u64)], i: usize) -> &'
     }
 }
 
-/// Run MWay. Convenience wrapper over [`run_on`] that builds the executor
-/// [`RunConfig`] asks for.
-pub fn run(
-    r: &[Tuple],
-    s: &[Tuple],
-    cfg: &RunConfig,
-    clock: &EventClock,
-    arrive_by: Ts,
-) -> Vec<WorkerOut> {
-    run_on(r, s, cfg, clock, arrive_by, &cfg.make_executor())
-}
-
 /// Run MWay on an existing executor (reused across runs / window closes).
 pub fn run_on(
     r: &[Tuple],
@@ -69,13 +56,12 @@ pub fn run_on(
     exec: &Executor,
 ) -> Vec<WorkerOut> {
     let threads = cfg.threads;
-    let stealing = cfg.sched.stealing();
-    let parts = if stealing {
+    let parts = if cfg.sched.stealing() {
         threads * STEAL_OVERSPLIT
     } else {
         threads
     };
-    let range_q = cfg.sched.item_queue(parts, threads);
+    let ranges = Scan::items(&cfg.sched, parts, threads);
     let r_runs: Slots<Vec<u64>> = Slots::new(threads);
     let s_runs: Slots<Vec<u64>> = Slots::new(threads);
     let splitters: Slots<Vec<u64>> = Slots::new(1);
@@ -141,19 +127,14 @@ pub fn run_on(
                     out.sink.push(k, rts, sts, emit.now());
                 });
             };
-        if stealing {
-            for_each_morsel(&range_q, tid, |claimed, stolen| {
-                timer.instant(if stolen { MARK_STEAL } else { MARK_CLAIM });
-                for i in claimed {
-                    // Key alignment may merge ranges away; skip the excess.
-                    if i < bounds.len() {
-                        merge_range(i, &mut timer, &mut emit, &mut out);
-                    }
+        ranges.run(tid, &mut timer, |claimed, timer| {
+            for i in claimed {
+                // Key alignment may merge ranges away; skip the excess.
+                if i < bounds.len() {
+                    merge_range(i, timer, &mut emit, &mut out);
                 }
-            });
-        } else if tid < bounds.len() {
-            merge_range(tid, &mut timer, &mut emit, &mut out);
-        }
+            }
+        });
         out.set_timing(timer.finish_parts());
         out
     })
@@ -187,7 +168,7 @@ mod tests {
         let s = random_stream(1200, 300, 2);
         let cfg = RunConfig::with_threads(4).record_all();
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         assert_eq!(
             canonical(&outs),
             nested_loop_join(&r, &s, Window::of_len(64))
@@ -201,7 +182,7 @@ mod tests {
         let s = random_stream(2000, 8, 4);
         let cfg = RunConfig::with_threads(4).record_all();
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         assert_eq!(
             canonical(&outs),
             nested_loop_join(&r, &s, Window::of_len(64))
@@ -214,7 +195,7 @@ mod tests {
         let s = random_stream(400, 100, 6);
         let cfg = RunConfig::with_threads(1).record_all();
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         assert_eq!(
             canonical(&outs),
             nested_loop_join(&r, &s, Window::of_len(64))
@@ -232,7 +213,7 @@ mod tests {
                 .record_all()
                 .scheduler(Scheduler::Steal);
             let clock = EventClock::ungated();
-            let outs = run(&r, &s, &cfg, &clock, 0);
+            let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
             assert_eq!(canonical(&outs), expect, "threads={threads}");
         }
     }
@@ -243,7 +224,7 @@ mod tests {
         let s = random_stream(4000, 4000, 8);
         let cfg = RunConfig::with_threads(2);
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let merge: u64 = outs.iter().map(|w| w.breakdown[Phase::Merge]).sum();
         let sort: u64 = outs.iter().map(|w| w.breakdown[Phase::BuildSort]).sum();
         assert!(merge > 0);

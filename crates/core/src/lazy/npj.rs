@@ -10,203 +10,59 @@
 //! in lock-free mode.
 
 use crate::clock::EventClock;
-use crate::config::RunConfig;
-use crate::lazy::{steal_scan, EmitClock};
+use crate::config::{KernelConfig, RunConfig};
+use crate::lazy::{EmitClock, Scan};
 use crate::output::WorkerOut;
+use iawj_common::hash::bucket_of;
 use iawj_common::kernel::tuple_buckets_into;
-use iawj_common::{KernelBackend, Phase, Sink, Ts, Tuple};
-use iawj_exec::pool::{barrier, chunk_range};
-use iawj_exec::{Executor, LockFreeTable, NpjTable, SharedTable, StripedTable};
-use iawj_obs::{MARK_CAS_RETRY, MARK_LATCH_WAIT};
-
-/// The shared table behind NPJ, with the scheme chosen by
-/// [`crate::config::NpjConfig`]: per-bucket latches (the default, matching
-/// the paper's bucket-chain table), striped latches (the latch-granularity
-/// ablation), or the lock-free CAS-chained table (the latched-vs-lock-free
-/// A/B behind Fig. 8).
-enum Table {
-    PerBucket(SharedTable),
-    Striped(StripedTable),
-    LockFree(LockFreeTable),
-}
-
-impl Table {
-    /// Build the shared table. With `first_touch` the lock-free table is
-    /// allocated untouched (zeroed, lazily mapped pages) so the workers can
-    /// fault its memory onto their own NUMA nodes before the build; the
-    /// latched tables have non-zero headers and always initialise eagerly.
-    fn build(expected: usize, cfg: &RunConfig, first_touch: bool) -> Self {
-        match (cfg.npj.table, cfg.npj.striped_latches) {
-            (NpjTable::LockFree, _) if first_touch => {
-                Table::LockFree(LockFreeTable::with_capacity_untouched(expected))
-            }
-            (NpjTable::LockFree, _) => Table::LockFree(LockFreeTable::with_capacity(expected)),
-            (NpjTable::Latch, Some(stripes)) => {
-                Table::Striped(StripedTable::with_capacity(expected, stripes))
-            }
-            (NpjTable::Latch, None) => Table::PerBucket(SharedTable::with_capacity(expected)),
-        }
-    }
-
-    /// The journal mark this table emits per contention event: a spin-wait
-    /// episode on a latch, or a failed bucket-head CAS.
-    fn contention_mark(&self) -> &'static str {
-        match self {
-            Table::PerBucket(_) | Table::Striped(_) => MARK_LATCH_WAIT,
-            Table::LockFree(_) => MARK_CAS_RETRY,
-        }
-    }
-
-    /// Insert, returning the number of contention events it cost.
-    #[inline]
-    fn insert(&self, key: u32, ts: u32) -> u32 {
-        match self {
-            Table::PerBucket(t) => t.insert_counting(key, ts),
-            Table::Striped(t) => t.insert_counting(key, ts),
-            Table::LockFree(t) => t.insert(key, ts),
-        }
-    }
-
-    /// Probe, returning the number of contention events it cost (always 0
-    /// for the lock-free table: its probe path takes no latch and never
-    /// CASes).
-    #[inline]
-    fn probe(&self, key: u32, f: impl FnMut(u32)) -> u32 {
-        match self {
-            Table::PerBucket(t) => t.probe_counting(key, f),
-            Table::Striped(t) => t.probe_counting(key, f),
-            Table::LockFree(t) => {
-                t.probe(key, f);
-                0
-            }
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            Table::PerBucket(t) => t.bytes(),
-            Table::Striped(t) => t.bytes(),
-            Table::LockFree(t) => t.bytes(),
-        }
-    }
-
-    /// Bucket mask shared by all table modes (same capacity → same mask).
-    #[inline]
-    fn mask(&self) -> u64 {
-        match self {
-            Table::PerBucket(t) => t.mask(),
-            Table::Striped(t) => t.mask(),
-            Table::LockFree(t) => t.mask(),
-        }
-    }
-
-    /// Prefetch the head of bucket `b` (a hint; out-of-range is a no-op).
-    #[inline]
-    fn prefetch_bucket(&self, b: usize) {
-        match self {
-            Table::PerBucket(t) => t.prefetch_bucket(b),
-            Table::Striped(t) => t.prefetch_bucket(b),
-            Table::LockFree(t) => t.prefetch_bucket(b),
-        }
-    }
-
-    /// [`Table::insert`] with the bucket index already derived.
-    #[inline]
-    fn insert_at(&self, b: usize, key: u32, ts: u32) -> u32 {
-        match self {
-            Table::PerBucket(t) => t.insert_at_counting(b, key, ts),
-            Table::Striped(t) => t.insert_at_counting(b, key, ts),
-            Table::LockFree(t) => t.insert_at(b, key, ts),
-        }
-    }
-
-    /// [`Table::probe`] with the bucket index already derived.
-    #[inline]
-    fn probe_at(&self, b: usize, key: u32, f: impl FnMut(u32)) -> u32 {
-        match self {
-            Table::PerBucket(t) => t.probe_at_counting(b, key, f),
-            Table::Striped(t) => t.probe_at_counting(b, key, f),
-            Table::LockFree(t) => {
-                t.probe_at(b, key, f);
-                0
-            }
-        }
-    }
-}
+use iawj_common::{Phase, Sink, Ts, Tuple};
+use iawj_exec::pool::barrier;
+use iawj_exec::{ConcurrentTable, Executor, LockFreeTable, NpjTable, SharedTable};
 
 /// Tuples per batched-pipeline block: large enough to amortise the 8-wide
 /// hash kernel, small enough that the derived bucket indices stay in L1.
 const PIPELINE_BLOCK: usize = 1024;
 
-/// Batched build over one contiguous range (`--kernel simd` path): per
-/// block, derive every bucket index up front with the 8-wide hash kernel,
-/// then walk the block issuing a bucket-head prefetch `dist` tuples ahead
-/// of each insert so chain heads are (likely) cache-resident by the time
-/// they are claimed.
+/// Walk one contiguous range as `f(bucket, tuple)` — the one place the
+/// scalar-vs-batched choice is made, for build and probe alike. `--kernel
+/// simd`: per block, derive every bucket index up front with the 8-wide
+/// hash kernel, then walk the block issuing a bucket-head prefetch `dist`
+/// tuples ahead of each access so chain heads are (likely) cache-resident
+/// by the time they are touched. `scalar` keeps the per-tuple
+/// hash-then-access loop.
 #[inline]
-fn build_batched(
-    table: &Table,
+fn for_each_bucket<T: ConcurrentTable>(
+    table: &T,
     tuples: &[Tuple],
-    kernel: KernelBackend,
-    dist: usize,
+    kcfg: &KernelConfig,
     buckets: &mut Vec<usize>,
-) -> u32 {
-    let mut events = 0u32;
-    for block in tuples.chunks(PIPELINE_BLOCK) {
-        tuple_buckets_into(kernel, block, table.mask(), buckets);
-        for (i, t) in block.iter().enumerate() {
-            if let Some(&ahead) = buckets.get(i + dist) {
-                table.prefetch_bucket(ahead);
+    mut f: impl FnMut(usize, &Tuple),
+) {
+    if kcfg.backend.is_simd() {
+        let dist = kcfg.prefetch_dist.max(1);
+        for block in tuples.chunks(PIPELINE_BLOCK) {
+            tuple_buckets_into(kcfg.backend, block, table.mask(), buckets);
+            for (i, t) in block.iter().enumerate() {
+                if let Some(&ahead) = buckets.get(i + dist) {
+                    table.prefetch_bucket(ahead);
+                }
+                f(buckets[i], t);
             }
-            events += table.insert_at(buckets[i], t.key, t.ts);
+        }
+    } else {
+        let mask = table.mask();
+        for t in tuples {
+            f(bucket_of(t.key, mask), t);
         }
     }
-    events
 }
 
-/// Batched probe over one contiguous range, same pipeline shape as
-/// [`build_batched`]. `emit.now()` is still taken per tuple, so match
-/// timestamps keep the exact per-tuple semantics of the scalar path.
-#[inline]
-fn probe_batched(
-    table: &Table,
-    tuples: &[Tuple],
-    kernel: KernelBackend,
-    dist: usize,
-    buckets: &mut Vec<usize>,
-    emit: &mut EmitClock,
-    out: &mut WorkerOut,
-) -> u32 {
-    let mut events = 0u32;
-    for block in tuples.chunks(PIPELINE_BLOCK) {
-        tuple_buckets_into(kernel, block, table.mask(), buckets);
-        for (i, t) in block.iter().enumerate() {
-            if let Some(&ahead) = buckets.get(i + dist) {
-                table.prefetch_bucket(ahead);
-            }
-            let now = emit.now();
-            events += table.probe_at(buckets[i], t.key, |r_ts| {
-                out.sink.push(t.key, r_ts, t.ts, now)
-            });
-        }
-    }
-    events
-}
-
-/// Run NPJ. `arrive_by` is the arrival timestamp of the window's last
-/// tuple; the lazy approach waits for it before starting. Convenience
-/// wrapper over [`run_on`] that builds the executor [`RunConfig`] asks for.
-pub fn run(
-    r: &[Tuple],
-    s: &[Tuple],
-    cfg: &RunConfig,
-    clock: &EventClock,
-    arrive_by: Ts,
-) -> Vec<WorkerOut> {
-    run_on(r, s, cfg, clock, arrive_by, &cfg.make_executor())
-}
-
-/// Run NPJ on an existing executor (reused across runs / window closes).
+/// Run NPJ on an existing executor (reused across runs / window closes),
+/// into the shared table [`crate::config::NpjConfig`] selects: per-bucket
+/// latches (the default, matching the paper's bucket-chain table) or the
+/// lock-free CAS-chained table (the latched-vs-lock-free A/B behind Fig. 8).
+/// `arrive_by` is the arrival timestamp of the window's last tuple; the
+/// lazy approach waits for it before starting.
 pub fn run_on(
     r: &[Tuple],
     s: &[Tuple],
@@ -215,67 +71,74 @@ pub fn run_on(
     arrive_by: Ts,
     exec: &Executor,
 ) -> Vec<WorkerOut> {
+    let input = (r, s, cfg, clock, arrive_by, exec);
+    match cfg.npj.table {
+        NpjTable::Latch => run_with(&SharedTable::with_capacity(r.len()), None, input),
+        // With pinned workers the lock-free table defers page placement: it
+        // is allocated zeroed (lazily mapped) and each worker faults +
+        // initialises its own share, so table memory lands on the workers'
+        // NUMA nodes instead of wherever the coordinating thread happens to
+        // run. (The latched table has non-zero headers and always
+        // initialises eagerly.)
+        NpjTable::LockFree if exec.pinned() => {
+            let table = LockFreeTable::with_capacity_untouched(r.len());
+            // SAFETY: `run_with` calls this once per tid, before any insert,
+            // and barriers between the touches and the build.
+            let touch = |tid: usize| unsafe { table.first_touch(tid, cfg.threads) };
+            run_with(&table, Some(&touch), input)
+        }
+        NpjTable::LockFree => run_with(&LockFreeTable::with_capacity(r.len()), None, input),
+    }
+}
+
+/// [`run_on`]'s arguments, bundled so each table arm passes them on whole.
+type Inputs<'a> = (
+    &'a [Tuple],
+    &'a [Tuple],
+    &'a RunConfig,
+    &'a EventClock,
+    Ts,
+    &'a Executor,
+);
+
+/// NPJ over any [`ConcurrentTable`]. `first_touch`, when present, is run
+/// by every worker for its own tid ahead of a barrier that precedes the
+/// build.
+fn run_with<T: ConcurrentTable>(
+    table: &T,
+    first_touch: Option<&(dyn Fn(usize) + Sync)>,
+    (r, s, cfg, clock, arrive_by, exec): Inputs<'_>,
+) -> Vec<WorkerOut> {
     let threads = cfg.threads;
-    // With pinned workers the lock-free table defers page placement: it is
-    // allocated zeroed (lazily mapped) and each worker faults + initialises
-    // its own share below, so table memory lands on the workers' NUMA
-    // nodes instead of wherever the coordinating thread happens to run.
-    let first_touch = exec.pinned() && cfg.npj.table == NpjTable::LockFree;
-    let table = Table::build(r.len(), cfg, first_touch);
     let touch_done = barrier(threads);
     let build_done = barrier(threads);
-    let stealing = cfg.sched.stealing();
-    let build_q = cfg.sched.queue(r.len(), threads);
-    let probe_q = cfg.sched.queue(s.len(), threads);
+    let build = Scan::new(&cfg.sched, r.len(), threads);
+    let probe = Scan::new(&cfg.sched, s.len(), threads);
     exec.run(threads, |tid| {
         let mut out = WorkerOut::new(cfg.sample_every);
         let mut timer = cfg.timer_for(Phase::Wait, clock.epoch());
         clock.wait_until(arrive_by);
 
-        let mark = table.contention_mark();
-        let kernel = cfg.kernel.backend;
-        let dist = cfg.kernel.prefetch_dist.max(1);
         // Per-worker scratch for the batched pipelines, reused across
         // morsel ranges so the Simd path allocates once per worker.
         let mut buckets: Vec<usize> = Vec::new();
         timer.switch_to(Phase::BuildSort);
-        if first_touch {
-            if let Table::LockFree(t) = &table {
-                // SAFETY: every tid initialises its disjoint share, and the
-                // barrier orders all touches before the first insert.
-                unsafe { t.first_touch(tid, threads) };
-            }
+        if let Some(touch) = first_touch {
+            touch(tid);
             touch_done.wait();
             timer.instant("barrier:first_touch_done");
         }
-        if stealing {
-            // The scan owns the timer, so contention events accumulate in a
-            // counter and flush to the journal when the phase ends (their
-            // count is exact; only their timestamps cluster).
-            let mut events = 0u32;
-            steal_scan(&build_q, tid, &mut timer, |range| {
-                if kernel.is_simd() {
-                    events += build_batched(&table, &r[range], kernel, dist, &mut buckets);
-                } else {
-                    for t in &r[range] {
-                        events += table.insert(t.key, t.ts);
-                    }
-                }
+        // Contention events accumulate in a counter and flush to the
+        // journal when the phase ends (their count is exact; only their
+        // timestamps cluster).
+        let mut events = 0u32;
+        build.run(tid, &mut timer, |range, _| {
+            for_each_bucket(table, &r[range], &cfg.kernel, &mut buckets, |b, t| {
+                events += table.insert_at(b, t.key, t.ts);
             });
-            for _ in 0..events {
-                timer.instant(mark);
-            }
-        } else if kernel.is_simd() {
-            let chunk = &r[chunk_range(r.len(), threads, tid)];
-            for _ in 0..build_batched(&table, chunk, kernel, dist, &mut buckets) {
-                timer.instant(mark);
-            }
-        } else {
-            for t in &r[chunk_range(r.len(), threads, tid)] {
-                for _ in 0..table.insert(t.key, t.ts) {
-                    timer.instant(mark);
-                }
-            }
+        });
+        for _ in 0..events {
+            timer.instant(T::CONTENTION_MARK);
         }
         timer.switch_to(Phase::Other);
         build_done.wait();
@@ -286,51 +149,17 @@ pub fn run_on(
 
         timer.switch_to(Phase::Probe);
         let mut emit = EmitClock::new(clock);
-        if stealing {
-            let mut events = 0u32;
-            steal_scan(&probe_q, tid, &mut timer, |range| {
-                if kernel.is_simd() {
-                    events += probe_batched(
-                        &table,
-                        &s[range],
-                        kernel,
-                        dist,
-                        &mut buckets,
-                        &mut emit,
-                        &mut out,
-                    );
-                } else {
-                    for t in &s[range] {
-                        let now = emit.now();
-                        events += table.probe(t.key, |r_ts| out.sink.push(t.key, r_ts, t.ts, now));
-                    }
-                }
-            });
-            for _ in 0..events {
-                timer.instant(mark);
-            }
-        } else if kernel.is_simd() {
-            let chunk = &s[chunk_range(s.len(), threads, tid)];
-            let events = probe_batched(
-                &table,
-                chunk,
-                kernel,
-                dist,
-                &mut buckets,
-                &mut emit,
-                &mut out,
-            );
-            for _ in 0..events {
-                timer.instant(mark);
-            }
-        } else {
-            for t in &s[chunk_range(s.len(), threads, tid)] {
+        let mut events = 0u32;
+        // `emit.now()` is taken per tuple, so match timestamps do not
+        // depend on the kernel.
+        probe.run(tid, &mut timer, |range, _| {
+            for_each_bucket(table, &s[range], &cfg.kernel, &mut buckets, |b, t| {
                 let now = emit.now();
-                let waits = table.probe(t.key, |r_ts| out.sink.push(t.key, r_ts, t.ts, now));
-                for _ in 0..waits {
-                    timer.instant(mark);
-                }
-            }
+                events += table.probe_at(b, t.key, |r_ts| out.sink.push(t.key, r_ts, t.ts, now));
+            });
+        });
+        for _ in 0..events {
+            timer.instant(T::CONTENTION_MARK);
         }
         out.set_timing(timer.finish_parts());
         out
@@ -341,7 +170,8 @@ pub fn run_on(
 mod tests {
     use super::*;
     use crate::reference::nested_loop_join;
-    use iawj_common::{Rng, Window};
+    use iawj_common::{KernelBackend, Rng, Window};
+    use iawj_obs::{MARK_CAS_RETRY, MARK_LATCH_WAIT};
 
     fn random_stream(n: usize, keys: u32, seed: u64) -> Vec<Tuple> {
         let mut rng = Rng::new(seed);
@@ -356,7 +186,7 @@ mod tests {
         let s = random_stream(700, 64, 2);
         let cfg = RunConfig::with_threads(4).record_all();
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let mut got: Vec<_> = outs
             .iter()
             .flat_map(|w| w.sink.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)))
@@ -371,7 +201,7 @@ mod tests {
         let s = random_stream(100, 8, 4);
         let cfg = RunConfig::with_threads(1).record_all();
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let total: u64 = outs.iter().map(|w| w.sink.count()).sum();
         assert_eq!(
             total,
@@ -383,24 +213,8 @@ mod tests {
     fn empty_inputs_produce_nothing() {
         let cfg = RunConfig::with_threads(2).record_all();
         let clock = EventClock::ungated();
-        let outs = run(&[], &[], &cfg, &clock, 0);
+        let outs = run_on(&[], &[], &cfg, &clock, 0, &cfg.make_executor());
         assert_eq!(outs.iter().map(|w| w.sink.count()).sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn striped_latch_ablation_is_correct() {
-        let r = random_stream(800, 32, 7);
-        let s = random_stream(800, 32, 8);
-        let mut cfg = RunConfig::with_threads(4).record_all();
-        cfg.npj.striped_latches = Some(64);
-        let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
-        let mut got: Vec<_> = outs
-            .iter()
-            .flat_map(|w| w.sink.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)))
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, nested_loop_join(&r, &s, Window::of_len(64)));
     }
 
     #[test]
@@ -416,7 +230,7 @@ mod tests {
             .morsel_size(64)
             .with_journal();
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let mut got: Vec<_> = outs
             .iter()
             .flat_map(|w| w.sink.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)))
@@ -448,7 +262,7 @@ mod tests {
                 .scheduler(scheduler)
                 .morsel_size(64);
             let clock = EventClock::ungated();
-            let outs = run(&r, &s, &cfg, &clock, 0);
+            let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
             let mut got: Vec<_> = outs
                 .iter()
                 .flat_map(|w| w.sink.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)))
@@ -474,7 +288,7 @@ mod tests {
                         .kernel(backend)
                         .prefetch_dist(4);
                     let clock = EventClock::ungated();
-                    let outs = run(&r, &s, &cfg, &clock, 0);
+                    let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
                     let mut got: Vec<_> = outs
                         .iter()
                         .flat_map(|w| w.sink.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)))
@@ -500,7 +314,7 @@ mod tests {
             .npj_table(NpjTable::LockFree)
             .with_journal();
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let count = |name: &str| -> usize {
             outs.iter()
                 .filter_map(|w| w.journal.as_ref())
@@ -519,7 +333,7 @@ mod tests {
         let s = random_stream(2000, 4, 42);
         let cfg = RunConfig::with_threads(4).record_all().with_journal();
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let retries: usize = outs
             .iter()
             .filter_map(|w| w.journal.as_ref())
@@ -534,7 +348,7 @@ mod tests {
         let s = random_stream(2000, 16, 6);
         let cfg = RunConfig::with_threads(2);
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let total: u64 = outs.iter().map(|w| w.breakdown[Phase::Probe]).sum();
         assert!(total > 0, "probe phase must be timed");
         let merge: u64 = outs.iter().map(|w| w.breakdown[Phase::Merge]).sum();

@@ -10,44 +10,16 @@
 
 use crate::clock::EventClock;
 use crate::config::{KernelConfig, RunConfig};
-use crate::lazy::{steal_scan, EmitClock, Slots};
+use crate::lazy::{claim_mark, EmitClock};
 use crate::output::WorkerOut;
 use iawj_common::kernel::tuple_buckets_into;
 use iawj_common::{Phase, Sink, Ts, Tuple};
-use iawj_exec::morsel::{for_each_morsel, MorselQueue, MARK_CLAIM, MARK_STEAL};
-use iawj_exec::pool::{barrier, chunk_range};
-use iawj_exec::radix::{histogram_kernel, partition_seq_kernel, ScatterPlan, SharedOut};
-use iawj_exec::swwc::{ScatterMode, SwwcBuffers, MARK_FLUSH};
+use iawj_exec::morsel::{for_each_morsel, MorselQueue};
+use iawj_exec::pool::barrier;
+use iawj_exec::radix::{partition_seq, PartitionPass, PassKnobs, SlotLayout};
+use iawj_exec::swwc::MARK_FLUSH;
 use iawj_exec::{Executor, LocalTable, PhaseTimer};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Fixed morsel grid used by the steal-mode partition pass: cell `g` of an
-/// input of `len` tuples is `g*m..(g+1)*m`. The grid is deterministic so a
-/// cell's histogram and its scatter use the same slice no matter which
-/// worker claims it — the contract `ScatterPlan::scatter_chunk` relies on.
-#[inline]
-fn grid_chunk(len: usize, m: usize, g: usize) -> std::ops::Range<usize> {
-    (g * m)..((g + 1) * m).min(len)
-}
-
-/// Number of grid cells for `len` tuples at morsel size `m` (at least one,
-/// so empty inputs still yield a valid all-zero scatter plan).
-#[inline]
-fn grid_cells(len: usize, m: usize) -> usize {
-    len.div_ceil(m).max(1)
-}
-
-/// Run PRJ. Convenience wrapper over [`run_on`] that builds the executor
-/// [`RunConfig`] asks for.
-pub fn run(
-    r: &[Tuple],
-    s: &[Tuple],
-    cfg: &RunConfig,
-    clock: &EventClock,
-    arrive_by: Ts,
-) -> Vec<WorkerOut> {
-    run_on(r, s, cfg, clock, arrive_by, &cfg.make_executor())
-}
 
 /// Run PRJ on an existing executor (reused across runs / window closes).
 pub fn run_on(
@@ -64,194 +36,66 @@ pub fn run_on(
     let bits2 = bits_total - bits1;
 
     let stealing = cfg.sched.stealing();
-    let morsel = cfg.sched.morsel_size.max(1);
-    // Steal mode partitions over a fixed morsel grid instead of one chunk
-    // per thread: each grid cell is a scatter-plan slot, so any worker can
-    // claim any cell's histogram or scatter without violating the
-    // histogram-matches-chunk contract.
-    let (r_cells, s_cells) = if stealing {
-        (grid_cells(r.len(), morsel), grid_cells(s.len(), morsel))
-    } else {
-        (0, 0)
+    let knobs = PassKnobs {
+        // Steal mode partitions over a fixed morsel grid instead of one
+        // chunk per thread, so any worker can claim any cell.
+        layout: if stealing {
+            SlotLayout::Grid(cfg.sched.morsel_size)
+        } else {
+            SlotLayout::PerThread
+        },
+        scatter: cfg.prj.scatter,
+        kernel: cfg.kernel.backend,
+        // With pinned workers the partition arenas use first-touch
+        // allocation: each scattering worker faults the slots it scatters
+        // onto its own NUMA node.
+        first_touch: exec.pinned(),
     };
-    let r_ghists: Slots<Vec<u32>> = Slots::new(r_cells);
-    let s_ghists: Slots<Vec<u32>> = Slots::new(s_cells);
-    let r_hist_q = MorselQueue::new(r_cells, threads, 1);
-    let s_hist_q = MorselQueue::new(s_cells, threads, 1);
-    let r_scatter_q = MorselQueue::new(r_cells, threads, 1);
-    let s_scatter_q = MorselQueue::new(s_cells, threads, 1);
-
-    let r_hists: Slots<Vec<u32>> = Slots::new(threads);
-    let s_hists: Slots<Vec<u32>> = Slots::new(threads);
-    let plans: Slots<(ScatterPlan, SharedOut, ScatterPlan, SharedOut)> = Slots::new(1);
+    let r_pass = PartitionPass::new(r, 0, bits1, threads, knobs);
+    let s_pass = PartitionPass::new(s, 0, bits1, threads, knobs);
     let hist_done = barrier(threads);
     let plan_done = barrier(threads);
     let scatter_done = barrier(threads);
     let next_partition = AtomicUsize::new(0);
     let fanout1 = 1usize << bits1;
-    let join_q = cfg.sched.item_queue(fanout1, threads);
+    let join_q = MorselQueue::new(fanout1, threads, 1);
 
-    // With pinned workers the partition arenas use first-touch allocation:
-    // zeroed, lazily mapped pages that each scattering worker faults onto
-    // its own NUMA node by pre-touching exactly the slot it scatters.
-    let first_touch = exec.pinned();
     exec.run(threads, |tid| {
         let mut out = WorkerOut::new(cfg.sample_every);
         let mut timer = cfg.timer_for(Phase::Wait, clock.epoch());
         clock.wait_until(arrive_by);
 
         // --- Pass 1: cooperative parallel partition of R and S ---
-        let kernel = cfg.kernel.backend;
         timer.switch_to(Phase::Partition);
-        if stealing {
-            steal_scan(&r_hist_q, tid, &mut timer, |cells| {
-                for g in cells {
-                    r_ghists.set(
-                        g,
-                        histogram_kernel(&r[grid_chunk(r.len(), morsel, g)], 0, bits1, kernel),
-                    );
-                }
-            });
-            steal_scan(&s_hist_q, tid, &mut timer, |cells| {
-                for g in cells {
-                    s_ghists.set(
-                        g,
-                        histogram_kernel(&s[grid_chunk(s.len(), morsel, g)], 0, bits1, kernel),
-                    );
-                }
-            });
-        } else {
-            r_hists.set(
-                tid,
-                histogram_kernel(&r[chunk_range(r.len(), threads, tid)], 0, bits1, kernel),
-            );
-            s_hists.set(
-                tid,
-                histogram_kernel(&s[chunk_range(s.len(), threads, tid)], 0, bits1, kernel),
-            );
-        }
+        r_pass.histogram_step(tid, claim_mark(&mut timer));
+        s_pass.histogram_step(tid, claim_mark(&mut timer));
         hist_done.wait();
         timer.instant("barrier:histograms_done");
         if tid == 0 {
-            let (rh, sh): (Vec<Vec<u32>>, Vec<Vec<u32>>) = if stealing {
-                (
-                    (0..r_cells).map(|g| r_ghists.get(g).clone()).collect(),
-                    (0..s_cells).map(|g| s_ghists.get(g).clone()).collect(),
-                )
-            } else {
-                (
-                    (0..threads).map(|i| r_hists.get(i).clone()).collect(),
-                    (0..threads).map(|i| s_hists.get(i).clone()).collect(),
-                )
-            };
-            let rp = ScatterPlan::from_histograms(&rh, 0, bits1);
-            let sp = ScatterPlan::from_histograms(&sh, 0, bits1);
-            let (ro, so) = if first_touch {
-                (
-                    SharedOut::new_first_touch(r.len()),
-                    SharedOut::new_first_touch(s.len()),
-                )
-            } else {
-                (SharedOut::new(r.len()), SharedOut::new(s.len()))
-            };
-            plans.set(0, (rp, ro, sp, so));
+            r_pass.plan();
+            s_pass.plan();
         }
         plan_done.wait();
-        let (r_plan, r_out, s_plan, s_out) = plans.get(0);
-        // SWWC mode: one write-combining buffer set per worker per side,
-        // reused across every chunk/cell this worker scatters (the scatter
-        // call drains it at each slot boundary, so reuse is residue-free).
-        let swwc = cfg.prj.scatter == ScatterMode::Swwc;
-        let mut wc = if swwc {
-            Some((SwwcBuffers::for_bits(bits1), SwwcBuffers::for_bits(bits1)))
-        } else {
-            None
+        // SAFETY: `Executor::run` hands each tid to exactly one lane, and
+        // the partitioned data is read only after the `scatter_done`
+        // barrier below.
+        let drains = unsafe {
+            r_pass.scatter_step(tid, claim_mark(&mut timer))
+                + s_pass.scatter_step(tid, claim_mark(&mut timer))
         };
-        if stealing {
-            steal_scan(&r_scatter_q, tid, &mut timer, |cells| {
-                for g in cells {
-                    let c = &r[grid_chunk(r.len(), morsel, g)];
-                    if first_touch {
-                        // SAFETY: cell `g` is exactly the region this worker
-                        // scatters next — toucher and writer are one thread.
-                        unsafe { r_plan.touch_chunk(g, r_out) };
-                    }
-                    match &mut wc {
-                        Some((rb, _)) => r_plan.scatter_chunk_swwc_kernel(c, g, r_out, rb, kernel),
-                        None => r_plan.scatter_chunk_kernel(c, g, r_out, kernel),
-                    }
-                }
-            });
-            steal_scan(&s_scatter_q, tid, &mut timer, |cells| {
-                for g in cells {
-                    let c = &s[grid_chunk(s.len(), morsel, g)];
-                    if first_touch {
-                        // SAFETY: as above — same thread touches then writes.
-                        unsafe { s_plan.touch_chunk(g, s_out) };
-                    }
-                    match &mut wc {
-                        Some((_, sb)) => s_plan.scatter_chunk_swwc_kernel(c, g, s_out, sb, kernel),
-                        None => s_plan.scatter_chunk_kernel(c, g, s_out, kernel),
-                    }
-                }
-            });
-        } else {
-            if first_touch {
-                // SAFETY: slot `tid` is exactly the region this worker is
-                // about to scatter — toucher and writer are the same thread.
-                unsafe {
-                    r_plan.touch_chunk(tid, r_out);
-                    s_plan.touch_chunk(tid, s_out);
-                }
-            }
-            match &mut wc {
-                Some((rb, sb)) => {
-                    r_plan.scatter_chunk_swwc_kernel(
-                        &r[chunk_range(r.len(), threads, tid)],
-                        tid,
-                        r_out,
-                        rb,
-                        kernel,
-                    );
-                    s_plan.scatter_chunk_swwc_kernel(
-                        &s[chunk_range(s.len(), threads, tid)],
-                        tid,
-                        s_out,
-                        sb,
-                        kernel,
-                    );
-                }
-                None => {
-                    r_plan.scatter_chunk_kernel(
-                        &r[chunk_range(r.len(), threads, tid)],
-                        tid,
-                        r_out,
-                        kernel,
-                    );
-                    s_plan.scatter_chunk_kernel(
-                        &s[chunk_range(s.len(), threads, tid)],
-                        tid,
-                        s_out,
-                        kernel,
-                    );
-                }
-            }
-        }
-        if let Some((rb, sb)) = &wc {
-            // One journal mark per end-of-slot buffer drain (chunk in
-            // static mode, grid cell in steal mode), emitted after the
-            // scatter so the hot loop stays mark-free. Across workers the
-            // drain marks therefore count the scatter slots exactly.
-            for _ in 0..(rb.drains() + sb.drains()) {
-                timer.instant(MARK_FLUSH);
-            }
+        // One journal mark per end-of-slot buffer drain (chunk in static
+        // mode, grid cell in steal mode), emitted after the scatter so the
+        // hot loop stays mark-free. Across workers the drain marks
+        // therefore count the SWWC scatter slots exactly.
+        for _ in 0..drains {
+            timer.instant(MARK_FLUSH);
         }
         timer.switch_to(Phase::Other);
         scatter_done.wait();
         timer.instant("barrier:scatter_done");
         // SAFETY: the barrier orders all scatter writes before these reads.
-        let r_part: &[Tuple] = unsafe { r_out.as_slice() };
-        let s_part: &[Tuple] = unsafe { s_out.as_slice() };
+        let (r_part, s_part) = unsafe { (r_pass.data(), s_pass.data()) };
+        let (r_bounds, s_bounds) = (r_pass.bounds(), s_pass.bounds());
 
         if tid == 0 && cfg.mem_sample_every > 0 {
             // Partitioned copies of both inputs are PRJ's footprint.
@@ -269,16 +113,16 @@ pub fn run_on(
         let mut buckets: Vec<usize> = Vec::new();
         let mut do_partition =
             |p: usize, timer: &mut PhaseTimer, emit: &mut EmitClock, out: &mut WorkerOut| {
-                let rp = &r_part[r_plan.bounds[p]..r_plan.bounds[p + 1]];
-                let sp = &s_part[s_plan.bounds[p]..s_plan.bounds[p + 1]];
+                let rp = &r_part[r_bounds[p]..r_bounds[p + 1]];
+                let sp = &s_part[s_bounds[p]..s_bounds[p + 1]];
                 if rp.is_empty() || sp.is_empty() {
                     return;
                 }
                 if bits2 > 0 {
                     // --- Pass 2: thread-local refinement ---
                     timer.switch_to(Phase::Partition);
-                    let rr = partition_seq_kernel(rp, bits1, bits2, kernel);
-                    let ss = partition_seq_kernel(sp, bits1, bits2, kernel);
+                    let rr = partition_seq(rp, bits1, bits2, kcfg.backend);
+                    let ss = partition_seq(sp, bits1, bits2, kcfg.backend);
                     for q in 0..rr.fanout() {
                         join_partition(
                             rr.partition(q),
@@ -298,7 +142,7 @@ pub fn run_on(
             // Per-worker deques of partition ids with steal-half: a worker
             // stuck on a heavy Zipf partition sheds the rest of its deque.
             for_each_morsel(&join_q, tid, |range, stolen| {
-                timer.instant(if stolen { MARK_STEAL } else { MARK_CLAIM });
+                claim_mark(&mut timer)(stolen);
                 for p in range {
                     do_partition(p, &mut timer, &mut emit, &mut out);
                 }
@@ -377,6 +221,7 @@ mod tests {
     use super::*;
     use crate::reference::nested_loop_join;
     use iawj_common::{KernelBackend, Rng, Window};
+    use iawj_exec::ScatterMode;
 
     fn random_stream(n: usize, keys: u32, seed: u64) -> Vec<Tuple> {
         let mut rng = Rng::new(seed);
@@ -401,7 +246,7 @@ mod tests {
         let mut cfg = RunConfig::with_threads(4).record_all();
         cfg.prj.radix_bits = 6; // single pass
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         assert_eq!(
             canonical(&outs),
             nested_loop_join(&r, &s, Window::of_len(64))
@@ -416,7 +261,7 @@ mod tests {
         cfg.prj.radix_bits = 10;
         cfg.prj.max_bits_per_pass = 6; // force a refinement pass
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         assert_eq!(
             canonical(&outs),
             nested_loop_join(&r, &s, Window::of_len(64))
@@ -430,7 +275,7 @@ mod tests {
         let s: Vec<Tuple> = (0..100).map(|i| Tuple::new(1024, i % 64)).collect();
         let cfg = RunConfig::with_threads(4).record_all();
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let total: u64 = outs.iter().map(|w| w.sink.count()).sum();
         assert_eq!(total, 200 * 100);
     }
@@ -443,7 +288,7 @@ mod tests {
             .record_all()
             .scatter(ScatterMode::Swwc);
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         assert_eq!(
             canonical(&outs),
             nested_loop_join(&r, &s, Window::of_len(64))
@@ -470,7 +315,7 @@ mod tests {
                     cfg.prj.radix_bits = bits;
                     cfg.prj.max_bits_per_pass = per_pass;
                     let clock = EventClock::ungated();
-                    let outs = run(&r, &s, &cfg, &clock, 0);
+                    let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
                     assert_eq!(
                         canonical(&outs),
                         expect,
@@ -501,7 +346,7 @@ mod tests {
             .with_journal();
         cfg.prj.radix_bits = 6;
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         assert_eq!(
             count_flush_marks(&outs),
             4 * 2,
@@ -516,7 +361,7 @@ mod tests {
             .with_journal();
         cfg.prj.radix_bits = 6;
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         // 10 grid cells per side, each drained exactly once.
         assert_eq!(count_flush_marks(&outs), 10 + 10);
     }
@@ -538,7 +383,7 @@ mod tests {
                     cfg.prj.radix_bits = bits;
                     cfg.prj.max_bits_per_pass = per_pass;
                     let clock = EventClock::ungated();
-                    canonical(&run(&r, &s, &cfg, &clock, 0))
+                    canonical(&run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor()))
                 };
                 assert_eq!(
                     collect(KernelBackend::Scalar),
@@ -563,7 +408,7 @@ mod tests {
             cfg.prj.radix_bits = bits;
             cfg.prj.max_bits_per_pass = per_pass;
             let clock = EventClock::ungated();
-            let outs = run(&r, &s, &cfg, &clock, 0);
+            let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
             assert_eq!(canonical(&outs), expect, "bits={bits}");
         }
     }
@@ -581,7 +426,7 @@ mod tests {
             .with_journal();
         cfg.prj.radix_bits = 6;
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let marks: usize = outs
             .iter()
             .filter_map(|w| w.journal.as_ref())
@@ -592,13 +437,39 @@ mod tests {
         assert_eq!(marks, 10 + 10 + 10 + 10 + 64);
     }
 
+    /// PRJ is one parallel section: partition pass, barriers and joins all
+    /// run inside a single `Executor::run` dispatch, whatever the knobs.
+    #[test]
+    fn whole_join_is_one_executor_dispatch() {
+        use iawj_exec::Scheduler;
+        let r = random_stream(3000, 1 << 10, 81);
+        let s = random_stream(3000, 1 << 10, 82);
+        let expect = nested_loop_join(&r, &s, Window::of_len(64));
+        for sched in Scheduler::ALL {
+            for mode in ScatterMode::ALL {
+                let mut cfg = RunConfig::with_threads(4)
+                    .record_all()
+                    .scheduler(sched)
+                    .morsel_size(128)
+                    .scatter(mode);
+                cfg.prj.radix_bits = 10;
+                cfg.prj.max_bits_per_pass = 6;
+                let exec = cfg.make_executor();
+                let clock = EventClock::ungated();
+                let outs = run_on(&r, &s, &cfg, &clock, 0, &exec);
+                assert_eq!(canonical(&outs), expect, "scheduler={sched} scatter={mode}");
+                assert_eq!(exec.generations(), 1, "scheduler={sched} scatter={mode}");
+            }
+        }
+    }
+
     #[test]
     fn partition_phase_is_timed() {
         let r = random_stream(5000, 512, 5);
         let s = random_stream(5000, 512, 6);
         let cfg = RunConfig::with_threads(2);
         let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
+        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let part: u64 = outs.iter().map(|w| w.breakdown[Phase::Partition]).sum();
         assert!(part > 0);
     }

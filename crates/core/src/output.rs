@@ -23,7 +23,7 @@ pub struct WorkerOut {
     /// config enabled journaling).
     pub journal: Option<SpanJournal>,
     /// CPU the worker was last observed on (`None` when the platform
-    /// exposes no `getcpu`, or in spawn mode where threads are unplaced).
+    /// exposes no `getcpu`).
     pub core_id: Option<usize>,
 }
 

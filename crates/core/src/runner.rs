@@ -226,12 +226,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "striped latches require the latched NPJ table")]
-    fn striped_lockfree_conflict_is_rejected_before_dispatch() {
+    #[should_panic(expected = "PRJ radix bits must be in 1..=24")]
+    fn oversized_radix_bits_are_rejected_before_dispatch() {
         let ds = small_static();
-        let mut cfg = RunConfig::with_threads(2).npj_table(iawj_exec::NpjTable::LockFree);
-        cfg.npj.striped_latches = Some(64);
-        let _ = execute(Algorithm::Npj, &ds, &cfg);
+        let mut cfg = RunConfig::with_threads(2);
+        cfg.prj.radix_bits = 33;
+        let _ = execute(Algorithm::Prj, &ds, &cfg);
     }
 
     #[test]
@@ -372,30 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_executor_is_bitwise_identical_to_spawn() {
-        use iawj_exec::ExecMode;
-        let ds = small_static();
-        for algo in Algorithm::STUDIED {
-            let collect = |mode: ExecMode| {
-                let cfg = RunConfig::with_threads(4).record_all().executor(mode);
-                let result = execute(algo, &ds, &cfg);
-                let mut got: Vec<_> = result
-                    .samples
-                    .iter()
-                    .map(|m| (m.key, m.r_ts, m.s_ts))
-                    .collect();
-                got.sort_unstable();
-                (result.matches, got)
-            };
-            assert_eq!(
-                collect(ExecMode::Spawn),
-                collect(ExecMode::Pool),
-                "{algo} diverged between executors"
-            );
-        }
-    }
-
-    #[test]
     fn one_executor_serves_many_runs_and_algorithms() {
         let ds = small_static();
         let cfg = RunConfig::with_threads(4).record_all();
@@ -414,7 +390,7 @@ mod tests {
         }
         assert!(
             exec.generations() > 0,
-            "pool dispatch must be exercised, not the spawn fallback"
+            "pool dispatch must be exercised, not the wider-than-pool fallback"
         );
     }
 

@@ -1248,24 +1248,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_spawn_executors_agree_on_stream_results() {
-        use iawj_exec::ExecMode;
-        let r = stream(250, 8, 800, 17);
-        let s = stream(250, 8, 800, 18);
-        let spec = WindowSpec::Sliding {
-            len_ms: 300,
-            slide_ms: 100,
-        };
-        let mk = |mode: ExecMode| {
-            cfg(spec).run_config(RunConfig::with_threads(2).record_all().executor(mode))
-        };
-        let pool = run_replay(mk(ExecMode::Pool), r.clone(), s.clone(), 32);
-        let spawn = run_replay(mk(ExecMode::Spawn), r, s, 32);
-        assert_eq!(stream_counts(&pool), stream_counts(&spawn));
-        assert_eq!(pool.matches, spawn.matches);
-    }
-
-    #[test]
     fn lateness_larger_than_first_timestamps_drops_nothing() {
         // Regression: the watermark is `max_ts - allowed_lateness_ms`
         // computed with saturating_sub. An allowed lateness larger than

@@ -14,10 +14,9 @@
 //! the generation, and wakes everyone; workers with `tid < n` run the
 //! job, the caller itself runs lane 0, and a completion count signals a
 //! second condvar. Results land in tid order and worker panics are
-//! re-raised on the caller — byte-for-byte the `run_workers` contract,
-//! which is what makes `--executor {spawn,pool}` a pure performance knob
-//! ([`Executor::run`] is differential-tested against `run_workers` across
-//! every engine).
+//! re-raised on the caller — byte-for-byte the `run_workers` contract
+//! ([`Executor::run`] is property-tested against `run_workers`, which also
+//! serves as the fallback for jobs wider than the pool).
 //!
 //! Placement: an optional [`PinPolicy`] maps workers onto the CPUs of the
 //! affinity mask ([`Topology::plan`]) and each pool worker pins itself
@@ -43,41 +42,6 @@ use std::time::Instant;
 
 /// Observed-CPU sentinel: lane never seen on any CPU yet.
 const CPU_UNKNOWN: usize = usize::MAX;
-
-/// How an [`Executor`] obtains its worker threads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Fresh scoped threads per run (`run_workers`, the seed behaviour).
-    Spawn,
-    /// A persistent parked worker pool, reused across runs.
-    #[default]
-    Pool,
-}
-
-impl ExecMode {
-    /// Both modes, for sweeps.
-    pub const ALL: [ExecMode; 2] = [ExecMode::Spawn, ExecMode::Pool];
-}
-
-impl std::str::FromStr for ExecMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "spawn" => Ok(ExecMode::Spawn),
-            "pool" => Ok(ExecMode::Pool),
-            other => Err(format!("unknown executor mode '{other}'")),
-        }
-    }
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ExecMode::Spawn => "spawn",
-            ExecMode::Pool => "pool",
-        })
-    }
-}
 
 /// A type-erased dispatched job: the wrapper closure of the current
 /// generation plus its lane count.
@@ -151,14 +115,13 @@ impl Inner {
     }
 }
 
-/// A reusable parallel-section runner: either a persistent pinned worker
-/// pool or a thin wrapper over per-run spawning, selected by [`ExecMode`].
+/// A reusable parallel-section runner: a persistent, optionally pinned
+/// worker pool.
 ///
 /// Created once per `RunConfig`/`StreamingJoin`; [`Executor::run`] has
 /// exactly the `run_workers` contract (tid-ordered results, propagated
-/// panics), so engines are agnostic to which mode drives them.
+/// panics).
 pub struct Executor {
-    mode: ExecMode,
     pin: PinPolicy,
     threads: usize,
     inner: Arc<Inner>,
@@ -166,27 +129,21 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Build an executor for up to `threads` concurrent lanes. Pool mode
-    /// spawns `threads - 1` named (`iawj-worker-N`) parked workers and
-    /// pins them per `pin`; spawn mode spawns nothing and `pin` is
-    /// recorded but inert (per-run scoped threads are placed by the OS).
+    /// Build an executor for up to `threads` concurrent lanes: spawns
+    /// `threads - 1` named (`iawj-worker-N`) parked workers and pins them
+    /// per `pin`.
     ///
     /// Placement failures — empty topology, denied `sched_setaffinity` —
     /// degrade to unpinned workers with a [`MARK_EXEC_UNPINNED`] journal
     /// notice; construction itself never fails.
-    pub fn new(mode: ExecMode, pin: PinPolicy, threads: usize) -> Executor {
+    pub fn new(pin: PinPolicy, threads: usize) -> Executor {
         let threads = threads.max(1);
-        let mut placement = match mode {
-            ExecMode::Pool => Topology::detect().plan(pin, threads),
-            ExecMode::Spawn => vec![None; threads],
-        };
+        let mut placement = Topology::detect().plan(pin, threads);
         if let Some(first) = placement.first_mut() {
             // Lane 0 is the calling thread: never pin it.
             *first = None;
         }
-        let degraded = mode == ExecMode::Pool
-            && pin != PinPolicy::None
-            && placement.iter().all(|p| p.is_none());
+        let degraded = pin != PinPolicy::None && placement.iter().all(|p| p.is_none());
         let inner = Arc::new(Inner {
             state: Mutex::new(PoolState {
                 generation: 0,
@@ -201,56 +158,32 @@ impl Executor {
                 .map(|_| AtomicUsize::new(CPU_UNKNOWN))
                 .collect(),
             migrations: AtomicU64::new(0),
-            // Spawn-mode executors are often short-lived delegate shims
-            // (e.g. the plain `partition_parallel` entry points), so keep
-            // their journal allocation small; pool journals are sized for
-            // a long dispatch/park history.
-            journal: Mutex::new(SpanJournal::with_capacity(
-                Instant::now(),
-                match mode {
-                    ExecMode::Pool => 1024,
-                    ExecMode::Spawn => 256,
-                },
-            )),
+            // Sized for a long dispatch/park history.
+            journal: Mutex::new(SpanJournal::with_capacity(Instant::now(), 1024)),
         });
         if degraded {
             inner.mark(MARK_EXEC_UNPINNED);
         }
         let mut handles = Vec::new();
-        if mode == ExecMode::Pool {
-            for w in 1..threads {
-                let inner = Arc::clone(&inner);
-                let handle = std::thread::Builder::new()
-                    .name(format!("iawj-worker-{w}"))
-                    .spawn(move || worker_loop(w, inner));
-                match handle {
-                    Ok(h) => handles.push(h),
-                    // Thread spawn failed (resource exhaustion): degrade
-                    // to fewer pool workers; `run` falls back to scoped
-                    // spawning when a job needs more lanes than the pool.
-                    Err(_) => break,
-                }
+        for w in 1..threads {
+            let inner = Arc::clone(&inner);
+            let handle = std::thread::Builder::new()
+                .name(format!("iawj-worker-{w}"))
+                .spawn(move || worker_loop(w, inner));
+            match handle {
+                Ok(h) => handles.push(h),
+                // Thread spawn failed (resource exhaustion): degrade to
+                // fewer pool workers; `run` falls back to scoped spawning
+                // when a job needs more lanes than the pool.
+                Err(_) => break,
             }
         }
         Executor {
-            mode,
             pin,
             threads,
             inner,
             handles,
         }
-    }
-
-    /// A plain spawn-mode executor (no pool, no pinning) — the drop-in
-    /// stand-in wherever an `&Executor` is required but no long-lived
-    /// pool exists.
-    pub fn spawn_mode() -> Executor {
-        Executor::new(ExecMode::Spawn, PinPolicy::None, 1)
-    }
-
-    /// Which mode drives parallel sections.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// The placement policy this executor was built with.
@@ -311,10 +244,9 @@ impl Executor {
     /// results in tid order — the `run_workers` contract, including panic
     /// propagation. Lane 0 always runs on the calling thread.
     ///
-    /// Pool mode dispatches onto the parked workers; `n == 1` runs
-    /// inline, and `n > capacity` falls back to per-run spawning (engine
-    /// jobs embed `Barrier(n)`, so all `n` lanes must truly run
-    /// concurrently).
+    /// Dispatches onto the parked workers; `n == 1` runs inline, and
+    /// `n > capacity` falls back to per-run spawning (engine jobs embed
+    /// `Barrier(n)`, so all `n` lanes must truly run concurrently).
     pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -326,7 +258,7 @@ impl Executor {
             return vec![f(0)];
         }
         if self.handles.len() + 1 < n {
-            // Spawn mode, or a job wider than the pool.
+            // A job wider than the pool.
             return run_workers(n, f);
         }
         self.dispatch(n, f)
@@ -414,7 +346,6 @@ impl Drop for Executor {
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
-            .field("mode", &self.mode)
             .field("pin", &self.pin)
             .field("threads", &self.threads)
             .field("workers", &self.handles.len())
@@ -497,18 +428,8 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn exec_mode_parse_and_display() {
-        for m in ExecMode::ALL {
-            assert_eq!(m.to_string().parse::<ExecMode>().unwrap(), m);
-        }
-        assert_eq!("POOL".parse::<ExecMode>().unwrap(), ExecMode::Pool);
-        assert!("fork".parse::<ExecMode>().is_err());
-        assert_eq!(ExecMode::default(), ExecMode::Pool);
-    }
-
-    #[test]
     fn pool_matches_run_workers_in_tid_order() {
-        let exec = Executor::new(ExecMode::Pool, PinPolicy::None, 4);
+        let exec = Executor::new(PinPolicy::None, 4);
         let pooled = exec.run(4, |tid| tid * 10);
         assert_eq!(pooled, run_workers(4, |tid| tid * 10));
         assert_eq!(pooled, vec![0, 10, 20, 30]);
@@ -517,7 +438,7 @@ mod tests {
 
     #[test]
     fn single_lane_runs_inline() {
-        let exec = Executor::new(ExecMode::Pool, PinPolicy::None, 4);
+        let exec = Executor::new(PinPolicy::None, 4);
         let caller = std::thread::current().id();
         let ids = exec.run(1, |_| std::thread::current().id());
         assert_eq!(ids, vec![caller]);
@@ -525,17 +446,8 @@ mod tests {
     }
 
     #[test]
-    fn spawn_mode_matches_pool() {
-        let spawn = Executor::new(ExecMode::Spawn, PinPolicy::None, 4);
-        let pool = Executor::new(ExecMode::Pool, PinPolicy::None, 4);
-        for n in [1, 2, 3, 4] {
-            assert_eq!(spawn.run(n, |tid| tid + 1), pool.run(n, |tid| tid + 1));
-        }
-    }
-
-    #[test]
     fn reuse_across_heterogeneous_lane_counts() {
-        let exec = Executor::new(ExecMode::Pool, PinPolicy::None, 4);
+        let exec = Executor::new(PinPolicy::None, 4);
         for round in 0..100usize {
             let n = 1 + round % 4;
             let got = exec.run(n, |tid| round * 10 + tid);
@@ -546,7 +458,7 @@ mod tests {
 
     #[test]
     fn barrier_job_synchronises_all_lanes() {
-        let exec = Executor::new(ExecMode::Pool, PinPolicy::None, 4);
+        let exec = Executor::new(PinPolicy::None, 4);
         let gate = barrier(4);
         let after = AtomicUsize::new(0);
         exec.run(4, |_| {
@@ -558,7 +470,7 @@ mod tests {
 
     #[test]
     fn wider_than_pool_falls_back_to_spawning() {
-        let exec = Executor::new(ExecMode::Pool, PinPolicy::None, 2);
+        let exec = Executor::new(PinPolicy::None, 2);
         // 6 lanes with a Barrier(6): only possible if all 6 truly run
         // concurrently, which the 2-lane pool cannot do by itself.
         let gate = barrier(6);
@@ -571,7 +483,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
-        let exec = Executor::new(ExecMode::Pool, PinPolicy::None, 4);
+        let exec = Executor::new(PinPolicy::None, 4);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             exec.run(4, |tid| {
                 if tid == 2 {
@@ -594,7 +506,7 @@ mod tests {
 
     #[test]
     fn dispatch_and_park_marks_are_journaled() {
-        let exec = Executor::new(ExecMode::Pool, PinPolicy::None, 3);
+        let exec = Executor::new(PinPolicy::None, 3);
         for _ in 0..5 {
             exec.run(3, |tid| tid);
         }
@@ -610,7 +522,7 @@ mod tests {
         // Pinning may or may not succeed on this host; either way results
         // are identical and nothing panics (degradation is journaled).
         for pin in [PinPolicy::Compact, PinPolicy::Scatter] {
-            let exec = Executor::new(ExecMode::Pool, pin, 4);
+            let exec = Executor::new(pin, 4);
             assert_eq!(exec.run(4, |tid| tid * 3), vec![0, 3, 6, 9]);
             for tid in 1..4 {
                 if let (Some(planned), Some(observed)) =
@@ -640,7 +552,7 @@ mod tests {
     /// leak threads or file descriptors.
     #[test]
     fn soak_10k_generations_leaks_nothing() {
-        let exec = Executor::new(ExecMode::Pool, PinPolicy::None, 3);
+        let exec = Executor::new(PinPolicy::None, 3);
         exec.run(3, |tid| tid); // warm up: workers spawned and parked
         #[cfg(target_os = "linux")]
         let (threads_before, fds_before) = (
@@ -677,7 +589,7 @@ mod tests {
         // 50 pools × 3 workers: if Drop failed to shut the workers down,
         // ~150 threads would accumulate — far beyond the slack.
         for round in 0..50usize {
-            let exec = Executor::new(ExecMode::Pool, PinPolicy::None, 4);
+            let exec = Executor::new(PinPolicy::None, 4);
             assert_eq!(exec.run(4, |tid| tid + round)[3], 3 + round);
         }
         #[cfg(target_os = "linux")]
@@ -692,7 +604,7 @@ mod tests {
 
     #[test]
     fn worker_threads_are_named() {
-        let exec = Executor::new(ExecMode::Pool, PinPolicy::None, 3);
+        let exec = Executor::new(PinPolicy::None, 3);
         let names = exec.run(3, |_| std::thread::current().name().map(str::to_owned));
         // Lane 0 is the caller (test harness thread); lanes 1..n are pool
         // workers with stable names.

@@ -39,7 +39,7 @@ impl<T> Latch<T> {
     /// Acquire the latch, spinning until it is free.
     #[inline]
     pub fn lock(&self) -> LatchGuard<'_, T> {
-        self.lock_counting().0
+        self.lock_waits().0
     }
 
     /// Acquire the latch and report how many spin-wait episodes it took:
@@ -49,7 +49,7 @@ impl<T> Latch<T> {
     /// episode as a `latch:wait` journal instant, which is what makes the
     /// §5.3.2 bucket-contention pathology directly observable in traces.
     #[inline]
-    pub fn lock_counting(&self) -> (LatchGuard<'_, T>, u32) {
+    pub fn lock_waits(&self) -> (LatchGuard<'_, T>, u32) {
         // Fast path: uncontended acquire.
         let waits = if self
             .locked
@@ -157,10 +157,10 @@ mod tests {
     #[test]
     fn uncontended_lock_counts_zero_waits() {
         let latch = Latch::new(0u32);
-        let (guard, waits) = latch.lock_counting();
+        let (guard, waits) = latch.lock_waits();
         assert_eq!(waits, 0);
         drop(guard);
-        assert_eq!(latch.lock_counting().1, 0);
+        assert_eq!(latch.lock_waits().1, 0);
     }
 
     #[test]
@@ -171,7 +171,7 @@ mod tests {
             let guard = latch.lock();
             let waiter = s.spawn(|| {
                 started.store(true, Ordering::Release);
-                latch.lock_counting().1
+                latch.lock_waits().1
             });
             // Hold the latch until the waiter has certainly reached its
             // acquire attempt, so it must observe the latch held.

@@ -25,7 +25,7 @@
 //! - [`merge`] — k-way (MWay) and successive pairwise (MPass) merging.
 //! - [`mergejoin`] — the duplicate-aware sorted-merge join kernel, plus the
 //!   run-provenance variant PMJ's merge phase needs.
-//! - [`hashtable`] — NPJ's shared tables (per-bucket latched, striped, and
+//! - [`hashtable`] — NPJ's shared tables (per-bucket latched and
 //!   lock-free CAS-chained) and the thread-local chained table used by PRJ
 //!   and SHJ.
 //! - [`swwc`] — software write-combining scatter buffers and the cachesim
@@ -47,8 +47,8 @@ pub mod timer;
 pub mod topology;
 pub mod window_index;
 
-pub use executor::{ExecMode, Executor};
-pub use hashtable::{LocalTable, LockFreeTable, NpjTable, SharedTable, StripedTable};
+pub use executor::Executor;
+pub use hashtable::{ConcurrentTable, LocalTable, LockFreeTable, NpjTable, SharedTable};
 pub use latch::Latch;
 pub use morsel::{for_each_morsel, MorselQueue, MorselStats, Scheduler, DEFAULT_MORSEL};
 pub use pool::run_workers;

@@ -5,8 +5,8 @@
 //! engine per window close (thousands of short runs per second) — that
 //! regime is what the persistent, optionally pinned
 //! [`Executor`](crate::executor::Executor) pool amortizes; `run_workers`
-//! remains the reference implementation (`--executor spawn`) the pool is
-//! differential-tested against.
+//! remains the executor's fallback for jobs wider than its pool and the
+//! reference implementation the pool is property-tested against.
 
 use std::sync::Barrier;
 

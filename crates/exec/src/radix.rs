@@ -3,14 +3,20 @@
 //!
 //! Tuples are partitioned on the binary digits of their *keys* (not a hash),
 //! exactly as Kim et al.'s original PRJ does: `partition = (key >> shift) &
-//! (fanout-1)`. The parallel variant follows the classic three-step shape —
-//! per-thread histograms, global prefix sums, contention-free scatter into
-//! disjoint output ranges.
+//! (fanout-1)`. The parallel pass follows the classic three-step shape —
+//! per-slot histograms, global prefix sums, contention-free scatter into
+//! disjoint output ranges — and exists exactly once, as [`PartitionPass`]:
+//! PRJ drives two of them inside its own parallel section, and
+//! [`partition_parallel_exec`] drives one on an [`Executor`].
 
 use crate::executor::Executor;
+use crate::morsel::{for_each_morsel, MorselQueue};
 use crate::pool::chunk_range;
+use crate::swwc::{ScatterMode, SwwcBuffers};
 use iawj_common::kernel::{partition_batch8, HASH_BLOCK};
 use iawj_common::{KernelBackend, Key, Tuple};
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Number of partitions produced by `bits` radix bits.
 #[inline]
@@ -24,22 +30,19 @@ pub fn partition_of(key: Key, shift: u32, bits: u32) -> usize {
     ((key >> shift) as usize) & (fanout(bits) - 1)
 }
 
-/// Per-partition counts of a tuple slice.
-pub fn histogram(tuples: &[Tuple], shift: u32, bits: u32) -> Vec<u32> {
-    histogram_kernel(tuples, shift, bits, KernelBackend::Scalar)
-}
-
-/// [`histogram`] with a selectable derivation kernel: under
-/// [`KernelBackend::Simd`] partition indices come 8 keys at a time from the
-/// batched shift-and-mask kernel. Counts are bitwise-identical across
-/// backends — the derivation is pure bit arithmetic either way.
-pub fn histogram_kernel(
+/// The one derivation loop: call `f(tuple, partition)` for every tuple in
+/// input order. Under [`KernelBackend::Simd`] partition indices come 8 keys
+/// at a time from the batched shift-and-mask kernel; the derivation is pure
+/// bit arithmetic either way, so every consumer is bitwise-identical across
+/// backends.
+#[inline(always)]
+fn for_each_partition(
     tuples: &[Tuple],
     shift: u32,
     bits: u32,
     kernel: KernelBackend,
-) -> Vec<u32> {
-    let mut hist = vec![0u32; fanout(bits)];
+    mut f: impl FnMut(&Tuple, usize),
+) {
     if kernel.is_simd() {
         let mask32 = (fanout(bits) - 1) as u32;
         let mut chunks = tuples.chunks_exact(HASH_BLOCK);
@@ -48,18 +51,25 @@ pub fn histogram_kernel(
             for (k, t) in keys.iter_mut().zip(block) {
                 *k = t.key;
             }
-            for p in partition_batch8(kernel, &keys, shift, mask32) {
-                hist[p] += 1;
+            let parts = partition_batch8(kernel, &keys, shift, mask32);
+            for (t, &p) in block.iter().zip(parts.iter()) {
+                f(t, p);
             }
         }
         for t in chunks.remainder() {
-            hist[partition_of(t.key, shift, bits)] += 1;
+            f(t, partition_of(t.key, shift, bits));
         }
     } else {
         for t in tuples {
-            hist[partition_of(t.key, shift, bits)] += 1;
+            f(t, partition_of(t.key, shift, bits));
         }
     }
+}
+
+/// Per-partition counts of a tuple slice.
+pub fn histogram(tuples: &[Tuple], shift: u32, bits: u32, kernel: KernelBackend) -> Vec<u32> {
+    let mut hist = vec![0u32; fanout(bits)];
+    for_each_partition(tuples, shift, bits, kernel, |_, p| hist[p] += 1);
     hist
 }
 
@@ -86,56 +96,28 @@ impl Partitioned {
     }
 }
 
-/// Sequential single-pass partitioning.
-pub fn partition_seq(tuples: &[Tuple], shift: u32, bits: u32) -> Partitioned {
-    partition_seq_kernel(tuples, shift, bits, KernelBackend::Scalar)
-}
-
-/// [`partition_seq`] with a selectable derivation kernel (see
-/// [`histogram_kernel`]); output is bitwise-identical across backends.
-pub fn partition_seq_kernel(
+/// Sequential single-pass partitioning — the reference every parallel
+/// layout is bitwise-compared against, and PRJ's thread-local second pass.
+pub fn partition_seq(
     tuples: &[Tuple],
     shift: u32,
     bits: u32,
     kernel: KernelBackend,
 ) -> Partitioned {
-    let hist = histogram_kernel(tuples, shift, bits, kernel);
-    let f = fanout(bits);
-    let mut bounds = Vec::with_capacity(f + 1);
+    let hist = histogram(tuples, shift, bits, kernel);
+    let mut bounds = Vec::with_capacity(hist.len() + 1);
     let mut acc = 0usize;
     bounds.push(0);
     for &h in &hist {
         acc += h as usize;
         bounds.push(acc);
     }
-    let mut cursor: Vec<usize> = bounds[..f].to_vec();
+    let mut cursor: Vec<usize> = bounds[..hist.len()].to_vec();
     let mut data = vec![Tuple::default(); tuples.len()];
-    if kernel.is_simd() {
-        let mask32 = (f - 1) as u32;
-        let mut chunks = tuples.chunks_exact(HASH_BLOCK);
-        let mut keys = [0 as Key; HASH_BLOCK];
-        for block in &mut chunks {
-            for (k, t) in keys.iter_mut().zip(block) {
-                *k = t.key;
-            }
-            let parts = partition_batch8(kernel, &keys, shift, mask32);
-            for (t, &p) in block.iter().zip(parts.iter()) {
-                data[cursor[p]] = *t;
-                cursor[p] += 1;
-            }
-        }
-        for t in chunks.remainder() {
-            let p = partition_of(t.key, shift, bits);
-            data[cursor[p]] = *t;
-            cursor[p] += 1;
-        }
-    } else {
-        for t in tuples {
-            let p = partition_of(t.key, shift, bits);
-            data[cursor[p]] = *t;
-            cursor[p] += 1;
-        }
-    }
+    for_each_partition(tuples, shift, bits, kernel, |t, p| {
+        data[cursor[p]] = *t;
+        cursor[p] += 1;
+    });
     Partitioned { data, bounds }
 }
 
@@ -166,7 +148,7 @@ impl SharedOut {
     /// thread does **not** touch: the memory comes from `alloc_zeroed`,
     /// so the kernel maps copy-on-write zero pages and physical placement
     /// is deferred to whichever thread writes each page first. Combined
-    /// with [`ScatterPlan::touch_chunk`] this gives NUMA first-touch
+    /// with [`PassKnobs::first_touch`] this gives NUMA first-touch
     /// locality for the scatter arenas: each pinned worker faults in
     /// exactly the ranges it will scatter into.
     ///
@@ -174,35 +156,11 @@ impl SharedOut {
     /// are bitwise-identical to [`SharedOut::new`] — this is purely a
     /// page-placement knob, never an output change.
     pub fn new_first_touch(len: usize) -> Self {
-        if len == 0 {
-            return SharedOut::new(0);
-        }
-        let layout = std::alloc::Layout::array::<Tuple>(len).expect("arena layout overflow");
-        // SAFETY: layout is non-zero-sized (len > 0, Tuple is 8 bytes);
-        // zeroed bytes are a valid `Tuple` (two plain u32s); the Vec takes
-        // ownership with the exact allocation layout it would free with.
-        let buf = unsafe {
-            let ptr = std::alloc::alloc_zeroed(layout) as *mut Tuple;
-            if ptr.is_null() {
-                std::alloc::handle_alloc_error(layout);
-            }
-            Vec::from_raw_parts(ptr, len, len)
-        };
+        // SAFETY: zeroed bytes are a valid `Tuple` (two plain u32s).
+        let buf = unsafe { crate::hashtable::alloc_zeroed_vec(len) };
         SharedOut {
             buf: std::cell::UnsafeCell::new(buf),
         }
-    }
-
-    /// Number of slots in the buffer.
-    pub fn len(&self) -> usize {
-        // SAFETY: the Vec header is written only at construction; workers
-        // mutate elements through raw pointers, never the header.
-        unsafe { (*self.buf.get()).len() }
-    }
-
-    /// True when the buffer has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Write the default tuple over `range`, faulting those pages into
@@ -265,26 +223,29 @@ impl SharedOut {
     }
 }
 
-/// The scatter offsets computed from per-thread histograms: everything a
-/// worker needs to place its chunk's tuples without contention.
-pub struct ScatterPlan {
+/// The scatter offsets computed from per-slot histograms: everything a
+/// worker needs to place a slot's tuples without contention. Private to
+/// this module so that [`PartitionPass`] alone decides which input slice
+/// belongs to which slot — the histogram-matches-slice contract the
+/// unchecked stores rely on.
+struct ScatterPlan {
     /// Global partition boundaries (`fanout + 1` entries).
-    pub bounds: Vec<usize>,
+    bounds: Vec<usize>,
+    /// `starts[slot * fanout + p]`: first output index of `(slot, p)`.
     starts: Vec<usize>,
-    fanout: usize,
     shift: u32,
     bits: u32,
 }
 
 impl ScatterPlan {
-    /// Build the plan from one histogram per thread (thread order must
-    /// match the chunk order used for scatter).
-    pub fn from_histograms(hists: &[Vec<u32>], shift: u32, bits: u32) -> Self {
-        let threads = hists.len();
+    /// Build the plan from one histogram per slot. Offsets are laid out
+    /// partition-major: within partition `p`, slot 0's tuples precede slot
+    /// 1's, so ascending contiguous slots preserve input order.
+    fn from_histograms(hists: &[&[u32]], shift: u32, bits: u32) -> Self {
         let f = fanout(bits);
         let mut bounds = Vec::with_capacity(f + 1);
         bounds.push(0usize);
-        let mut starts = vec![0usize; threads * f];
+        let mut starts = vec![0usize; hists.len() * f];
         let mut acc = 0usize;
         for p in 0..f {
             for (t, hist) in hists.iter().enumerate() {
@@ -296,43 +257,35 @@ impl ScatterPlan {
         ScatterPlan {
             bounds,
             starts,
-            fanout: f,
             shift,
             bits,
         }
     }
 
     /// Total tuples the plan accounts for.
-    pub fn total(&self) -> usize {
+    fn total(&self) -> usize {
         *self.bounds.last().expect("bounds never empty")
     }
 
-    /// Number of scatter slots (threads or grid cells) the plan was built
-    /// for.
-    pub fn slots(&self) -> usize {
-        self.starts.len() / self.fanout
-    }
-
-    /// Pre-fault slot `tid`'s scatter destination ranges (first-touch):
-    /// writes the default tuple over exactly the slots
-    /// [`ScatterPlan::scatter_chunk`] will later fill for `tid`, so on a
-    /// pinned worker those pages land on the worker's own NUMA node before
-    /// the timed scatter runs. Contents are unchanged — the ranges are zero
-    /// before and after.
+    /// Pre-fault `slot`'s scatter destination ranges (first-touch): writes
+    /// the default tuple over exactly the ranges [`ScatterPlan::scatter`]
+    /// will later fill for `slot`, so on a pinned worker those pages land
+    /// on the worker's own NUMA node before the scatter runs. Contents are
+    /// unchanged — the ranges are zero before and after.
     ///
     /// # Safety
     /// Same contract as [`SharedOut::write`] over the touched ranges: the
-    /// caller must be the only writer of slot `tid`'s ranges while this
-    /// runs, with no concurrent readers. `out` must have [`ScatterPlan::total`]
-    /// slots.
-    pub unsafe fn touch_chunk(&self, tid: usize, out: &SharedOut) {
-        let f = self.fanout;
-        let slots = self.slots();
-        debug_assert!(tid < slots);
+    /// caller must be the only writer of `slot`'s ranges while this runs,
+    /// with no concurrent readers, and `out` must have
+    /// [`ScatterPlan::total`] slots.
+    unsafe fn touch(&self, slot: usize, out: &SharedOut) {
+        let f = fanout(self.bits);
+        let slots = self.starts.len() / f;
+        debug_assert!(slot < slots);
         for p in 0..f {
-            let start = self.starts[tid * f + p];
-            let end = if tid + 1 < slots {
-                self.starts[(tid + 1) * f + p]
+            let start = self.starts[slot * f + p];
+            let end = if slot + 1 < slots {
+                self.starts[(slot + 1) * f + p]
             } else {
                 self.bounds[p + 1]
             };
@@ -340,157 +293,285 @@ impl ScatterPlan {
         }
     }
 
-    /// Scatter thread `tid`'s input chunk into the shared output.
-    /// `chunk` must be exactly the slice whose histogram was `hists[tid]`.
-    pub fn scatter_chunk(&self, chunk: &[Tuple], tid: usize, out: &SharedOut) {
-        self.scatter_chunk_kernel(chunk, tid, out, KernelBackend::Scalar)
-    }
-
-    /// [`ScatterPlan::scatter_chunk`] with a selectable derivation kernel:
-    /// under [`KernelBackend::Simd`] partition indices come 8 keys at a
-    /// time from the batched shift-and-mask kernel. The stores themselves
-    /// stay scalar (they are data-dependent scatters); output is
-    /// bitwise-identical across backends.
-    pub fn scatter_chunk_kernel(
-        &self,
-        chunk: &[Tuple],
-        tid: usize,
-        out: &SharedOut,
-        kernel: KernelBackend,
-    ) {
-        let f = self.fanout;
-        let mut cursor = self.starts[tid * f..(tid + 1) * f].to_vec();
-        if kernel.is_simd() {
-            let mask32 = (f - 1) as u32;
-            let mut chunks = chunk.chunks_exact(HASH_BLOCK);
-            let mut keys = [0 as Key; HASH_BLOCK];
-            for block in &mut chunks {
-                for (k, t) in keys.iter_mut().zip(block) {
-                    *k = t.key;
-                }
-                let parts = partition_batch8(kernel, &keys, self.shift, mask32);
-                for (t, &p) in block.iter().zip(parts.iter()) {
-                    // SAFETY: same disjoint-range argument as the scalar
-                    // loop below — the derivation is identical bit math.
-                    unsafe { out.write(cursor[p], *t) };
-                    cursor[p] += 1;
-                }
-            }
-            for t in chunks.remainder() {
-                let p = partition_of(t.key, self.shift, self.bits);
-                // SAFETY: as above.
-                unsafe { out.write(cursor[p], *t) };
-                cursor[p] += 1;
-            }
-        } else {
-            for t in chunk {
-                let p = partition_of(t.key, self.shift, self.bits);
-                // SAFETY: cursor[p] walks starts[tid*f+p] .. +hists[tid][p];
-                // the prefix sum makes those ranges disjoint across (tid, p)
-                // pairs and they tile 0..total().
-                unsafe { out.write(cursor[p], *t) };
-                cursor[p] += 1;
-            }
-        }
-    }
-
-    /// Software write-combining scatter (Balkesen et al.'s SWWCB) with
-    /// caller-provided buffers: tuples are staged in a cache-line-sized
+    /// Scatter `slot`'s input slice into the shared output: direct stores
+    /// when `staging` is `None`, Balkesen et al.'s software write-combining
+    /// when it carries buffers — tuples are staged in a cache-line-sized
     /// buffer per partition and flushed a whole line at a time, so each
     /// partition costs one TLB entry per flush instead of one per tuple.
-    /// Output is identical to [`ScatterPlan::scatter_chunk`], including
-    /// within-partition order — the buffers delay writes, never reorder
-    /// them. `bufs` must cover this plan's fan-out and arrive empty; the
-    /// trailing drain leaves it empty again, so one allocation serves every
-    /// chunk/cell a worker scatters.
-    pub fn scatter_chunk_swwc(
+    /// The buffers delay writes, never reorder them, so both modes (and
+    /// both kernels) produce identical output. `staging` must cover this
+    /// plan's fan-out and arrive empty; the trailing drain leaves it empty
+    /// again, so one allocation serves every slot a worker scatters.
+    ///
+    /// # Safety
+    /// `chunk` must be exactly the slice whose histogram was `hists[slot]`,
+    /// no other thread may scatter or touch `slot` concurrently, no reader
+    /// may run concurrently, and `out` must have [`ScatterPlan::total`]
+    /// slots. Then `cursor[p]` walks `starts[slot*f+p] .. +hists[slot][p]`;
+    /// the prefix sum makes those ranges disjoint across `(slot, p)` pairs
+    /// and they tile `0..total()`, so no two writers alias.
+    unsafe fn scatter(
         &self,
         chunk: &[Tuple],
-        tid: usize,
+        slot: usize,
         out: &SharedOut,
-        bufs: &mut crate::swwc::SwwcBuffers,
-    ) {
-        self.scatter_chunk_swwc_kernel(chunk, tid, out, bufs, KernelBackend::Scalar)
-    }
-
-    /// [`ScatterPlan::scatter_chunk_swwc`] with a selectable derivation
-    /// kernel (see [`ScatterPlan::scatter_chunk_kernel`]); staging and
-    /// flush order are unchanged, so output stays bitwise-identical.
-    pub fn scatter_chunk_swwc_kernel(
-        &self,
-        chunk: &[Tuple],
-        tid: usize,
-        out: &SharedOut,
-        bufs: &mut crate::swwc::SwwcBuffers,
         kernel: KernelBackend,
+        staging: Option<&mut SwwcBuffers>,
     ) {
-        assert_eq!(bufs.fanout(), self.fanout, "buffers sized for another plan");
-        let f = self.fanout;
-        let mut cursor = self.starts[tid * f..(tid + 1) * f].to_vec();
-        if kernel.is_simd() {
-            let mask32 = (f - 1) as u32;
-            let mut chunks = chunk.chunks_exact(HASH_BLOCK);
-            let mut keys = [0 as Key; HASH_BLOCK];
-            for block in &mut chunks {
-                for (k, t) in keys.iter_mut().zip(block) {
-                    *k = t.key;
-                }
-                let parts = partition_batch8(kernel, &keys, self.shift, mask32);
-                for (t, &p) in block.iter().zip(parts.iter()) {
-                    // SAFETY: same disjointness argument as the scalar loop.
+        let f = fanout(self.bits);
+        let mut cursor = self.starts[slot * f..(slot + 1) * f].to_vec();
+        match staging {
+            None => for_each_partition(chunk, self.shift, self.bits, kernel, |t, p| {
+                // SAFETY: `cursor[p]` stays inside this (slot, p) range
+                // per the function contract.
+                unsafe { out.write(cursor[p], *t) };
+                cursor[p] += 1;
+            }),
+            Some(bufs) => {
+                assert_eq!(bufs.fanout(), f, "buffers sized for another plan");
+                for_each_partition(chunk, self.shift, self.bits, kernel, |t, p| {
+                    // SAFETY: the staged line flushes into
+                    // cursor[p]..cursor[p]+LINE, inside this (slot, p) range.
                     unsafe { bufs.stage(p, *t, &mut cursor, out) };
-                }
-            }
-            for t in chunks.remainder() {
-                let p = partition_of(t.key, self.shift, self.bits);
-                // SAFETY: as above.
-                unsafe { bufs.stage(p, *t, &mut cursor, out) };
-            }
-        } else {
-            for t in chunk {
-                let p = partition_of(t.key, self.shift, self.bits);
-                // SAFETY: same disjointness argument as scatter_chunk — the
-                // staged line flushes into cursor[p]..cursor[p]+LINE, which
-                // stays within this (tid, p) range.
-                unsafe { bufs.stage(p, *t, &mut cursor, out) };
+                });
+                // SAFETY: drains the partial tails within the same ranges.
+                unsafe { bufs.flush(&mut cursor, out) };
             }
         }
-        // SAFETY: drains the partial tails within the same ranges.
-        unsafe { bufs.flush(&mut cursor, out) };
-    }
-
-    /// [`ScatterPlan::scatter_chunk_swwc`] with freshly allocated buffers —
-    /// the one-shot form used by single-chunk ablations and benchmarks.
-    pub fn scatter_chunk_buffered(&self, chunk: &[Tuple], tid: usize, out: &SharedOut) {
-        let mut bufs = crate::swwc::SwwcBuffers::new(self.fanout);
-        self.scatter_chunk_swwc(chunk, tid, out, &mut bufs);
     }
 }
 
-/// Parallel single-pass partitioning: per-thread histograms, exclusive
-/// prefix sums, then each thread scatters its own input chunk into its
-/// pre-reserved, mutually disjoint output slots.
-pub fn partition_parallel(tuples: &[Tuple], shift: u32, bits: u32, threads: usize) -> Partitioned {
-    partition_parallel_exec(tuples, shift, bits, threads, &Executor::spawn_mode())
+/// How a [`PartitionPass`] cuts its input into scatter slots.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SlotLayout {
+    /// One contiguous [`chunk_range`] slot per worker (static scheduling).
+    #[default]
+    PerThread,
+    /// A fixed grid of cells of this many tuples (clamped to ≥ 1), claimed
+    /// from a [`MorselQueue`] with work stealing. The grid, not the worker
+    /// count, defines the slots, so a cell's histogram and its scatter use
+    /// the same slice no matter which worker claims it.
+    Grid(usize),
 }
 
-/// Build the scatter arena for an executor: pinned executors get the
-/// first-touch (page-placement-deferred) arena, everything else the plain
-/// eagerly-zeroed one. Contents are bitwise-identical either way.
-fn arena_for(exec: &Executor, len: usize) -> SharedOut {
-    if exec.pinned() {
-        SharedOut::new_first_touch(len)
-    } else {
-        SharedOut::new(len)
+/// The knobs of one partitioning pass. Every combination produces output
+/// bitwise-identical to [`partition_seq`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PassKnobs {
+    /// Slot layout: static per-thread chunks or a stolen morsel grid.
+    pub layout: SlotLayout,
+    /// Scatter path: direct stores or write-combining buffers.
+    pub scatter: ScatterMode,
+    /// Partition-index derivation kernel.
+    pub kernel: KernelBackend,
+    /// Allocate the output arena untouched and have each worker pre-fault
+    /// exactly the ranges it scatters (NUMA first-touch; only useful when
+    /// the workers are pinned). Page placement only, never an output change.
+    pub first_touch: bool,
+}
+
+/// One cooperative partitioning pass over `input`, driven by `threads`
+/// workers in three steps: every worker calls
+/// [`PartitionPass::histogram_step`]; after a barrier exactly one calls
+/// [`PartitionPass::plan`]; after another barrier every worker calls
+/// [`PartitionPass::scatter_step`]; after a third the output is readable
+/// ([`PartitionPass::data`], [`PartitionPass::finish`]). The caller owns
+/// the barriers, so several passes can share them (PRJ partitions R and S
+/// between the same three). [`PartitionPass::run`] is the standalone driver.
+pub struct PartitionPass<'a> {
+    input: &'a [Tuple],
+    shift: u32,
+    bits: u32,
+    threads: usize,
+    knobs: PassKnobs,
+    /// One histogram per slot, published by whichever worker counted it.
+    hists: Vec<OnceLock<Vec<u32>>>,
+    /// Grid layout only: the histogram-step and scatter-step claim queues.
+    queues: Option<[MorselQueue; 2]>,
+    plan: OnceLock<(ScatterPlan, SharedOut)>,
+}
+
+impl<'a> PartitionPass<'a> {
+    /// A pass partitioning `input` on `bits` key bits above `shift`.
+    pub fn new(
+        input: &'a [Tuple],
+        shift: u32,
+        bits: u32,
+        threads: usize,
+        mut knobs: PassKnobs,
+    ) -> Self {
+        assert!(threads > 0);
+        let (slots, queues) = match &mut knobs.layout {
+            SlotLayout::PerThread => (threads, None),
+            SlotLayout::Grid(m) => {
+                *m = (*m).max(1);
+                // At least one cell, so an empty input still plans.
+                let cells = input.len().div_ceil(*m).max(1);
+                let q = || MorselQueue::new(cells, threads, 1);
+                (cells, Some([q(), q()]))
+            }
+        };
+        PartitionPass {
+            input,
+            shift,
+            bits,
+            threads,
+            knobs,
+            hists: (0..slots).map(|_| OnceLock::new()).collect(),
+            queues,
+            plan: OnceLock::new(),
+        }
+    }
+
+    fn slot_range(&self, slot: usize) -> Range<usize> {
+        match self.knobs.layout {
+            SlotLayout::PerThread => chunk_range(self.input.len(), self.threads, slot),
+            SlotLayout::Grid(m) => {
+                (slot * m).min(self.input.len())..((slot + 1) * m).min(self.input.len())
+            }
+        }
+    }
+
+    /// Apply `f` to every slot worker `tid` owns in step `step`: its own
+    /// chunk in the per-thread layout, or whatever cells it claims from the
+    /// step's queue — `on_claim(stolen)` fires once per claim, which is how
+    /// PRJ journals `morsel:claim` / `morsel:steal`.
+    fn for_each_slot(
+        &self,
+        step: usize,
+        tid: usize,
+        mut on_claim: impl FnMut(bool),
+        mut f: impl FnMut(usize),
+    ) {
+        match &self.queues {
+            None => f(tid),
+            Some(qs) => {
+                for_each_morsel(&qs[step], tid, |cells, stolen| {
+                    on_claim(stolen);
+                    cells.for_each(&mut f);
+                });
+            }
+        }
+    }
+
+    /// Step 1 (every worker): count this worker's slots.
+    pub fn histogram_step(&self, tid: usize, on_claim: impl FnMut(bool)) {
+        self.for_each_slot(0, tid, on_claim, |g| {
+            let hist = histogram(
+                &self.input[self.slot_range(g)],
+                self.shift,
+                self.bits,
+                self.knobs.kernel,
+            );
+            assert!(self.hists[g].set(hist).is_ok(), "slot {g} counted twice");
+        });
+    }
+
+    /// Step 2 (one worker, after every histogram step returned): prefix-sum
+    /// the histograms into scatter offsets and allocate the output arena.
+    pub fn plan(&self) {
+        let hists: Vec<&[u32]> = self
+            .hists
+            .iter()
+            .map(|h| {
+                h.get()
+                    .expect("plan before every histogram step")
+                    .as_slice()
+            })
+            .collect();
+        let plan = ScatterPlan::from_histograms(&hists, self.shift, self.bits);
+        debug_assert_eq!(plan.total(), self.input.len());
+        let out = if self.knobs.first_touch {
+            SharedOut::new_first_touch(self.input.len())
+        } else {
+            SharedOut::new(self.input.len())
+        };
+        assert!(self.plan.set((plan, out)).is_ok(), "pass planned twice");
+    }
+
+    fn planned(&self) -> &(ScatterPlan, SharedOut) {
+        self.plan.get().expect("pass not planned yet")
+    }
+
+    /// Step 3 (every worker, after [`PartitionPass::plan`] returned):
+    /// scatter this worker's slots, first-touching each slot's ranges just
+    /// before writing them when the knob is on. Returns the number of
+    /// write-combining buffer drains — one per slot in SWWC mode, 0 in
+    /// direct mode — so the caller can journal them off the hot loop.
+    ///
+    /// # Safety
+    /// Each `tid` in `0..threads` may run this step at most once per pass,
+    /// and nothing may read the output ([`PartitionPass::data`]) until
+    /// every worker's step has returned and been ordered by a barrier.
+    pub unsafe fn scatter_step(&self, tid: usize, on_claim: impl FnMut(bool)) -> u64 {
+        let (plan, out) = self.planned();
+        // One buffer set per worker, reused across every slot it scatters
+        // (the scatter drains it at each slot boundary).
+        let mut bufs =
+            (self.knobs.scatter == ScatterMode::Swwc).then(|| SwwcBuffers::for_bits(self.bits));
+        self.for_each_slot(1, tid, on_claim, |g| {
+            // SAFETY: slot `g` belongs to this call alone — the caller runs
+            // each tid once and the claim queue hands out each cell once —
+            // and its slice is the one `histogram_step` counted; readers
+            // wait for the caller's barrier.
+            unsafe {
+                if self.knobs.first_touch {
+                    plan.touch(g, out);
+                }
+                plan.scatter(
+                    &self.input[self.slot_range(g)],
+                    g,
+                    out,
+                    self.knobs.kernel,
+                    bufs.as_mut(),
+                );
+            }
+        });
+        bufs.map_or(0, |b| b.drains())
+    }
+
+    /// Global partition boundaries (`fanout + 1` entries); available once
+    /// [`PartitionPass::plan`] has returned.
+    pub fn bounds(&self) -> &[usize] {
+        &self.planned().0.bounds
+    }
+
+    /// The partitioned tuples, shared among the workers that produced them.
+    ///
+    /// # Safety
+    /// Every scatter step must have happened-before this call (barrier).
+    pub unsafe fn data(&self) -> &[Tuple] {
+        self.planned().1.as_slice()
+    }
+
+    /// Consume a completed pass into its output.
+    pub fn finish(self) -> Partitioned {
+        let (plan, out) = self.plan.into_inner().expect("pass not planned yet");
+        Partitioned {
+            data: out.into_vec(),
+            bounds: plan.bounds,
+        }
+    }
+
+    /// Drive the whole pass on `exec`: the three steps as three sections
+    /// (the section boundaries are the barriers).
+    pub fn run(self, exec: &Executor) -> Partitioned {
+        exec.run(self.threads, |tid| self.histogram_step(tid, |_| ()));
+        self.plan();
+        exec.run(self.threads, |tid| {
+            // SAFETY: `Executor::run` hands each tid to exactly one lane,
+            // and the output is only read after the section has joined.
+            unsafe { self.scatter_step(tid, |_| ()) };
+        });
+        self.finish()
     }
 }
 
-/// [`partition_parallel`] on an [`Executor`]: parallel sections run on the
-/// executor's lanes (persistent pool or per-run spawning), and when the
-/// executor pins its workers the output arena is allocated untouched and
-/// each lane first-touches exactly its own scatter ranges, placing those
-/// pages on the lane's NUMA node. Output is bitwise-identical to
-/// [`partition_parallel`] in every mode.
+/// Parallel single-pass partitioning on an [`Executor`] with the default
+/// [`PassKnobs`] (per-thread slots, direct scatter, default kernel): the
+/// same [`PartitionPass`] PRJ runs. When the executor pins its workers the
+/// output arena is allocated untouched and each lane first-touches exactly
+/// its own scatter ranges. Output is bitwise-identical to [`partition_seq`].
 pub fn partition_parallel_exec(
     tuples: &[Tuple],
     shift: u32,
@@ -498,354 +579,23 @@ pub fn partition_parallel_exec(
     threads: usize,
     exec: &Executor,
 ) -> Partitioned {
-    assert!(threads > 0);
-    if threads == 1 || tuples.len() < 1024 {
-        return partition_seq(tuples, shift, bits);
-    }
-
-    // Step 1: per-thread histograms over contiguous input chunks.
-    let hists: Vec<Vec<u32>> = exec.run(threads, |tid| {
-        histogram(
-            &tuples[chunk_range(tuples.len(), threads, tid)],
-            shift,
-            bits,
-        )
-    });
-
-    // Step 2: global partition bounds and per-(thread, partition) start
-    // offsets. Offsets are laid out partition-major: within partition `p`,
-    // thread 0's tuples precede thread 1's, etc.
-    let plan = ScatterPlan::from_histograms(&hists, shift, bits);
-    debug_assert_eq!(plan.total(), tuples.len());
-
-    // Step 3: contention-free scatter, preceded by first-touch of each
-    // lane's own ranges when the lanes are pinned.
-    let first_touch = exec.pinned();
-    let out = arena_for(exec, tuples.len());
-    let plan_ref = &plan;
-    let out_ref = &out;
-    exec.run(threads, |tid| {
-        if first_touch {
-            // SAFETY: touches exactly the (tid, p) ranges this lane
-            // scatters below — disjoint across lanes by the prefix sum.
-            unsafe { plan_ref.touch_chunk(tid, out_ref) };
-        }
-        plan_ref.scatter_chunk(
-            &tuples[chunk_range(tuples.len(), threads, tid)],
-            tid,
-            out_ref,
-        );
-    });
-    Partitioned {
-        data: out.into_vec(),
-        bounds: plan.bounds,
-    }
-}
-
-/// [`partition_parallel`] with the software write-combining scatter: same
-/// histogram and prefix-sum passes, but each worker scatters through one
-/// reused [`SwwcBuffers`](crate::swwc::SwwcBuffers) allocation. Output is
-/// bitwise-identical to [`partition_parallel`] and [`partition_seq`].
-pub fn partition_parallel_swwc(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-) -> Partitioned {
-    partition_parallel_swwc_exec(tuples, shift, bits, threads, &Executor::spawn_mode())
-}
-
-/// [`partition_parallel_swwc`] on an [`Executor`] (see
-/// [`partition_parallel_exec`] for the lane and first-touch semantics).
-pub fn partition_parallel_swwc_exec(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-    exec: &Executor,
-) -> Partitioned {
-    assert!(threads > 0);
-    if threads == 1 || tuples.len() < 1024 {
-        return partition_seq_buffered(tuples, shift, bits);
-    }
-    let hists: Vec<Vec<u32>> = exec.run(threads, |tid| {
-        histogram(
-            &tuples[chunk_range(tuples.len(), threads, tid)],
-            shift,
-            bits,
-        )
-    });
-    let plan = ScatterPlan::from_histograms(&hists, shift, bits);
-    debug_assert_eq!(plan.total(), tuples.len());
-    let first_touch = exec.pinned();
-    let out = arena_for(exec, tuples.len());
-    let (plan_ref, out_ref) = (&plan, &out);
-    exec.run(threads, |tid| {
-        if first_touch {
-            // SAFETY: touches exactly the (tid, p) ranges this lane
-            // scatters below — disjoint across lanes by the prefix sum.
-            unsafe { plan_ref.touch_chunk(tid, out_ref) };
-        }
-        let mut bufs = crate::swwc::SwwcBuffers::new(plan_ref.fanout);
-        plan_ref.scatter_chunk_swwc(
-            &tuples[chunk_range(tuples.len(), threads, tid)],
-            tid,
-            out_ref,
-            &mut bufs,
-        );
-    });
-    Partitioned {
-        data: out.into_vec(),
-        bounds: plan.bounds,
-    }
-}
-
-/// Morsel-driven variant of [`partition_parallel`]: the input is cut into a
-/// fixed grid of `morsel`-sized cells and workers claim cells from a
-/// [`MorselQueue`](crate::morsel::MorselQueue) — stealing from each other
-/// once their own deque drains — for both the histogram and the scatter
-/// pass. The grid (not the worker count) defines the scatter-plan slots, so
-/// a cell's histogram and its scatter always use the same slice no matter
-/// which worker ends up claiming it. Output layout is identical to
-/// [`partition_parallel`]: partitions in radix order, each preserving the
-/// input order of its tuples.
-pub fn partition_parallel_morsel(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-    morsel: usize,
-) -> Partitioned {
-    partition_parallel_morsel_exec(
-        tuples,
-        shift,
-        bits,
-        threads,
-        morsel,
-        &Executor::spawn_mode(),
-    )
-}
-
-/// [`partition_parallel_morsel`] on an [`Executor`]. Under a pinned
-/// executor each claimed cell's scatter ranges are first-touched by the
-/// claiming lane immediately before it scatters them — with work stealing
-/// the cell-to-lane mapping is dynamic, so placement follows whichever
-/// lane actually writes the cell.
-pub fn partition_parallel_morsel_exec(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-    morsel: usize,
-    exec: &Executor,
-) -> Partitioned {
-    use crate::morsel::{for_each_morsel, MorselQueue};
-    assert!(threads > 0);
-    if threads == 1 || tuples.len() < 1024 {
-        return partition_seq(tuples, shift, bits);
-    }
-    let m = morsel.max(1);
-    let cells = tuples.len().div_ceil(m);
-    let cell = |g: usize| &tuples[g * m..((g + 1) * m).min(tuples.len())];
-
-    // Step 1: per-cell histograms, cells claimed work-stealingly.
-    let hist_q = MorselQueue::new(cells, threads, 1);
-    let per_worker: Vec<Vec<(usize, Vec<u32>)>> = exec.run(threads, |tid| {
-        let mut local = Vec::new();
-        for_each_morsel(&hist_q, tid, |claimed, _| {
-            for g in claimed {
-                local.push((g, histogram(cell(g), shift, bits)));
-            }
-        });
-        local
-    });
-    let mut hists = vec![Vec::new(); cells];
-    for (g, h) in per_worker.into_iter().flatten() {
-        hists[g] = h;
-    }
-
-    // Step 2: one scatter slot per grid cell.
-    let plan = ScatterPlan::from_histograms(&hists, shift, bits);
-    debug_assert_eq!(plan.total(), tuples.len());
-
-    // Step 3: contention-free scatter, cells claimed work-stealingly.
-    let first_touch = exec.pinned();
-    let out = arena_for(exec, tuples.len());
-    let scatter_q = MorselQueue::new(cells, threads, 1);
-    let (plan_ref, out_ref) = (&plan, &out);
-    exec.run(threads, |tid| {
-        for_each_morsel(&scatter_q, tid, |claimed, _| {
-            for g in claimed {
-                if first_touch {
-                    // SAFETY: cell `g`'s scatter ranges belong to this
-                    // claim alone; the claimer both touches and writes
-                    // them, so no other lane aliases the ranges.
-                    unsafe { plan_ref.touch_chunk(g, out_ref) };
-                }
-                plan_ref.scatter_chunk(cell(g), g, out_ref);
-            }
-        });
-    });
-    Partitioned {
-        data: out.into_vec(),
-        bounds: plan.bounds,
-    }
-}
-
-/// [`partition_parallel_morsel`] with the software write-combining scatter.
-/// Each worker keeps one [`SwwcBuffers`](crate::swwc::SwwcBuffers) for the
-/// whole pass; because every grid cell owns its own scatter-plan slot, the
-/// buffers are drained at each cell boundary (inside
-/// [`ScatterPlan::scatter_chunk_swwc`]) and the output stays bitwise
-/// identical to the direct morsel scatter regardless of which worker claims
-/// which cell.
-pub fn partition_parallel_morsel_swwc(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-    morsel: usize,
-) -> Partitioned {
-    partition_parallel_morsel_swwc_exec(
-        tuples,
-        shift,
-        bits,
-        threads,
-        morsel,
-        &Executor::spawn_mode(),
-    )
-}
-
-/// [`partition_parallel_morsel_swwc`] on an [`Executor`] (see
-/// [`partition_parallel_morsel_exec`] for the lane and first-touch
-/// semantics).
-pub fn partition_parallel_morsel_swwc_exec(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-    morsel: usize,
-    exec: &Executor,
-) -> Partitioned {
-    use crate::morsel::{for_each_morsel, MorselQueue};
-    assert!(threads > 0);
-    if threads == 1 || tuples.len() < 1024 {
-        return partition_seq_buffered(tuples, shift, bits);
-    }
-    let m = morsel.max(1);
-    let cells = tuples.len().div_ceil(m);
-    let cell = |g: usize| &tuples[g * m..((g + 1) * m).min(tuples.len())];
-
-    let hist_q = MorselQueue::new(cells, threads, 1);
-    let per_worker: Vec<Vec<(usize, Vec<u32>)>> = exec.run(threads, |tid| {
-        let mut local = Vec::new();
-        for_each_morsel(&hist_q, tid, |claimed, _| {
-            for g in claimed {
-                local.push((g, histogram(cell(g), shift, bits)));
-            }
-        });
-        local
-    });
-    let mut hists = vec![Vec::new(); cells];
-    for (g, h) in per_worker.into_iter().flatten() {
-        hists[g] = h;
-    }
-
-    let plan = ScatterPlan::from_histograms(&hists, shift, bits);
-    debug_assert_eq!(plan.total(), tuples.len());
-
-    let first_touch = exec.pinned();
-    let out = arena_for(exec, tuples.len());
-    let scatter_q = MorselQueue::new(cells, threads, 1);
-    let (plan_ref, out_ref) = (&plan, &out);
-    exec.run(threads, |tid| {
-        let mut bufs = crate::swwc::SwwcBuffers::new(plan_ref.fanout);
-        for_each_morsel(&scatter_q, tid, |claimed, _| {
-            for g in claimed {
-                if first_touch {
-                    // SAFETY: as in `partition_parallel_morsel_exec` — the
-                    // claiming lane alone touches and writes cell `g`.
-                    unsafe { plan_ref.touch_chunk(g, out_ref) };
-                }
-                plan_ref.scatter_chunk_swwc(cell(g), g, out_ref, &mut bufs);
-            }
-        });
-    });
-    Partitioned {
-        data: out.into_vec(),
-        bounds: plan.bounds,
-    }
-}
-
-/// Two-pass recursive partitioning: first pass on the low `bits1` key bits,
-/// then each first-pass partition is re-partitioned on the next `bits2`
-/// bits. This is how PRJ keeps the first-pass fan-out within TLB reach while
-/// still producing cache-sized final partitions (Balkesen et al.).
-pub fn partition_two_pass(tuples: &[Tuple], bits1: u32, bits2: u32, threads: usize) -> Partitioned {
-    partition_two_pass_exec(tuples, bits1, bits2, threads, &Executor::spawn_mode())
-}
-
-/// [`partition_two_pass`] on an [`Executor`]: both passes run on the
-/// executor's lanes (see [`partition_parallel_exec`]).
-pub fn partition_two_pass_exec(
-    tuples: &[Tuple],
-    bits1: u32,
-    bits2: u32,
-    threads: usize,
-    exec: &Executor,
-) -> Partitioned {
-    let first = partition_parallel_exec(tuples, 0, bits1, threads, exec);
-    if bits2 == 0 {
-        return first;
-    }
-    let f1 = fanout(bits1);
-    let f2 = fanout(bits2);
-    let mut data = vec![Tuple::default(); tuples.len()];
-    let mut bounds = Vec::with_capacity(f1 * f2 + 1);
-    bounds.push(0usize);
-    // Second pass is embarrassingly parallel over first-pass partitions;
-    // run it with the same worker count, each worker taking a slice of
-    // partitions. Output layout: partition (p1, p2) at index p1*f2 + p2.
-    let sub: Vec<Partitioned> = exec
-        .run(threads, |tid| {
-            let range = chunk_range(f1, threads, tid);
-            range
-                .map(|p1| partition_seq(first.partition(p1), bits1, bits2))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut cursor = 0usize;
-    for part in &sub {
-        for p2 in 0..f2 {
-            let src = part.partition(p2);
-            data[cursor..cursor + src.len()].copy_from_slice(src);
-            cursor += src.len();
-            bounds.push(cursor);
-        }
-    }
-    debug_assert_eq!(cursor, tuples.len());
-    Partitioned { data, bounds }
-}
-
-/// Sequential partitioning via the write-combining scatter — the SWWCB
-/// ablation counterpart of [`partition_seq`].
-pub fn partition_seq_buffered(tuples: &[Tuple], shift: u32, bits: u32) -> Partitioned {
-    let hist = histogram(tuples, shift, bits);
-    let plan = ScatterPlan::from_histograms(std::slice::from_ref(&hist), shift, bits);
-    let out = SharedOut::new(tuples.len());
-    plan.scatter_chunk_buffered(tuples, 0, &out);
-    Partitioned {
-        data: out.into_vec(),
-        bounds: plan.bounds,
-    }
+    // Below 1024 tuples a dispatch costs more than it buys: one inline lane.
+    let lanes = if tuples.len() < 1024 { 1 } else { threads };
+    let knobs = PassKnobs {
+        first_touch: exec.pinned(),
+        ..PassKnobs::default()
+    };
+    PartitionPass::new(tuples, shift, bits, lanes, knobs).run(exec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::PinPolicy;
     use iawj_common::Rng;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    const SCALAR: KernelBackend = KernelBackend::Scalar;
 
     fn random_tuples(n: usize, key_space: u32, seed: u64) -> Vec<Tuple> {
         let mut rng = Rng::new(seed);
@@ -870,155 +620,96 @@ mod tests {
         assert_eq!(*p.bounds.last().unwrap(), input.len());
     }
 
+    /// One pass under `knobs` on a fresh unpinned executor.
+    fn pass(
+        input: &[Tuple],
+        shift: u32,
+        bits: u32,
+        threads: usize,
+        knobs: PassKnobs,
+    ) -> Partitioned {
+        let exec = Executor::new(PinPolicy::None, threads);
+        PartitionPass::new(input, shift, bits, threads, knobs).run(&exec)
+    }
+
     #[test]
     fn sequential_partition_correct() {
         let input = random_tuples(1000, 512, 1);
-        let p = partition_seq(&input, 0, 4);
+        let p = partition_seq(&input, 0, 4, SCALAR);
         check_partitioned(&p, &input, 0, 4);
         assert_eq!(p.fanout(), 16);
+        // A shifted pass uses the higher bits.
+        check_partitioned(&partition_seq(&input, 4, 4, SCALAR), &input, 4, 4);
     }
 
+    /// The knob product at one size: every slot layout × scatter mode ×
+    /// kernel × worker count is bitwise-identical to the sequential
+    /// partitioner — bounds, data, and within-partition input order (slots
+    /// are contiguous ascending slices and offsets are slot-major).
     #[test]
-    fn parallel_matches_sequential() {
-        let input = random_tuples(20_000, 1 << 14, 2);
-        let seq = partition_seq(&input, 0, 6);
-        let par = partition_parallel(&input, 0, 6, 4);
-        assert_eq!(seq.bounds, par.bounds);
-        check_partitioned(&par, &input, 0, 6);
-        // Within a partition, parallel scatter preserves input order
-        // (thread chunks are contiguous and offsets partition-major).
-        assert_eq!(seq.data, par.data);
-    }
-
-    #[test]
-    fn morsel_partition_is_bitwise_identical_to_static() {
-        let input = random_tuples(20_000, 1 << 14, 2);
-        let par = partition_parallel(&input, 0, 6, 4);
-        for morsel in [128usize, 512, 4096, 1 << 20] {
-            let stolen = partition_parallel_morsel(&input, 0, 6, 4, morsel);
-            assert_eq!(par.bounds, stolen.bounds, "morsel={morsel}");
-            // Grid cells are contiguous ascending slices and scatter slots
-            // are cell-major, so even the within-partition tuple order
-            // matches the static scatter exactly.
-            assert_eq!(par.data, stolen.data, "morsel={morsel}");
-        }
-    }
-
-    #[test]
-    fn morsel_partition_small_input_falls_back_to_seq() {
-        let input = random_tuples(500, 256, 7);
-        let p = partition_parallel_morsel(&input, 0, 5, 4, 64);
-        check_partitioned(&p, &input, 0, 5);
-    }
-
-    #[test]
-    fn shifted_pass_uses_higher_bits() {
-        let input = random_tuples(500, 1 << 10, 3);
-        let p = partition_seq(&input, 4, 4);
-        check_partitioned(&p, &input, 4, 4);
-    }
-
-    #[test]
-    fn two_pass_refines_first_pass() {
-        let input = random_tuples(10_000, 1 << 12, 4);
-        let p = partition_two_pass(&input, 4, 4, 3);
-        assert_eq!(p.fanout(), 256);
-        // Two-pass partition (p1, p2) must equal single-pass on 8 bits:
-        // index p1*16+p2 collects keys with low bits p2*16+p1... careful:
-        // pass 1 takes bits [0,4), pass 2 bits [4,8). Tuple with key k goes
-        // to p1 = k&15, p2 = (k>>4)&15, i.e. flat index (k&15)*16 + (k>>4&15).
-        for p1 in 0..16usize {
-            for p2 in 0..16usize {
-                for t in p.partition(p1 * 16 + p2) {
-                    assert_eq!((t.key & 15) as usize, p1);
-                    assert_eq!(((t.key >> 4) & 15) as usize, p2);
+    fn every_knob_combination_matches_sequential() {
+        let input = random_tuples(6000, 1 << 14, 2);
+        let seq = partition_seq(&input, 0, 6, SCALAR);
+        check_partitioned(&seq, &input, 0, 6);
+        let layouts = [
+            SlotLayout::PerThread,
+            SlotLayout::Grid(128),
+            SlotLayout::Grid(500),
+            SlotLayout::Grid(1 << 20),
+        ];
+        for threads in [1usize, 4, 7] {
+            let exec = Executor::new(PinPolicy::None, threads);
+            for layout in layouts {
+                for scatter in ScatterMode::ALL {
+                    for kernel in KernelBackend::ALL {
+                        let knobs = PassKnobs {
+                            layout,
+                            scatter,
+                            kernel,
+                            first_touch: false,
+                        };
+                        let got = PartitionPass::new(&input, 0, 6, threads, knobs).run(&exec);
+                        assert_eq!(seq.bounds, got.bounds, "{knobs:?} threads={threads}");
+                        assert_eq!(seq.data, got.data, "{knobs:?} threads={threads}");
+                    }
                 }
             }
         }
-        // Multiset preserved.
-        let mut a: Vec<u64> = input.iter().map(|t| t.pack()).collect();
-        let mut b: Vec<u64> = p.data.iter().map(|t| t.pack()).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
     }
 
     #[test]
-    fn empty_input() {
-        let p = partition_parallel(&[], 0, 5, 4);
+    fn small_and_empty_inputs() {
+        let exec = Executor::new(PinPolicy::None, 4);
+        let p = partition_parallel_exec(&[], 0, 5, 4, &exec);
         assert_eq!(p.fanout(), 32);
         assert_eq!(p.data.len(), 0);
         assert!(p.bounds.iter().all(|&b| b == 0));
+        for n in [0usize, 1, 7, 500] {
+            let input = random_tuples(n, 256, 7);
+            let knobs = PassKnobs {
+                layout: SlotLayout::Grid(64),
+                scatter: ScatterMode::Swwc,
+                ..PassKnobs::default()
+            };
+            let got = PartitionPass::new(&input, 0, 5, 4, knobs).run(&exec);
+            assert_eq!(got.data, partition_seq(&input, 0, 5, SCALAR).data, "n={n}");
+            check_partitioned(
+                &partition_parallel_exec(&input, 0, 5, 4, &exec),
+                &input,
+                0,
+                5,
+            );
+        }
     }
 
     #[test]
     fn skewed_keys_pile_into_one_partition() {
         let input: Vec<Tuple> = (0..100).map(|i| Tuple::new(64, i)).collect();
-        let p = partition_seq(&input, 0, 4);
+        let p = partition_seq(&input, 0, 4, SCALAR);
         // key 64 -> low 4 bits are 0.
         assert_eq!(p.partition(0).len(), 100);
         for q in 1..16 {
             assert!(p.partition(q).is_empty());
-        }
-    }
-
-    #[test]
-    fn buffered_scatter_equals_plain() {
-        for (n, keys, bits) in [
-            (5000usize, 1u32 << 12, 8u32),
-            (100, 16, 4),
-            (7, 4, 2),
-            (0, 4, 2),
-        ] {
-            let input = random_tuples(n, keys.max(1), n as u64 + 9);
-            let plain = partition_seq(&input, 0, bits);
-            let buffered = partition_seq_buffered(&input, 0, bits);
-            assert_eq!(plain.bounds, buffered.bounds, "n={n} bits={bits}");
-            assert_eq!(plain.data, buffered.data, "n={n} bits={bits}");
-        }
-    }
-
-    #[test]
-    fn buffered_scatter_parallel_chunks_disjoint() {
-        // Drive the buffered scatter the way PRJ does: one plan, several
-        // chunks, flushed independently.
-        let input = random_tuples(4096, 1 << 10, 77);
-        let threads = 4;
-        let hists: Vec<Vec<u32>> = (0..threads)
-            .map(|t| {
-                histogram(
-                    &input[crate::pool::chunk_range(input.len(), threads, t)],
-                    0,
-                    6,
-                )
-            })
-            .collect();
-        let plan = ScatterPlan::from_histograms(&hists, 0, 6);
-        let out = SharedOut::new(input.len());
-        for t in 0..threads {
-            plan.scatter_chunk_buffered(
-                &input[crate::pool::chunk_range(input.len(), threads, t)],
-                t,
-                &out,
-            );
-        }
-        let data = out.into_vec();
-        let expect = partition_parallel(&input, 0, 6, threads);
-        assert_eq!(data, expect.data);
-    }
-
-    #[test]
-    fn swwc_parallel_is_bitwise_identical() {
-        let input = random_tuples(20_000, 1 << 14, 2);
-        let seq = partition_seq(&input, 0, 6);
-        for threads in [1usize, 2, 4, 7] {
-            let swwc = partition_parallel_swwc(&input, 0, 6, threads);
-            assert_eq!(seq.bounds, swwc.bounds, "threads={threads}");
-            assert_eq!(seq.data, swwc.data, "threads={threads}");
-            for morsel in [128usize, 500, 4096] {
-                let stolen = partition_parallel_morsel_swwc(&input, 0, 6, threads, morsel);
-                assert_eq!(seq.data, stolen.data, "threads={threads} morsel={morsel}");
-            }
         }
     }
 
@@ -1034,103 +725,81 @@ mod tests {
             let input: Vec<Tuple> = (0..per_part)
                 .flat_map(|i| (0..4u32).map(move |k| Tuple::new(k, i)))
                 .collect();
-            let plain = partition_seq(&input, 0, 2);
-            let hist = histogram(&input, 0, 2);
-            let plan = ScatterPlan::from_histograms(std::slice::from_ref(&hist), 0, 2);
-            let out = SharedOut::new(input.len());
-            let mut bufs = crate::swwc::SwwcBuffers::new(plan.fanout);
-            plan.scatter_chunk_swwc(&input, 0, &out, &mut bufs);
-            assert_eq!(out.into_vec(), plain.data, "per_part={per_part}");
+            let knobs = PassKnobs {
+                scatter: ScatterMode::Swwc,
+                ..PassKnobs::default()
+            };
+            let plain = partition_seq(&input, 0, 2, SCALAR);
+            assert_eq!(
+                pass(&input, 0, 2, 1, knobs).data,
+                plain.data,
+                "per_part={per_part}"
+            );
         }
-        // Reusing one worker's buffers across several chunks must leave no
+        // Reusing one worker's buffers across several slots must leave no
         // residue: drive two slots back-to-back through the same buffers.
         let input = random_tuples(1000, 64, 13);
         let (a, b) = input.split_at(437); // splits mid-line for most partitions
-        let hists = vec![histogram(a, 0, 4), histogram(b, 0, 4)];
-        let plan = ScatterPlan::from_histograms(&hists, 0, 4);
+        let hists = [histogram(a, 0, 4, SCALAR), histogram(b, 0, 4, SCALAR)];
+        let plan = ScatterPlan::from_histograms(&[&hists[0], &hists[1]], 0, 4);
         let out = SharedOut::new(input.len());
-        let mut bufs = crate::swwc::SwwcBuffers::new(plan.fanout);
-        plan.scatter_chunk_swwc(a, 0, &out, &mut bufs);
-        plan.scatter_chunk_swwc(b, 1, &out, &mut bufs);
+        let mut bufs = SwwcBuffers::for_bits(4);
+        // SAFETY: single-threaded; each slice is the one its slot counted.
+        unsafe {
+            plan.scatter(a, 0, &out, SCALAR, Some(&mut bufs));
+            plan.scatter(b, 1, &out, SCALAR, Some(&mut bufs));
+        }
         assert!(bufs.line_flushes() > 0, "full lines must have flushed");
-        assert_eq!(out.into_vec(), partition_seq(&input, 0, 4).data);
+        assert_eq!(bufs.drains(), 2, "one drain per slot");
+        assert_eq!(out.into_vec(), partition_seq(&input, 0, 4, SCALAR).data);
     }
 
-    /// The Simd derivation kernel is pure bit math: histograms, sequential
-    /// partitioning, and both scatter paths must be bitwise-identical to
-    /// the scalar loops across block-boundary sizes.
+    /// The Simd derivation kernel is pure bit math: histograms and the
+    /// sequential partitioner must be bitwise-identical to the scalar loops
+    /// across block-boundary sizes (the scatter paths share the same
+    /// derivation loop and are covered by the knob-product test).
     #[test]
     fn simd_derivation_is_bitwise_identical() {
         for n in [0usize, 1, 7, 8, 9, 16, 17, 1000, 4097] {
             let input = random_tuples(n, 1 << 12, n as u64 + 3);
             for (shift, bits) in [(0u32, 6u32), (4, 4), (6, 8)] {
-                let scalar_hist = histogram(&input, shift, bits);
-                let simd_hist = histogram_kernel(&input, shift, bits, KernelBackend::Simd);
-                assert_eq!(scalar_hist, simd_hist, "n={n} shift={shift} bits={bits}");
-
-                let scalar_part = partition_seq(&input, shift, bits);
-                let simd_part = partition_seq_kernel(&input, shift, bits, KernelBackend::Simd);
-                assert_eq!(scalar_part.bounds, simd_part.bounds);
-                assert_eq!(scalar_part.data, simd_part.data);
-
-                let plan =
-                    ScatterPlan::from_histograms(std::slice::from_ref(&scalar_hist), shift, bits);
-                let out = SharedOut::new(input.len());
-                plan.scatter_chunk_kernel(&input, 0, &out, KernelBackend::Simd);
-                assert_eq!(out.into_vec(), scalar_part.data, "direct scatter n={n}");
-
-                let out = SharedOut::new(input.len());
-                let mut bufs = crate::swwc::SwwcBuffers::new(plan.fanout);
-                plan.scatter_chunk_swwc_kernel(&input, 0, &out, &mut bufs, KernelBackend::Simd);
-                assert_eq!(out.into_vec(), scalar_part.data, "swwc scatter n={n}");
+                assert_eq!(
+                    histogram(&input, shift, bits, SCALAR),
+                    histogram(&input, shift, bits, KernelBackend::Simd),
+                    "n={n} shift={shift} bits={bits}"
+                );
+                let scalar = partition_seq(&input, shift, bits, SCALAR);
+                let simd = partition_seq(&input, shift, bits, KernelBackend::Simd);
+                assert_eq!(scalar.bounds, simd.bounds);
+                assert_eq!(scalar.data, simd.data);
             }
         }
     }
 
-    /// Every `_exec` variant on a pooled executor must be bitwise-identical
-    /// to its spawn-mode (delegating) entry point — the executor is a pure
-    /// performance knob.
+    /// Pinning (and with it the first-touch arena) is a pure placement
+    /// knob: every pin policy yields the sequential partitioner's output.
     #[test]
-    fn exec_variants_are_bitwise_identical_to_spawn() {
-        use crate::executor::{ExecMode, Executor};
-        use crate::topology::PinPolicy;
+    fn pinned_executors_are_bitwise_identical() {
         let input = random_tuples(20_000, 1 << 14, 2);
         let threads = 4;
+        let base = partition_seq(&input, 0, 6, SCALAR);
         for pin in [PinPolicy::None, PinPolicy::Compact, PinPolicy::Scatter] {
-            let exec = Executor::new(ExecMode::Pool, pin, threads);
+            let exec = Executor::new(pin, threads);
             let par = partition_parallel_exec(&input, 0, 6, threads, &exec);
-            let base = partition_parallel(&input, 0, 6, threads);
             assert_eq!(base.bounds, par.bounds, "pin={pin}");
             assert_eq!(base.data, par.data, "pin={pin}");
-
-            let swwc = partition_parallel_swwc_exec(&input, 0, 6, threads, &exec);
-            assert_eq!(base.data, swwc.data, "swwc pin={pin}");
-
-            let morsel = partition_parallel_morsel_exec(&input, 0, 6, threads, 512, &exec);
-            assert_eq!(base.data, morsel.data, "morsel pin={pin}");
-
-            let morsel_swwc =
-                partition_parallel_morsel_swwc_exec(&input, 0, 6, threads, 512, &exec);
-            assert_eq!(base.data, morsel_swwc.data, "morsel_swwc pin={pin}");
-
-            let two = partition_two_pass_exec(&input, 4, 4, threads, &exec);
-            let two_base = partition_two_pass(&input, 4, 4, threads);
-            assert_eq!(two_base.bounds, two.bounds, "two-pass pin={pin}");
-            assert_eq!(two_base.data, two.data, "two-pass pin={pin}");
         }
     }
 
-    /// The first-touch arena and per-chunk touch pass are observationally
+    /// The first-touch arena and per-slot touch pass are observationally
     /// invisible: untouched slots are zero (like `SharedOut::new`), touched
     /// slots stay zero, and a touched-then-scattered arena matches the
-    /// sequential partitioner exactly.
+    /// sequential partitioner exactly under both layouts.
     #[test]
     fn first_touch_arena_matches_eager_arena() {
         let eager = SharedOut::new(1000);
         let lazy = SharedOut::new_first_touch(1000);
-        assert_eq!(lazy.len(), 1000);
-        assert!(!lazy.is_empty());
-        assert!(SharedOut::new_first_touch(0).is_empty());
+        assert!(SharedOut::new_first_touch(0).into_vec().is_empty());
         // SAFETY: no concurrent writers exist in this test.
         unsafe {
             lazy.touch(0..500);
@@ -1138,37 +807,66 @@ mod tests {
         }
         assert_eq!(eager.into_vec(), lazy.into_vec());
 
-        // Touch-then-scatter through a real plan.
         let input = random_tuples(4096, 1 << 10, 77);
-        let threads = 4;
-        let hists: Vec<Vec<u32>> = (0..threads)
-            .map(|t| {
-                histogram(
-                    &input[crate::pool::chunk_range(input.len(), threads, t)],
-                    0,
-                    6,
-                )
-            })
-            .collect();
-        let plan = ScatterPlan::from_histograms(&hists, 0, 6);
-        assert_eq!(plan.slots(), threads);
-        let out = SharedOut::new_first_touch(input.len());
-        for t in 0..threads {
-            // SAFETY: single-threaded here; ranges are disjoint per (t, p).
-            unsafe { plan.touch_chunk(t, &out) };
-            plan.scatter_chunk(
-                &input[crate::pool::chunk_range(input.len(), threads, t)],
-                t,
-                &out,
-            );
+        let expect = partition_seq(&input, 0, 6, SCALAR).data;
+        for layout in [SlotLayout::PerThread, SlotLayout::Grid(300)] {
+            let knobs = PassKnobs {
+                layout,
+                first_touch: true,
+                ..PassKnobs::default()
+            };
+            assert_eq!(pass(&input, 0, 6, 4, knobs).data, expect, "{layout:?}");
         }
-        assert_eq!(out.into_vec(), partition_seq(&input, 0, 6).data);
+    }
+
+    /// The step contract PRJ's journal relies on: `on_claim` fires once per
+    /// grid cell in each step (never in the per-thread layout), and the
+    /// scatter step reports one write-combining drain per slot.
+    #[test]
+    fn steps_report_claims_and_drains_per_slot() {
+        let input = random_tuples(1000, 128, 23);
+        let exec = Executor::new(PinPolicy::None, 4);
+        for (layout, slots) in [(SlotLayout::PerThread, 4u64), (SlotLayout::Grid(100), 10)] {
+            for scatter in ScatterMode::ALL {
+                let knobs = PassKnobs {
+                    layout,
+                    scatter,
+                    ..PassKnobs::default()
+                };
+                let pass = PartitionPass::new(&input, 0, 6, 4, knobs);
+                assert_eq!(pass.hists.len() as u64, slots);
+                let (claims, drains) = (AtomicU64::new(0), AtomicU64::new(0));
+                let count = |_stolen: bool| {
+                    claims.fetch_add(1, Ordering::Relaxed);
+                };
+                exec.run(4, |tid| pass.histogram_step(tid, count));
+                pass.plan();
+                exec.run(4, |tid| {
+                    // SAFETY: one call per tid; read only after the join.
+                    let d = unsafe { pass.scatter_step(tid, count) };
+                    drains.fetch_add(d, Ordering::Relaxed);
+                });
+                let grid_claims = if layout == SlotLayout::PerThread {
+                    0
+                } else {
+                    2 * slots
+                };
+                assert_eq!(claims.into_inner(), grid_claims, "{knobs:?}");
+                let expect_drains = if scatter == ScatterMode::Swwc {
+                    slots
+                } else {
+                    0
+                };
+                assert_eq!(drains.into_inner(), expect_drains, "{knobs:?}");
+                assert_eq!(pass.finish().data, partition_seq(&input, 0, 6, SCALAR).data);
+            }
+        }
     }
 
     #[test]
     fn histogram_counts() {
         let input = vec![Tuple::new(0, 0), Tuple::new(1, 0), Tuple::new(17, 0)];
-        let h = histogram(&input, 0, 4);
+        let h = histogram(&input, 0, 4, SCALAR);
         assert_eq!(h[0], 1);
         assert_eq!(h[1], 2, "keys 1 and 17 share low nibble 1");
     }

@@ -79,19 +79,16 @@ pub struct SwwcBuffers {
 }
 
 impl SwwcBuffers {
-    /// Buffers for `fanout` partitions, all empty.
-    pub fn new(fanout: usize) -> Self {
+    /// Buffers sized for a partitioning pass on `bits` radix bits, all
+    /// empty.
+    pub fn for_bits(bits: u32) -> Self {
+        let fanout = fanout(bits);
         SwwcBuffers {
             bufs: vec![Tuple::default(); fanout * SWWC_TUPLES_PER_LINE],
             fill: vec![0u8; fanout],
             line_flushes: 0,
             drains: 0,
         }
-    }
-
-    /// Buffers sized for a partitioning pass on `bits` radix bits.
-    pub fn for_bits(bits: u32) -> Self {
-        SwwcBuffers::new(fanout(bits))
     }
 
     /// Number of partitions the buffers cover.

@@ -4,7 +4,7 @@
 //! regardless of worker-count shrinkage/growth between generations or pin
 //! policy.
 
-use iawj_exec::executor::{ExecMode, Executor};
+use iawj_exec::executor::Executor;
 use iawj_exec::pool::run_workers;
 use iawj_exec::topology::PinPolicy;
 use proptest::prelude::*;
@@ -32,7 +32,7 @@ proptest! {
         sizes in proptest::collection::vec(1usize..9, 100..101),
         seed in any::<u64>(),
     ) {
-        let exec = Executor::new(ExecMode::Pool, PinPolicy::None, 8);
+        let exec = Executor::new(PinPolicy::None, 8);
         for (i, &n) in sizes.iter().enumerate() {
             let f = workload(seed.wrapping_add(i as u64));
             let pooled = exec.run(n, &f);
@@ -52,7 +52,7 @@ proptest! {
         let f = workload(seed);
         let expect = run_workers(n, &f);
         for pin in PinPolicy::ALL {
-            let exec = Executor::new(ExecMode::Pool, pin, n);
+            let exec = Executor::new(pin, n);
             prop_assert_eq!(exec.run(n, &f), expect.clone(), "pin={:?}", pin);
         }
     }
@@ -65,7 +65,7 @@ proptest! {
         n in 4usize..9,
         seed in any::<u64>(),
     ) {
-        let exec = Executor::new(ExecMode::Pool, PinPolicy::None, cap);
+        let exec = Executor::new(PinPolicy::None, cap);
         let f = workload(seed);
         prop_assert_eq!(exec.run(n, &f), run_workers(n, &f));
     }

@@ -9,7 +9,6 @@ use iawj_exec::merge::{
     choose_splitters, kway_merge, kway_merge_loser, kway_merge_tagged, merge_two_into,
     merge_two_into_branchless, pairwise_merge, run_segment, splitter_bounds,
 };
-use iawj_exec::radix::{partition_two_pass, Partitioned};
 use iawj_exec::sort::{sort_packed, sort_packed_kernel, SortBackend};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -107,21 +106,6 @@ proptest! {
             // covered exactly once.
             prop_assert_eq!(total, run.len());
         }
-    }
-
-    #[test]
-    fn two_pass_partition_preserves_multiset(
-        keys in proptest::collection::vec(any::<u32>(), 0..1500),
-        bits1 in 1u32..5, bits2 in 0u32..5, threads in 1usize..4) {
-        let tuples: Vec<Tuple> = keys.iter().enumerate()
-            .map(|(i, &k)| Tuple::new(k, i as u32)).collect();
-        let p: Partitioned = partition_two_pass(&tuples, bits1, bits2, threads);
-        let mut a: Vec<u64> = tuples.iter().map(|t| t.pack()).collect();
-        let mut b: Vec<u64> = p.data.iter().map(|t| t.pack()).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(p.fanout(), 1usize << (bits1 + bits2));
     }
 
     #[test]

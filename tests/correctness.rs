@@ -135,14 +135,13 @@ fn differential_all_engines_across_skew_threads_schedulers() {
 
 /// The index-engine differential harness guarding engines 9+: IBWJ and
 /// IBWJ_PART against the nested-loop oracle over seed × Zipf key skew ×
-/// thread count × scheduler × executor mode, asserting the exact sorted
-/// match set. θ=0.99 concentrates one key-hash partition, which is what
-/// actually forces IBWJ_PART's histogram-driven LPT repartition between
+/// thread count × scheduler, asserting the exact sorted match set. θ=0.99
+/// concentrates one key-hash partition, which is what actually forces
+/// IBWJ_PART's histogram-driven LPT repartition between
 /// epochs; the eager drive interleaves R/S batches, exercising the
 /// insert-then-probe exactly-once argument on both engines.
 #[test]
 fn differential_index_engines_across_skew_threads_schedulers() {
-    use iawj_study::core::ExecMode;
     for seed in [91u64, 92] {
         for theta in [0.0f64, 0.99] {
             let ds = MicroSpec::static_counts(600, 600)
@@ -153,22 +152,19 @@ fn differential_index_engines_across_skew_threads_schedulers() {
             let expect = nested_loop_join(&ds.r, &ds.s, ds.window);
             for threads in [1usize, 4] {
                 for sched in Scheduler::ALL {
-                    for mode in [ExecMode::Pool, ExecMode::Spawn] {
-                        for algo in Algorithm::INDEX {
-                            let cfg = RunConfig::with_threads(threads)
-                                .record_all()
-                                .speedup(500.0)
-                                .scheduler(sched)
-                                .morsel_size(64)
-                                .executor(mode);
-                            let result = execute(algo, &ds, &cfg);
-                            assert_eq!(
-                                canonical(&result),
-                                expect,
-                                "{algo} diverged (seed={seed} θ={theta} \
-                                 threads={threads} scheduler={sched} exec={mode:?})"
-                            );
-                        }
+                    for algo in Algorithm::INDEX {
+                        let cfg = RunConfig::with_threads(threads)
+                            .record_all()
+                            .speedup(500.0)
+                            .scheduler(sched)
+                            .morsel_size(64);
+                        let result = execute(algo, &ds, &cfg);
+                        assert_eq!(
+                            canonical(&result),
+                            expect,
+                            "{algo} diverged (seed={seed} θ={theta} \
+                             threads={threads} scheduler={sched})"
+                        );
                     }
                 }
             }
@@ -255,21 +251,14 @@ fn differential_kernel_backends_across_skew_threads() {
     }
 }
 
-/// The pool-vs-spawn differential harness guarding the persistent
-/// executor: every studied engine under both executor modes (and, for the
-/// pool, every pin policy) against the nested-loop oracle, asserting the
-/// exact sorted match set. A persistent pool must be invisible to the
-/// join: same tid→work mapping, same merge order, bitwise-identical
-/// output — pinning may only move threads, never tuples.
+/// The placement differential harness guarding the persistent executor:
+/// every studied engine under every pin policy against the nested-loop
+/// oracle, asserting the exact sorted match set. The pool must be
+/// invisible to the join: same tid→work mapping, same merge order,
+/// bitwise-identical output — pinning may only move threads, never tuples.
 #[test]
-fn differential_executor_modes_across_engines_and_schedulers() {
-    use iawj_study::core::{ExecMode, PinPolicy};
-    let modes = [
-        (ExecMode::Spawn, PinPolicy::None),
-        (ExecMode::Pool, PinPolicy::None),
-        (ExecMode::Pool, PinPolicy::Compact),
-        (ExecMode::Pool, PinPolicy::Scatter),
-    ];
+fn differential_pin_policies_across_engines_and_schedulers() {
+    use iawj_study::core::PinPolicy;
     for seed in [91u64, 92] {
         let ds = MicroSpec::static_counts(600, 600)
             .dupe(6)
@@ -280,20 +269,19 @@ fn differential_executor_modes_across_engines_and_schedulers() {
         for threads in [1usize, 4] {
             for sched in Scheduler::ALL {
                 for algo in Algorithm::STUDIED {
-                    for (mode, pin) in modes {
+                    for pin in PinPolicy::ALL {
                         let cfg = RunConfig::with_threads(threads)
                             .record_all()
                             .speedup(500.0)
                             .scheduler(sched)
                             .morsel_size(64)
-                            .executor(mode)
                             .pin(pin);
                         let result = execute(algo, &ds, &cfg);
                         assert_eq!(
                             canonical(&result),
                             expect,
                             "{algo} diverged (seed={seed} threads={threads} \
-                             scheduler={sched} executor={mode:?} pin={pin:?})"
+                             scheduler={sched} pin={pin:?})"
                         );
                     }
                 }

@@ -128,26 +128,35 @@ fn windowed_runs_rebase_timestamps() {
 fn adaptive_never_loses_badly_across_regimes() {
     use iawj_study::core::adaptive::execute_adaptive;
     use iawj_study::core::decision::Objective;
-    // For each regime, the adaptive pick's throughput must be within 4x of
-    // the best fixed algorithm (typically it IS the best or near it; the
-    // loose bound keeps the test robust on noisy CI hosts).
+    // Each leaf of the Fig. 4 tree is the paper's measured winner for its
+    // region, so "never loses badly" is a statement about which leaf the
+    // sniffed workload reaches — not about wall-clock ratios on whatever
+    // host runs the suite. Both regimes are data at rest (high rate) on 2
+    // cores: few duplicates and a small join land on NPJ; dupe ≥ 10 takes
+    // the sort-based side, and below 8 cores that is MWay.
     let regimes = [
-        MicroSpec::static_counts(20_000, 20_000).dupe(1).seed(1),
-        MicroSpec::static_counts(10_000, 10_000).dupe(100).seed(2),
+        (
+            MicroSpec::static_counts(20_000, 20_000).dupe(1).seed(1),
+            Algorithm::Npj,
+        ),
+        (
+            MicroSpec::static_counts(10_000, 10_000).dupe(100).seed(2),
+            Algorithm::MWay,
+        ),
     ];
-    for spec in regimes {
+    for (spec, leaf) in regimes {
         let ds = spec.generate();
         let cfg = RunConfig::with_threads(2);
         let adaptive = execute_adaptive(&ds, &cfg, Objective::Throughput);
-        let mut best = 0.0f64;
-        for algo in Algorithm::STUDIED {
-            best = best.max(execute(algo, &ds, &cfg).throughput_tpms());
-        }
-        let got = adaptive.result.throughput_tpms();
-        assert!(
-            got * 4.0 > best,
-            "adaptive chose {} at {got:.0} t/ms vs best {best:.0}",
-            adaptive.chosen
+        assert_eq!(
+            adaptive.chosen, leaf,
+            "Fig. 4 leaf for {:?}",
+            adaptive.descriptor
+        );
+        assert_eq!(
+            adaptive.result.matches,
+            match_count(&ds.r, &ds.s, ds.window),
+            "{leaf} via the adaptive dispatcher"
         );
     }
 }

@@ -86,10 +86,12 @@ proptest! {
         threads in 1usize..5,
     ) {
         use iawj_study::common::Tuple;
-        use iawj_study::exec::radix::{partition_of, partition_parallel};
+        use iawj_study::exec::radix::{partition_of, partition_parallel_exec};
+        use iawj_study::exec::{Executor, PinPolicy};
         let tuples: Vec<Tuple> = keys.iter().enumerate()
             .map(|(i, &k)| Tuple::new(k, i as u32)).collect();
-        let part = partition_parallel(&tuples, 0, bits, threads);
+        let exec = Executor::new(PinPolicy::None, threads);
+        let part = partition_parallel_exec(&tuples, 0, bits, threads, &exec);
         let mut a: Vec<u64> = tuples.iter().map(|t| t.pack()).collect();
         let mut b: Vec<u64> = part.data.iter().map(|t| t.pack()).collect();
         a.sort_unstable();

@@ -63,16 +63,15 @@ fn prj_steal_mode_records_steal_events_and_matches_static() {
     );
 }
 
-/// The Fig-8-style contention A/B: under θ=0.99 at 8 threads the latched
-/// NPJ table must exhibit observable latch contention (its bucket latches
-/// are held across whole hot-chain scans on both build and probe, so any
-/// preemption of a holder strands every other thread hitting that bucket),
-/// while the lock-free table — whose only conflict window is the two
-/// instructions between a bucket-head load and its CAS — must journal
-/// strictly fewer contention events. Both modes must agree on the match
-/// count, and neither may emit the other's mark.
+/// The Fig-8-style contention A/B, deterministic half: under θ=0.99 at 8
+/// threads both table modes must agree on the match count, and neither may
+/// emit the other's contention mark. *Whether* a run contends depends on
+/// the OS interleaving, so the counting surface itself is pinned under a
+/// scripted interleaving in `iawj-exec`
+/// (`hashtable::tests::insert_into_a_held_bucket_counts_the_wait`), not by
+/// comparing event totals here.
 #[test]
-fn npj_lockfree_table_journals_less_contention_than_latched() {
+fn npj_table_modes_agree_and_journal_only_their_own_contention_mark() {
     let ds = MicroSpec::static_counts(20_000, 20_000)
         .dupe(4)
         .skew_key(0.99)
@@ -85,44 +84,26 @@ fn npj_lockfree_table_journals_less_contention_than_latched() {
             .with_journal();
         execute(Algorithm::Npj, &ds, &cfg)
     };
-    // Whether a latch wait actually occurs in one run depends on the OS
-    // interleaving (on a single hardware thread it needs a preemption to
-    // land inside a latch-held chain scan), so accumulate over bounded
-    // attempts; the hot buckets of a θ=0.99 window make each attempt far
-    // more likely than not to contend. The mode-exclusivity invariants are
-    // deterministic and assert on every attempt.
-    let (mut waits, mut retries) = (0usize, 0usize);
-    for attempt in 0..12 {
-        let latched = run(NpjTable::Latch);
-        let lockfree = run(NpjTable::LockFree);
-        assert_eq!(
-            latched.matches, lockfree.matches,
-            "table modes must agree on the match count (attempt {attempt})"
-        );
-        assert_eq!(
-            latched.count_marks(MARK_CAS_RETRY),
-            0,
-            "latch mode never CASes"
-        );
-        assert_eq!(
-            lockfree.count_marks(MARK_LATCH_WAIT),
-            0,
-            "lock-free mode has no latches to wait on"
-        );
-        waits += latched.count_marks(MARK_LATCH_WAIT);
-        retries += lockfree.count_marks(MARK_CAS_RETRY);
-        if waits >= 1 && retries < waits {
-            break;
-        }
-    }
-    assert!(
-        waits >= 1,
-        "θ=0.99 at 8 threads must contend the latched table at least once"
+    let latched = run(NpjTable::Latch);
+    let lockfree = run(NpjTable::LockFree);
+    assert_eq!(
+        latched.matches,
+        match_count(&ds.r, &ds.s, ds.window),
+        "latched table vs oracle"
     );
-    assert!(
-        retries < waits,
-        "lock-free contention ({retries} cas:retry) must stay below \
-         latched contention ({waits} latch:wait)"
+    assert_eq!(
+        latched.matches, lockfree.matches,
+        "table modes must agree on the match count"
+    );
+    assert_eq!(
+        latched.count_marks(MARK_CAS_RETRY),
+        0,
+        "latch mode never CASes"
+    );
+    assert_eq!(
+        lockfree.count_marks(MARK_LATCH_WAIT),
+        0,
+        "lock-free mode has no latches to wait on"
     );
 }
 
