@@ -66,6 +66,25 @@ fn bench_hashtables(c: &mut Criterion) {
             black_box(t.len())
         })
     });
+    // One NPJ table's whole life at a size past the LLC. Allocation and
+    // teardown sit inside the timed closure: they are costs of every NPJ
+    // run that the build-only cells above (small, and ending in a `len()`
+    // walk) cannot show.
+    let big = tuples(1 << 20, 1 << 18, 5);
+    g.throughput(Throughput::Elements(big.len() as u64));
+    g.bench_function("shared_alloc_build_probe_drop", |b| {
+        b.iter(|| {
+            let t = SharedTable::with_capacity(big.len());
+            for tup in &big {
+                t.insert(tup.key, tup.ts);
+            }
+            let mut n = 0u64;
+            for tup in &big {
+                t.probe(tup.key, |_| n += 1);
+            }
+            black_box(n)
+        })
+    });
     g.finish();
 }
 

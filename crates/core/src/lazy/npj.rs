@@ -73,21 +73,19 @@ pub fn run_on(
 ) -> Vec<WorkerOut> {
     let input = (r, s, cfg, clock, arrive_by, exec);
     match cfg.npj.table {
+        // Zeroed pages are a complete latched table, so its workers fault
+        // their share in simply by building.
         NpjTable::Latch => run_with(&SharedTable::with_capacity(r.len()), None, input),
-        // With pinned workers the lock-free table defers page placement: it
-        // is allocated zeroed (lazily mapped) and each worker faults +
-        // initialises its own share, so table memory lands on the workers'
-        // NUMA nodes instead of wherever the coordinating thread happens to
-        // run. (The latched table has non-zero headers and always
-        // initialises eagerly.)
-        NpjTable::LockFree if exec.pinned() => {
+        // The lock-free table needs `-1` chain sentinels over its zeroed
+        // pages first: each worker writes (and so places) its own share
+        // instead of the coordinating thread writing all of it.
+        NpjTable::LockFree => {
             let table = LockFreeTable::with_capacity_untouched(r.len());
             // SAFETY: `run_with` calls this once per tid, before any insert,
             // and barriers between the touches and the build.
             let touch = |tid: usize| unsafe { table.first_touch(tid, cfg.threads) };
             run_with(&table, Some(&touch), input)
         }
-        NpjTable::LockFree => run_with(&LockFreeTable::with_capacity(r.len()), None, input),
     }
 }
 

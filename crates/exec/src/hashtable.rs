@@ -1,8 +1,10 @@
 //! The hash tables of the study.
 //!
-//! - [`SharedTable`] — NPJ's single shared table. All threads insert during
-//!   the build phase under per-bucket latches; the concurrent-visit
-//!   contention on hot buckets is exactly the NPJ pathology §5.3.2 measures.
+//! - [`SharedTable`] — NPJ's single shared table: one zeroed arena of
+//!   cache-line buckets with latch, count and tuples inline. All threads
+//!   insert during the build phase under per-bucket latches; the
+//!   concurrent-visit contention on hot buckets is exactly the NPJ
+//!   pathology §5.3.2 measures.
 //! - [`LockFreeTable`] — the latch-free alternative after Blanas et al.'s
 //!   no-partitioning build table: entries live in a pre-sized append-only
 //!   arena (slot claimed by one `fetch_add`), chains are linked by CAS on
@@ -19,12 +21,13 @@
 //! expose their build/probe surface through [`ConcurrentTable`], so NPJ is
 //! written once, generic over the table.
 
-use crate::latch::Latch;
+use crate::latch::RawLatch;
 use iawj_common::hash::{bucket_of, next_pow2_at_least};
-use iawj_common::{prefetch_read, Key, Ts};
+use iawj_common::{prefetch_read, Key, Ts, Tuple};
 use iawj_obs::{MARK_CAS_RETRY, MARK_LATCH_WAIT};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicI32, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Which shared table NPJ builds into: the per-bucket latched table (the
 /// paper's default) or the lock-free CAS-chained variant.
@@ -201,21 +204,107 @@ impl LocalTable {
     }
 }
 
-/// NPJ's shared table: per-bucket latched vectors. Build-phase inserts take
-/// the bucket latch; probe-phase reads also take it (briefly), which models
-/// the access-conflict behaviour of a latched shared table faithfully.
+/// Tuple slots per [`Bucket`]: what fits a 64-byte line beside the header.
+const SLOTS: usize = 7;
+
+/// Expected tuples per head bucket, before the count rounds up to 2^n.
+const TUPLES_PER_HEAD: usize = 4;
+
+/// One cache line of NPJ's shared table, after the bucket of Balkesen et
+/// al.'s no-partitioning join: latch, fill count, overflow link and the
+/// tuples themselves, so an access to a short chain touches one line.
+/// All-zero bytes are a valid bucket — latch free, no tuples, no overflow —
+/// which is what lets the table start life as untouched zero pages.
+#[repr(C)]
+struct Bucket {
+    /// Guards the whole chain; used on head buckets only.
+    latch: RawLatch,
+    /// Filled prefix of `slots`.
+    count: UnsafeCell<u8>,
+    /// Id of the next bucket of the chain; 0 ends it (id 0 is a head).
+    next: UnsafeCell<u32>,
+    slots: UnsafeCell<[Tuple; SLOTS]>,
+}
+
+const BUCKET_BYTES: usize = std::mem::size_of::<Bucket>();
+const _: () = assert!(BUCKET_BYTES == 64 && SLOTS <= u8::MAX as usize);
+
+/// A run of zeroed, line-aligned buckets that costs nothing until touched.
+struct Arena {
+    /// Owns the memory `base` points into; never accessed again.
+    _words: Vec<u64>,
+    base: *const Bucket,
+    len: usize,
+}
+
+impl Arena {
+    /// std's System allocator serves `alloc_zeroed` above 16-byte alignment
+    /// as `malloc` + `memset`, which faults every page in on the caller; an
+    /// 8-aligned request stays a `calloc` (fresh zero pages, mapped on
+    /// first touch), so ask for one line more and align by hand.
+    fn zeroed(len: usize) -> Arena {
+        const WORDS: usize = BUCKET_BYTES / std::mem::size_of::<u64>();
+        // SAFETY: zero is a valid `u64`.
+        let mut words = unsafe { alloc_zeroed_vec::<u64>((len + 1) * WORDS) };
+        let start = words.as_mut_ptr();
+        let pad = start.align_offset(BUCKET_BYTES);
+        assert!(pad < WORDS, "cannot line-align the bucket arena");
+        // SAFETY: `pad` is below the one spare line allocated, so `len`
+        // whole buckets fit behind `base`.
+        let base = unsafe { start.add(pad) }.cast::<Bucket>();
+        Arena {
+            _words: words,
+            base,
+            len,
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> &Bucket {
+        assert!(i < self.len, "bucket {i} outside an arena of {}", self.len);
+        // SAFETY: in bounds per the assert, line-aligned, and zeroed bytes
+        // (or whatever latch holders wrote since) are a valid `Bucket`.
+        unsafe { &*self.base.add(i) }
+    }
+}
+
+/// NPJ's shared table: one flat arena of cache-line [`Bucket`]s. Build-phase
+/// inserts take the head bucket's latch; probe-phase reads also take it
+/// (briefly), which models the access-conflict behaviour of a latched
+/// shared table faithfully.
+///
+/// Buckets are named by id: `0..heads` are the heads a key hashes to, ids
+/// from `heads` up are overflow buckets claimed by one `fetch_add`. Ids
+/// below `2·heads` share one allocation — enough for any `expected` inserts
+/// — which `with_capacity` leaves untouched: each line is faulted in by the
+/// worker that first writes it. A table filled past its promise grows
+/// segments, the `k`-th (`k ≥ 1`) holding ids `heads·2^k..heads·2^(k+1)`.
 pub struct SharedTable {
     mask: u64,
-    buckets: Vec<Latch<Vec<(Key, Ts)>>>,
+    arena: Arena,
+    grown: [OnceLock<Arena>; 32],
+    /// The next unclaimed bucket id: heads plus overflow handed out so far.
+    claimed: AtomicUsize,
 }
+
+// SAFETY: a chain's `count`/`next`/`slots` cells are only accessed while
+// holding its head bucket's latch, whose Acquire/Release pair orders one
+// holder's writes before the next holder's reads; an overflow bucket is
+// reachable from exactly one chain (its id was claimed by one `fetch_add`
+// under that chain's latch). `Arena`s are plain owned memory, `grown` is
+// `OnceLock`-published, `claimed` is atomic and `mask` is immutable.
+unsafe impl Sync for SharedTable {}
+unsafe impl Send for SharedTable {}
 
 impl SharedTable {
     /// Table sized for roughly `expected` entries across all threads.
     pub fn with_capacity(expected: usize) -> Self {
-        let n = next_pow2_at_least(expected * 2, 16);
+        let heads = next_pow2_at_least(expected / TUPLES_PER_HEAD, 1);
         SharedTable {
-            mask: n as u64 - 1,
-            buckets: (0..n).map(|_| Latch::new(Vec::new())).collect(),
+            mask: heads as u64 - 1,
+            arena: Arena::zeroed(2 * heads),
+            grown: std::array::from_fn(|_| OnceLock::new()),
+            claimed: AtomicUsize::new(heads),
         }
     }
 
@@ -231,14 +320,69 @@ impl SharedTable {
         self.probe_at(bucket_of(key, self.mask), key, f);
     }
 
-    /// Total entries (takes every latch; diagnostics only).
+    /// Total entries. Walks and latches every chain — diagnostics and tests
+    /// only, never timed code (that is what the O(1) `bytes()` is for).
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.lock().len()).sum()
+        let mut n = 0;
+        for b in 0..self.heads() {
+            self.scan_chain(b, |tuples| n += tuples.len());
+        }
+        n
     }
 
-    /// True when the table holds no entries.
+    /// True when the table holds no entries (same cost as [`Self::len`]).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    #[inline]
+    fn heads(&self) -> usize {
+        self.mask as usize + 1
+    }
+
+    /// Head bucket `b`. Masked rather than trusted: latching an overflow
+    /// bucket as if it were a head would race with its real chain.
+    #[inline]
+    fn head(&self, b: usize) -> &Bucket {
+        self.arena.get(b & self.mask as usize)
+    }
+
+    /// The bucket with this id, which must be a head or already claimed.
+    /// The first claim in a grown segment allocates it.
+    #[inline]
+    fn bucket(&self, id: usize) -> &Bucket {
+        if id < self.arena.len {
+            return self.arena.get(id);
+        }
+        let k = (id / self.heads()).ilog2() as usize;
+        let segment = self.grown[k].get_or_init(|| Arena::zeroed(self.heads() << k));
+        segment.get(id - (self.heads() << k))
+    }
+
+    /// Latch chain `b` and call `f` with the filled slots of each of its
+    /// buckets; returns the spin-wait episodes the latch cost.
+    #[inline]
+    fn scan_chain(&self, b: usize, mut f: impl FnMut(&[Tuple])) -> u32 {
+        let mut bucket = self.head(b);
+        let (_held, waits) = bucket.latch.lock_waits();
+        loop {
+            // SAFETY: the chain's latch is held, so no one writes these
+            // cells; `count <= SLOTS` is maintained by `insert_at`.
+            let (tuples, next) = unsafe {
+                let slots: &[Tuple; SLOTS] = &*bucket.slots.get();
+                let count = usize::from(*bucket.count.get());
+                (&slots[..count], *bucket.next.get())
+            };
+            // Start on the next line's miss before `f` works through this
+            // bucket: a long chain is a pointer chase otherwise.
+            let following = (next != 0).then(|| self.bucket(next as usize));
+            if let Some(line) = following {
+                prefetch_read(line);
+            }
+            f(tuples);
+            let Some(line) = following else { return waits };
+            bucket = line;
+        }
     }
 }
 
@@ -251,42 +395,65 @@ impl ConcurrentTable for SharedTable {
         self.mask
     }
 
-    /// Prefetches bucket `b`'s latch + chain vector header.
+    /// Prefetches head bucket `b`: latch, count and inline tuples at once.
     #[inline]
     fn prefetch_bucket(&self, b: usize) {
-        if let Some(bucket) = self.buckets.get(b) {
-            prefetch_read(bucket);
+        if b < self.heads() {
+            prefetch_read(self.arena.get(b));
         }
     }
 
+    /// As in the paper's code, an insert looks at the head and the first
+    /// overflow bucket only: when both are full a fresh bucket is linked in
+    /// *between* them, so every bucket further down a chain is full.
     #[inline]
     fn insert_at(&self, b: usize, key: Key, ts: Ts) -> u32 {
         debug_assert_eq!(b, bucket_of(key, self.mask));
-        let (mut guard, waits) = self.buckets[b].lock_waits();
-        guard.push((key, ts));
+        let head = self.head(b);
+        let (_held, waits) = head.latch.lock_waits();
+        // SAFETY: the chain's latch is held until `_held` drops, so this
+        // thread has exclusive access to every cell of the chain.
+        unsafe {
+            let mut dest = head;
+            if usize::from(*head.count.get()) == SLOTS {
+                let first = *head.next.get();
+                let spare = (first != 0)
+                    .then(|| self.bucket(first as usize))
+                    .filter(|over| usize::from(*over.count.get()) < SLOTS);
+                dest = spare.unwrap_or_else(|| {
+                    // Relaxed: the claim only hands out exclusive ids; the
+                    // fresh (zeroed) bucket is published by this link.
+                    let id = self.claimed.fetch_add(1, Ordering::Relaxed);
+                    let link = u32::try_from(id).expect("bucket ids exceed u32 chain links");
+                    let fresh = self.bucket(id);
+                    *fresh.next.get() = first;
+                    *head.next.get() = link;
+                    fresh
+                });
+            }
+            let (count, slots) = (&mut *dest.count.get(), &mut *dest.slots.get());
+            slots[usize::from(*count)] = Tuple::new(key, ts);
+            *count += 1;
+        }
         waits
     }
 
     #[inline]
     fn probe_at(&self, b: usize, key: Key, mut f: impl FnMut(Ts)) -> u32 {
         debug_assert_eq!(b, bucket_of(key, self.mask));
-        let (guard, waits) = self.buckets[b].lock_waits();
-        for &(k, ts) in guard.iter() {
-            if k == key {
-                f(ts);
+        self.scan_chain(b, |tuples| {
+            for t in tuples {
+                if t.key == key {
+                    f(t.ts);
+                }
             }
-        }
-        waits
+        })
     }
 
+    /// Head plus claimed overflow buckets, one line each, read off the id
+    /// cursor: no latch, no walk, so a mid-run sample costs the run nothing.
     fn bytes(&self) -> usize {
-        let fixed = self.buckets.len() * std::mem::size_of::<Latch<Vec<(Key, Ts)>>>();
-        let chains: usize = self
-            .buckets
-            .iter()
-            .map(|b| b.lock().capacity() * std::mem::size_of::<(Key, Ts)>())
-            .sum();
-        fixed + chains
+        self.claimed.load(Ordering::Relaxed) * BUCKET_BYTES
     }
 }
 
@@ -335,7 +502,7 @@ unsafe impl Send for LockFreeTable {}
 ///
 /// # Safety
 /// The all-zero bit pattern must be a valid `T` (here: `AtomicI32`,
-/// `UnsafeCell<Entry>` and `Tuple` — plain integers throughout).
+/// `UnsafeCell<Entry>`, `Tuple` and `u64` — plain integers throughout).
 pub(crate) unsafe fn alloc_zeroed_vec<T>(len: usize) -> Vec<T> {
     if len == 0 {
         return Vec::new();
@@ -369,8 +536,9 @@ impl LockFreeTable {
     /// must call [`LockFreeTable::first_touch`] for its share — which
     /// writes the `-1` chain sentinels the zeroed heads still lack — and
     /// the caller must barrier between the touch pass and the first
-    /// insert/probe. NPJ does this when its executor pins workers, placing
-    /// each worker's share of the table on that worker's NUMA node.
+    /// insert/probe. NPJ always builds into such a table: initialization
+    /// runs on all workers in parallel inside the timed build phase, and a
+    /// pinned worker's share lands on that worker's NUMA node.
     pub fn with_capacity_untouched(expected: usize) -> Self {
         let n = next_pow2_at_least(expected * 2, 16);
         assert!(
@@ -395,9 +563,10 @@ impl LockFreeTable {
     /// First-touch worker `tid`'s share (of `threads`) of an untouched
     /// table: stores the `-1` chain sentinel over its chunk of bucket
     /// heads and the default entry over its chunk of arena slots, faulting
-    /// those pages onto the calling thread's NUMA node. After every worker
-    /// has touched its share (and a barrier), the table is
-    /// indistinguishable from an eagerly-built one.
+    /// those pages in on the calling thread (and so, when it is pinned,
+    /// onto its NUMA node). After every worker has touched its share (and
+    /// a barrier), the table is indistinguishable from an eagerly-built
+    /// one.
     ///
     /// # Safety
     ///
@@ -635,13 +804,61 @@ mod tests {
     }
 
     #[test]
-    fn shared_bytes_grows_with_content() {
+    fn shared_one_key_4000_times_is_one_tight_chain() {
+        let table = SharedTable::with_capacity(4000);
+        for ts in 0..4000 {
+            table.insert(9, ts);
+        }
+        let mut seen = Vec::new();
+        table.probe(9, |ts| seen.push(ts));
+        seen.sort_unstable();
+        assert_eq!(seen, (0..4000).collect::<Vec<Ts>>());
+        assert_eq!(table.len(), 4000);
+        // An insert only ever looks at the head and the first overflow
+        // bucket, yet every bucket behind those two is full: the chain is as
+        // short as 4000 tuples allow.
+        let overflow = (4000 - SLOTS).div_ceil(SLOTS);
+        assert_eq!(table.bytes(), (table.heads() + overflow) * BUCKET_BYTES);
+    }
+
+    #[test]
+    fn shared_grows_past_expected() {
+        // 4x the promised inserts, from racing workers: chains run off the
+        // first allocation's overflow buckets into a grown segment.
+        let table = SharedTable::with_capacity(1000);
+        run_workers(4, |tid| {
+            for k in 0..1000u32 {
+                table.insert(tid as u32 * 1000 + k, k);
+            }
+        });
+        assert!(table.grown[1].get().is_some(), "no segment was grown");
+        assert_eq!(table.len(), 4000);
+        for k in 0..4000u32 {
+            let mut seen = Vec::new();
+            table.probe(k, |ts| seen.push(ts));
+            assert_eq!(seen, [k % 1000], "key {k}");
+        }
+    }
+
+    #[test]
+    fn shared_bytes_is_monotone_and_takes_no_latch() {
         let table = SharedTable::with_capacity(16);
-        let before = table.bytes();
+        let empty = table.bytes();
+        assert_eq!(empty, table.heads() * BUCKET_BYTES);
+        let mut last = empty;
         for i in 0..1000 {
             table.insert(i, i);
+            assert!(table.bytes() >= last, "bytes() shrank at insert {i}");
+            last = table.bytes();
         }
-        assert!(table.bytes() > before);
+        assert!(last > empty);
+        // With every latch held, a `bytes()` that took one would never
+        // return.
+        let held: Vec<_> = (0..table.heads())
+            .map(|b| table.head(b).latch.lock_waits())
+            .collect();
+        assert_eq!(table.bytes(), last);
+        drop(held);
     }
 
     #[test]
@@ -674,7 +891,7 @@ mod tests {
                 entering_tx.send(()).expect("holder listens");
                 table.insert_at(b, 5, 1)
             });
-            let guard = table.buckets[b].lock();
+            let (guard, _) = table.head(b).latch.lock_waits();
             held_tx.send(()).expect("inserter listens");
             entering_rx.recv().expect("inserter signals");
             std::thread::sleep(std::time::Duration::from_millis(100));

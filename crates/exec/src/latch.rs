@@ -14,11 +14,82 @@ use std::hint;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// The latch word on its own: one byte whose all-zero bit pattern is the
+/// free state, so it can sit inline in a zero-initialised bucket
+/// ([`crate::hashtable::SharedTable`]) as well as in front of a [`Latch`]'s
+/// value. Holding it is witnessed by the [`Held`] guard.
+#[derive(Debug, Default)]
+#[repr(transparent)]
+pub(crate) struct RawLatch(AtomicBool);
+
+impl RawLatch {
+    /// Acquire the latch and report how many spin-wait episodes it took:
+    /// 0 for an uncontended acquire, otherwise one per round in which the
+    /// latch was observed held (or the acquiring CAS lost a race) before
+    /// this thread finally won it. The NPJ build/probe paths surface each
+    /// episode as a `latch:wait` journal instant, which is what makes the
+    /// §5.3.2 bucket-contention pathology directly observable in traces.
+    #[inline]
+    pub(crate) fn lock_waits(&self) -> (Held<'_>, u32) {
+        // Fast path: uncontended acquire.
+        let waits = if self
+            .0
+            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+        {
+            0
+        } else {
+            self.lock_contended()
+        };
+        (Held(self), waits)
+    }
+
+    #[cold]
+    fn lock_contended(&self) -> u32 {
+        let mut waits = 0u32;
+        let mut spins = 0u32;
+        loop {
+            waits = waits.saturating_add(1);
+            // Test before test-and-set: spin on a read-only load so the
+            // cache line stays shared until the latch actually frees.
+            while self.0.load(Ordering::Relaxed) {
+                if spins < 6 {
+                    for _ in 0..1 << spins {
+                        hint::spin_loop();
+                    }
+                    spins += 1;
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+            if self
+                .0
+                .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+            {
+                return waits;
+            }
+        }
+    }
+}
+
+/// Proof that a [`RawLatch`] is held; releases it on drop. The `Release`
+/// store pairs with the next holder's `Acquire` CAS, ordering everything
+/// written under the latch before everything the next holder reads.
+pub(crate) struct Held<'a>(&'a RawLatch);
+
+impl Drop for Held<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.0 .0.store(false, Ordering::Release);
+    }
+}
+
 /// A spin latch protecting a `T`, API-compatible with the subset of
 /// `Mutex` the kernels use: `new` + infallible `lock` returning a guard.
 #[derive(Debug, Default)]
 pub struct Latch<T> {
-    locked: AtomicBool,
+    raw: RawLatch,
     value: UnsafeCell<T>,
 }
 
@@ -31,7 +102,7 @@ impl<T> Latch<T> {
     /// A new unlocked latch holding `value`.
     pub const fn new(value: T) -> Self {
         Latch {
-            locked: AtomicBool::new(false),
+            raw: RawLatch(AtomicBool::new(false)),
             value: UnsafeCell::new(value),
         }
     }
@@ -42,53 +113,16 @@ impl<T> Latch<T> {
         self.lock_waits().0
     }
 
-    /// Acquire the latch and report how many spin-wait episodes it took:
-    /// 0 for an uncontended acquire, otherwise one per round in which the
-    /// latch was observed held (or the acquiring CAS lost a race) before
-    /// this thread finally won it. The NPJ build/probe paths surface each
-    /// episode as a `latch:wait` journal instant, which is what makes the
-    /// §5.3.2 bucket-contention pathology directly observable in traces.
+    /// Acquire the latch and report how many spin-wait episodes it took
+    /// (0 when uncontended; see `RawLatch::lock_waits`).
     #[inline]
     pub fn lock_waits(&self) -> (LatchGuard<'_, T>, u32) {
-        // Fast path: uncontended acquire.
-        let waits = if self
-            .locked
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            0
-        } else {
-            self.lock_contended()
+        let (held, waits) = self.raw.lock_waits();
+        let guard = LatchGuard {
+            _held: held,
+            value: &self.value,
         };
-        (LatchGuard { latch: self }, waits)
-    }
-
-    #[cold]
-    fn lock_contended(&self) -> u32 {
-        let mut waits = 0u32;
-        let mut spins = 0u32;
-        loop {
-            waits = waits.saturating_add(1);
-            // Test before test-and-set: spin on a read-only load so the
-            // cache line stays shared until the latch actually frees.
-            while self.locked.load(Ordering::Relaxed) {
-                if spins < 6 {
-                    for _ in 0..1 << spins {
-                        hint::spin_loop();
-                    }
-                    spins += 1;
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            if self
-                .locked
-                .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                return waits;
-            }
-        }
+        (guard, waits)
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -104,7 +138,8 @@ impl<T> Latch<T> {
 
 /// RAII guard; releases the latch on drop.
 pub struct LatchGuard<'a, T> {
-    latch: &'a Latch<T>,
+    _held: Held<'a>,
+    value: &'a UnsafeCell<T>,
 }
 
 impl<T> Deref for LatchGuard<'_, T> {
@@ -112,7 +147,7 @@ impl<T> Deref for LatchGuard<'_, T> {
     #[inline]
     fn deref(&self) -> &T {
         // SAFETY: the guard's existence proves the latch is held.
-        unsafe { &*self.latch.value.get() }
+        unsafe { &*self.value.get() }
     }
 }
 
@@ -120,14 +155,7 @@ impl<T> DerefMut for LatchGuard<'_, T> {
     #[inline]
     fn deref_mut(&mut self) -> &mut T {
         // SAFETY: the guard's existence proves the latch is held.
-        unsafe { &mut *self.latch.value.get() }
-    }
-}
-
-impl<T> Drop for LatchGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        self.latch.locked.store(false, Ordering::Release);
+        unsafe { &mut *self.value.get() }
     }
 }
 
