@@ -3,7 +3,7 @@
 //! per scatter mode so the direct-vs-SWWC ablation shares the sweep.
 
 use iawj_bench::{banner, fmt, print_table, BenchEnv, SnapshotWriter};
-use iawj_common::{KernelBackend, Phase};
+use iawj_common::Phase;
 use iawj_core::{execute, Algorithm, ScatterMode};
 use iawj_datagen::MicroSpec;
 use iawj_exec::cpu_clock;
@@ -34,12 +34,6 @@ fn main() {
             cfg.prj.scatter = mode;
             let res = execute(Algorithm::Prj, &ds, &cfg);
             snap.record(&format!("Micro/r{bits}"), &cfg, &res);
-            if mode == ScatterMode::Direct {
-                // Scalar-kernel A/B row (direct scatter only) for bench-diff.
-                let scalar_cfg = cfg.clone().kernel(KernelBackend::Scalar);
-                let scalar_res = execute(Algorithm::Prj, &ds, &scalar_cfg);
-                snap.record(&format!("Micro/r{bits}"), &scalar_cfg, &scalar_res);
-            }
             let per = 1.0 / res.total_inputs.max(1) as f64;
             row.push(fmt(res.breakdown.cycles(Phase::Partition, clock.ghz) * per));
             if mode == ScatterMode::Direct {

@@ -2,7 +2,6 @@
 //! algorithms over the four real-world workloads.
 
 use iawj_bench::{banner, fmt, fmt_opt, print_table, run, BenchEnv, SnapshotWriter};
-use iawj_common::KernelBackend;
 use iawj_core::metrics::latency_quantile_ms;
 use iawj_core::Algorithm;
 
@@ -14,9 +13,6 @@ fn main() {
     );
     let workloads = env.real_workloads();
     let cfg = env.config();
-    // Scalar-kernel A/B rows ride along in the snapshot so bench-diff can
-    // hold the simd gap on the real workloads too.
-    let scalar_cfg = env.config().kernel(KernelBackend::Scalar);
     let mut snap = SnapshotWriter::new("fig5", &env);
     let mut tpt_rows = Vec::new();
     let mut lat_rows = Vec::new();
@@ -28,8 +24,6 @@ fn main() {
             tpt.push(fmt(res.throughput_tpms()));
             lat.push(fmt_opt(latency_quantile_ms(&res, 0.95)));
             snap.record(&ds.name, &cfg, &res);
-            let scalar_res = run(algo, ds, &scalar_cfg);
-            snap.record(&ds.name, &scalar_cfg, &scalar_res);
         }
         tpt_rows.push(tpt);
         lat_rows.push(lat);

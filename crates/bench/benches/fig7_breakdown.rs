@@ -5,7 +5,7 @@
 //! Cycles use the calibrated host clock (`IAWJ_CPU_GHZ` override →
 //! perf-measured → assumed 2.6 GHz); the banner labels which. Runs carry
 //! a span journal, so a companion table attributes the journaled
-//! contention marks (`latch:wait`, `cas:retry`, `swwc:flush`) to the
+//! contention marks (`latch:wait`, `swwc:flush`) to the
 //! phase they occurred in.
 
 use iawj_bench::{banner, fmt, print_table, run, BenchEnv, SnapshotWriter};
@@ -13,7 +13,7 @@ use iawj_common::PHASES;
 use iawj_core::Algorithm;
 use iawj_exec::cpu_clock;
 use iawj_exec::swwc::MARK_FLUSH;
-use iawj_obs::{MARK_CAS_RETRY, MARK_LATCH_WAIT};
+use iawj_obs::MARK_LATCH_WAIT;
 
 fn main() {
     let env = BenchEnv::from_env();
@@ -45,7 +45,7 @@ fn main() {
             rows.push(row);
             let per_1k = 1000.0 * per_tuple;
             let mut mark_row = vec![algo.name().to_string()];
-            for mark in [MARK_LATCH_WAIT, MARK_CAS_RETRY, MARK_FLUSH] {
+            for mark in [MARK_LATCH_WAIT, MARK_FLUSH] {
                 for span in ["partition", "build/sort", "probe"] {
                     mark_row.push(fmt(res.count_marks_in(mark, span) as f64 * per_1k));
                 }
@@ -76,9 +76,6 @@ fn main() {
                     "latch@part",
                     "latch@build",
                     "latch@probe",
-                    "cas@part",
-                    "cas@build",
-                    "cas@probe",
                     "flush@part",
                     "flush@build",
                     "flush@probe",

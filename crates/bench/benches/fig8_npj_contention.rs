@@ -1,24 +1,19 @@
-//! Figure 8 companion — NPJ shared-table contention A/B: the per-bucket
-//! latched table against the lock-free CAS-chained table, swept over
-//! threads × key skew. Alongside throughput, each cell reports the
-//! journaled contention events per 1k build+probe operations: `latch:wait`
-//! spin episodes in latch mode, `cas:retry` failed bucket-head publishes
-//! in lock-free mode. Under high skew the latched table pays on *both*
-//! sides (probes take the bucket latch across whole hot-chain scans),
-//! while the lock-free table's only conflict window is the two
-//! instructions between a head load and its CAS — which is the
-//! latched-vs-lock-free argument of the paper's §5.3.2 discussion.
+//! Figure 8 companion — NPJ shared-table contention: the per-bucket latched
+//! table swept over threads × key skew. Alongside throughput, each cell
+//! reports the journaled `latch:wait` spin episodes per 1k build+probe
+//! operations. Under high skew the table pays on *both* sides: probes take
+//! the bucket latch across whole hot-chain scans (§5.3.2).
 
 use iawj_bench::{banner, fmt, print_table, run, BenchEnv, SnapshotWriter};
-use iawj_core::{Algorithm, NpjTable};
-use iawj_obs::{MARK_CAS_RETRY, MARK_LATCH_WAIT};
+use iawj_core::Algorithm;
+use iawj_obs::MARK_LATCH_WAIT;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const SKEWS: [f64; 2] = [0.0, 0.99];
 
 fn main() {
     let env = BenchEnv::from_env();
-    banner("Figure 8 — NPJ latched vs lock-free table contention", &env);
+    banner("Figure 8 — NPJ latched table contention", &env);
 
     let mut snap = SnapshotWriter::new("fig8_npj", &env);
     let mut rows = Vec::new();
@@ -26,31 +21,19 @@ fn main() {
         let ds = env.micro(12800.0, 12800.0).skew_key(skew).generate();
         let ops = (ds.r.len() + ds.s.len()) as f64;
         for &threads in &THREADS {
-            let mut row = vec![format!("{skew}"), format!("{threads}")];
-            for table in NpjTable::ALL {
-                let mut cfg = env.config().npj_table(table).with_journal();
-                cfg.threads = threads;
-                let res = run(Algorithm::Npj, &ds, &cfg);
-                snap.record(&format!("Micro/skew{skew}"), &cfg, &res);
-                let mark = match table {
-                    NpjTable::Latch => MARK_LATCH_WAIT,
-                    NpjTable::LockFree => MARK_CAS_RETRY,
-                };
-                row.push(fmt(res.throughput_tpms()));
-                row.push(fmt(res.count_marks(mark) as f64 * 1000.0 / ops));
-            }
-            rows.push(row);
+            let mut cfg = env.config().with_journal();
+            cfg.threads = threads;
+            let res = run(Algorithm::Npj, &ds, &cfg);
+            snap.record(&format!("Micro/skew{skew}"), &cfg, &res);
+            rows.push(vec![
+                format!("{skew}"),
+                format!("{threads}"),
+                fmt(res.throughput_tpms()),
+                fmt(res.count_marks(MARK_LATCH_WAIT) as f64 * 1000.0 / ops),
+            ]);
         }
     }
-    let cols = [
-        "skew_key",
-        "threads",
-        "latch t/ms",
-        "latch:wait/1k",
-        "lockfree t/ms",
-        "cas:retry/1k",
-    ];
-    println!("\nThroughput and journaled contention events per 1k operations");
-    print_table(&cols, &rows);
+    println!("\nThroughput and journaled latch waits per 1k operations");
+    print_table(&["skew_key", "threads", "t/ms", "latch:wait/1k"], &rows);
     snap.write();
 }

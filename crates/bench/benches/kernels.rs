@@ -3,7 +3,7 @@
 //! merge-join — the ablation level below the per-figure harnesses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use iawj_common::{ColumnarStream, KernelBackend, Rng, Tuple};
+use iawj_common::{ColumnarStream, Rng, Tuple};
 use iawj_exec::merge::{kway_merge, kway_merge_loser, merge_two_into, merge_two_into_branchless};
 use iawj_exec::mergejoin::count_matches;
 use iawj_exec::radix::{partition_parallel_exec, partition_seq, PartitionPass, PassKnobs};
@@ -94,13 +94,7 @@ fn bench_radix(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N as u64));
     for bits in [6u32, 10, 14] {
         g.bench_with_input(BenchmarkId::new("seq", bits), &bits, |b, &bits| {
-            b.iter(|| {
-                black_box(
-                    partition_seq(&data, 0, bits, KernelBackend::Scalar)
-                        .data
-                        .len(),
-                )
-            })
+            b.iter(|| black_box(partition_seq(&data, 0, bits).data.len()))
         });
     }
     let exec = Executor::new(PinPolicy::None, 4);
@@ -111,7 +105,6 @@ fn bench_radix(c: &mut Criterion) {
     // (one lane, so the scatter path is the only difference from `seq`).
     let swwc = PassKnobs {
         scatter: ScatterMode::Swwc,
-        kernel: KernelBackend::Scalar,
         ..PassKnobs::default()
     };
     for bits in [10u32, 14] {

@@ -155,8 +155,6 @@ impl SnapshotWriter {
             threads: cfg.threads as u64,
             scheduler: cfg.sched.scheduler.to_string(),
             scatter: cfg.prj.scatter.to_string(),
-            npj_table: cfg.npj.table.to_string(),
-            kernel: cfg.kernel.backend.to_string(),
             throughput_tpms: res.throughput_tpms(),
             latency_p99_ms: res.hist.quantile_ms(0.99),
             latency_max_ms: res.hist.max_ms(),
@@ -188,8 +186,6 @@ impl SnapshotWriter {
             threads: self.snap.threads,
             scheduler: "static".into(),
             scatter: "direct".into(),
-            npj_table: "latch".into(),
-            kernel: "simd".into(),
             throughput_tpms: report.wall_tpms(),
             latency_p99_ms: report.close_hist.quantile_ms(0.99),
             latency_max_ms: report.close_hist.max_ms(),
@@ -209,8 +205,6 @@ impl SnapshotWriter {
             threads: self.snap.threads,
             scheduler: "static".into(),
             scatter: "direct".into(),
-            npj_table: "latch".into(),
-            kernel: "simd".into(),
             throughput_tpms: 0.0,
             latency_p99_ms: None,
             latency_max_ms: None,

@@ -92,13 +92,12 @@ RUN OPTIONS (run, sweep, trace):
   --radix-bits N     PRJ radix bits (default 10, must be in 1..=24)
   --group-size N     JB group size (default 2)
   --scalar-sort      disable the vectorizable sort backend
-  --scheduler MODE   work distribution: static|steal (default static)
+  --scheduler MODE   work distribution of the lazy engines and IBWJ_PART:
+                     static|steal (default static; no effect on the engines
+                     of the eager pull loop — SHJ, PMJ, IBWJ — which never
+                     steal)
   --morsel-size N    steal-mode morsel size in tuples (default 1024, must be >0)
   --scatter MODE     PRJ scatter path: direct|swwc (default direct)
-  --npj-table MODE   NPJ shared table: latch|lockfree (default latch)
-  --kernel MODE      hot-loop kernels: scalar|simd (default simd; simd batches
-                     hashing 8 keys wide and software-prefetches bucket heads)
-  --prefetch-dist N  simd probe/build prefetch lookahead in tuples (default 8)
   --index-partitions N  IBWJ_PART sub-index partitions (default 4*threads,
                      rounded up to a power of two)
   --index-epochs N   IBWJ_PART repartition epochs per run (default 8, must be >0)
@@ -237,7 +236,7 @@ fn cmd_run(args: &Args) -> Result<String, ArgError> {
     let ds = build_dataset(args)?;
     let cfg = build_config(args)?;
     let result = execute(algo, &ds, &cfg);
-    let summary = RunSummary::from_result(&result).with_kernel(cfg.kernel.backend.label());
+    let summary = RunSummary::from_result(&result);
     let save = |key: &'static str, content: String| -> Result<(), ArgError> {
         if let Some(path) = args.get(key) {
             std::fs::write(path, content).map_err(|e| ArgError::Invalid {
@@ -310,7 +309,7 @@ fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
         // Rebuild the workload with the swept parameter overridden.
         let ds = build_dataset_with_override(args, &param, v)?;
         let result = execute(algo, &ds, &cfg);
-        let summary = RunSummary::from_result(&result).with_kernel(cfg.kernel.backend.label());
+        let summary = RunSummary::from_result(&result);
         out.push_str(&format!(
             "{v:>10}  {:>12.1}  {:>12}  {:>10}\n",
             summary.throughput_tpms,
@@ -471,28 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn run_with_lockfree_npj_table() {
-        let out = run_cli_str(&[
-            "run",
-            "--algo",
-            "NPJ",
-            "--static",
-            "--count-r",
-            "500",
-            "--count-s",
-            "500",
-            "--dupe",
-            "5",
-            "--threads",
-            "2",
-            "--npj-table",
-            "lockfree",
-        ])
-        .unwrap();
-        assert!(out.contains("matches:       2500"), "{out}");
-    }
-
-    #[test]
     fn serve_runs_a_short_stream() {
         let out = run_cli_str(&[
             "serve",
@@ -597,25 +574,6 @@ mod tests {
             let err = run_cli_str(&["serve", "--algo", "NPJ", "--rate-s", bad]).unwrap_err();
             assert!(err.contains("rate-s"), "{bad}: {err}");
         }
-    }
-
-    #[test]
-    fn unknown_npj_table_mode_is_rejected() {
-        let err = run_cli_str(&[
-            "run",
-            "--algo",
-            "NPJ",
-            "--static",
-            "--count-r",
-            "100",
-            "--count-s",
-            "100",
-            "--npj-table",
-            "mutex",
-        ])
-        .unwrap_err();
-        assert!(err.contains("npj-table"), "{err}");
-        assert!(err.contains("latch|lockfree"), "{err}");
     }
 
     #[test]
@@ -809,9 +767,17 @@ mod tests {
     fn unknown_option_is_reported() {
         let err = run_cli_str(&["run", "--algo", "NPJ", "--bogus", "1"]).unwrap_err();
         assert!(err.contains("bogus"), "{err}");
-        // The deleted spawn executor's flag is an unknown option now.
-        let err = run_cli_str(&["run", "--algo", "NPJ", "--executor", "spawn"]).unwrap_err();
-        assert!(err.contains("unknown option --executor"), "{err}");
+        // Flags of deleted knobs are unknown options now: the spawn
+        // executor, the lock-free NPJ table and the global kernel switch.
+        for (flag, value) in [
+            ("--executor", "spawn"),
+            ("--npj-table", "lockfree"),
+            ("--kernel", "scalar"),
+            ("--prefetch-dist", "4"),
+        ] {
+            let err = run_cli_str(&["run", "--algo", "NPJ", flag, value]).unwrap_err();
+            assert!(err.contains(&format!("unknown option {flag}")), "{err}");
+        }
     }
 
     #[test]
@@ -874,8 +840,6 @@ mod tests {
                 threads: 4,
                 scheduler: "static".into(),
                 scatter: "direct".into(),
-                npj_table: "latch".into(),
-                kernel: "simd".into(),
                 throughput_tpms: tpt,
                 latency_p99_ms: Some(p99),
                 latency_max_ms: Some(p99 * 2.0),

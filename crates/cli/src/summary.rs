@@ -19,8 +19,6 @@ use iawj_obs::{breakdown_table, PhaseRow};
 pub struct RunSummary {
     /// Algorithm name.
     pub algorithm: String,
-    /// Hot-loop kernel backend label (`"scalar"` or `"simd"`).
-    pub kernel: String,
     /// Worker threads used.
     pub threads: usize,
     /// Total input tuples.
@@ -91,7 +89,6 @@ impl RunSummary {
         let clock = cpu_clock();
         RunSummary {
             algorithm: r.algorithm.name().to_string(),
-            kernel: iawj_common::KernelBackend::default().label().to_string(),
             threads: r.threads,
             total_inputs: r.total_inputs,
             matches: r.matches,
@@ -115,13 +112,6 @@ impl RunSummary {
         }
     }
 
-    /// Builder: record which kernel backend the run used (the config is
-    /// not part of [`RunResult`], so the caller supplies the label).
-    pub fn with_kernel(mut self, label: &str) -> Self {
-        self.kernel = label.to_string();
-        self
-    }
-
     /// Render as pretty JSON.
     pub fn to_json(&self) -> String {
         fn num(v: f64) -> String {
@@ -141,7 +131,6 @@ impl RunSummary {
         }
         let mut out = String::from("{\n");
         field(&mut out, "algorithm", quote(&self.algorithm));
-        field(&mut out, "kernel", quote(&self.kernel));
         field(&mut out, "threads", self.threads.to_string());
         field(&mut out, "total_inputs", self.total_inputs.to_string());
         field(&mut out, "matches", self.matches.to_string());
@@ -217,7 +206,6 @@ impl RunSummary {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(out, "algorithm:     {}", self.algorithm);
-        let _ = writeln!(out, "kernel:        {}", self.kernel);
         let _ = writeln!(out, "threads:       {}", self.threads);
         let _ = writeln!(out, "inputs:        {}", self.total_inputs);
         let _ = writeln!(out, "matches:       {}", self.matches);
@@ -333,11 +321,10 @@ pub fn metrics_jsonl(summary: &RunSummary, r: &RunResult) -> String {
     }
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\"type\":\"summary\",\"algorithm\":{},\"kernel\":{},\"threads\":{},\
+        "{{\"type\":\"summary\",\"algorithm\":{},\"threads\":{},\
          \"total_inputs\":{},\"matches\":{},\"throughput_tpms\":{},\"elapsed_ms\":{},\
          \"cpu_utilisation\":{}}}\n",
         quote(&summary.algorithm),
-        quote(&summary.kernel),
         summary.threads,
         summary.total_inputs,
         summary.matches,

@@ -1,9 +1,8 @@
 //! Building datasets and run configurations from CLI options.
 
 use crate::args::{ArgError, Args};
-use iawj_common::KernelBackend;
 use iawj_core::config::MAX_RADIX_BITS;
-use iawj_core::{Algorithm, NpjTable, PinPolicy, RunConfig, ScatterMode, Scheduler};
+use iawj_core::{Algorithm, PinPolicy, RunConfig, ScatterMode, Scheduler};
 use iawj_datagen::{debs, rovio, stock, ysb, Dataset, MicroSpec};
 use iawj_exec::{affinity_core_count, SortBackend};
 
@@ -26,9 +25,6 @@ pub const RUN_OPTS: &[&str] = &[
     "scheduler",
     "morsel-size",
     "scatter",
-    "npj-table",
-    "kernel",
-    "prefetch-dist",
     "pin",
     "index-partitions",
     "index-epochs",
@@ -230,28 +226,6 @@ pub fn build_config(args: &Args) -> Result<RunConfig, ArgError> {
             expected: "direct|swwc",
         })?;
     }
-    if let Some(v) = args.get("npj-table") {
-        cfg.npj.table = v.parse::<NpjTable>().map_err(|_| ArgError::Invalid {
-            key: "npj-table".into(),
-            value: v.into(),
-            expected: "latch|lockfree",
-        })?;
-    }
-    if let Some(v) = args.get("kernel") {
-        cfg.kernel.backend = v.parse::<KernelBackend>().map_err(|_| ArgError::Invalid {
-            key: "kernel".into(),
-            value: v.into(),
-            expected: "scalar|simd",
-        })?;
-    }
-    cfg.kernel.prefetch_dist = args.get_or("prefetch-dist", cfg.kernel.prefetch_dist)?;
-    if cfg.kernel.prefetch_dist == 0 {
-        return Err(ArgError::Invalid {
-            key: "prefetch-dist".into(),
-            value: "0".into(),
-            expected: "a positive lookahead distance",
-        });
-    }
     cfg.index.partitions = args.get_or("index-partitions", cfg.index.partitions)?;
     cfg.index.epochs = args.get_or("index-epochs", cfg.index.epochs)?;
     if cfg.index.epochs == 0 {
@@ -388,34 +362,6 @@ mod tests {
                 "--radix-bits {bad} must be rejected at the flag level: {err}"
             );
         }
-    }
-
-    #[test]
-    fn npj_table_knob() {
-        let cfg = build_config(&parse("")).unwrap();
-        assert_eq!(cfg.npj.table, NpjTable::Latch);
-        let cfg = build_config(&parse("--npj-table lockfree")).unwrap();
-        assert_eq!(cfg.npj.table, NpjTable::LockFree);
-        let cfg = build_config(&parse("--npj-table latch")).unwrap();
-        assert_eq!(cfg.npj.table, NpjTable::Latch);
-        assert!(build_config(&parse("--npj-table mutex")).is_err());
-    }
-
-    #[test]
-    fn kernel_knob() {
-        let cfg = build_config(&parse("")).unwrap();
-        assert_eq!(cfg.kernel.backend, KernelBackend::Simd);
-        assert_eq!(cfg.kernel.prefetch_dist, iawj_common::DEFAULT_PREFETCH_DIST);
-        let cfg = build_config(&parse("--kernel scalar")).unwrap();
-        assert_eq!(cfg.kernel.backend, KernelBackend::Scalar);
-        let cfg = build_config(&parse("--kernel simd --prefetch-dist 16")).unwrap();
-        assert_eq!(cfg.kernel.backend, KernelBackend::Simd);
-        assert_eq!(cfg.kernel.prefetch_dist, 16);
-        assert!(build_config(&parse("--kernel avx512")).is_err());
-        assert!(
-            build_config(&parse("--prefetch-dist 0")).is_err(),
-            "a zero prefetch distance must be rejected at the flag level"
-        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Batched, runtime-selectable kernel primitives shared by the join
-//! algorithms: multi-key hashing, bucket/partition derivation over 8-key
-//! blocks, and software prefetch.
+//! Batched kernel primitives shared by the join algorithms: multi-key
+//! hashing, bucket derivation over 8-key blocks, and software prefetch.
 //!
 //! The paper's §6.2 microarchitectural analysis attributes most hot cycles
 //! to scalar hashing and pointer-chasing bucket probes; its codebase (after
@@ -8,9 +7,9 @@
 //! software prefetch. This module is our equivalent: every primitive has a
 //! portable scalar path that is the *definition* of correctness, and an
 //! x86_64 AVX2 path that must be bitwise-identical to it (the property
-//! tests in `iawj-exec/tests/kernel_props.rs` enforce this). Selection is
-//! at runtime via [`KernelBackend`] so a single binary can A/B the two
-//! (`--kernel {scalar,simd}`, Figure 21).
+//! tests in `iawj-exec/tests/kernel_props.rs` enforce this). Each
+//! data-plane layer passes the [`KernelBackend`] that won its own A/B
+//! (DESIGN.md §5) as a constant; no user option selects it.
 //!
 //! Dispatch rules: the SIMD path is taken only when the backend says so,
 //! the CPU reports AVX2 (`is_x86_feature_detected!`, cached by std), and
@@ -22,18 +21,18 @@
 
 use crate::hash::{bucket_of, hash_key};
 use crate::tuple::{Key, Tuple};
-use std::fmt;
-use std::str::FromStr;
 
 /// How many keys a batched kernel consumes per block.
 pub const HASH_BLOCK: usize = 8;
 
-/// Default lookahead (in tuples) for the prefetched probe pipelines: far
+/// Lookahead (in tuples) of every prefetched build/probe pipeline: far
 /// enough that a DRAM load (~60-100 ns) completes before the drain reaches
-/// the bucket, near enough that the line is still in L1 when it does.
+/// the bucket, near enough that the line is still in L1 when it does. NPJ
+/// at 4M × 4M measured 4, 8 and 16 within run-to-run spread (DESIGN.md §5),
+/// so the distance stays where it was.
 pub const DEFAULT_PREFETCH_DIST: usize = 8;
 
-/// Runtime-selectable implementation of the batched kernels.
+/// Implementation of the batched kernels, chosen per call site.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
     /// Portable one-key-at-a-time loops; the correctness reference.
@@ -45,41 +44,11 @@ pub enum KernelBackend {
 }
 
 impl KernelBackend {
-    /// Both backends, for sweeps and differential tests.
-    pub const ALL: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Simd];
-
-    /// Short label used in tables, run keys, and CLI parsing.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelBackend::Scalar => "scalar",
-            KernelBackend::Simd => "simd",
-        }
-    }
-
-    /// Whether this backend should issue software prefetches and take the
-    /// intrinsic paths. (The decision of *whether the CPU can* is made per
-    /// call site; this is only the user's selection.)
+    /// Whether this backend takes the intrinsic paths. (Whether the CPU
+    /// *can* is decided per call site.)
     #[inline]
     pub fn is_simd(self) -> bool {
         matches!(self, KernelBackend::Simd)
-    }
-}
-
-impl fmt::Display for KernelBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl FromStr for KernelBackend {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(KernelBackend::Scalar),
-            "simd" => Ok(KernelBackend::Simd),
-            _ => Err(()),
-        }
     }
 }
 
@@ -152,29 +121,6 @@ pub fn tuple_buckets_into(
         out.extend(hashes.iter().map(|&h| (h & mask) as usize));
     }
     out.extend(chunks.remainder().iter().map(|t| bucket_of(t.key, mask)));
-}
-
-/// Derive radix partitions (raw key bits, no hashing — see
-/// `iawj_exec::radix::partition_of`) for one 8-key block:
-/// `(key >> shift) & mask32` per lane. Bitwise-identical across backends.
-#[inline]
-pub fn partition_batch8(
-    backend: KernelBackend,
-    keys: &[Key; HASH_BLOCK],
-    shift: u32,
-    mask32: u32,
-) -> [usize; HASH_BLOCK] {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if backend.is_simd() && avx2_available() {
-        // SAFETY: AVX2 presence was just verified.
-        return unsafe { avx2::partition8(keys, shift, mask32) };
-    }
-    let _ = backend;
-    let mut out = [0usize; HASH_BLOCK];
-    for (o, &k) in out.iter_mut().zip(keys.iter()) {
-        *o = ((k >> shift) & mask32) as usize;
-    }
-    out
 }
 
 /// Issue a read prefetch for the cache line holding `ptr` into L1.
@@ -250,47 +196,29 @@ mod avx2 {
         _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, h0);
         _mm256_storeu_si256(out.as_mut_ptr().add(4) as *mut __m256i, h1);
     }
-
-    /// Radix partition derivation for 8 keys: variable right shift + mask
-    /// over eight 32-bit lanes.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn partition8(
-        keys: &[Key; HASH_BLOCK],
-        shift: u32,
-        mask32: u32,
-    ) -> [usize; HASH_BLOCK] {
-        let k = _mm256_loadu_si256(keys.as_ptr() as *const __m256i);
-        let shifted = _mm256_srl_epi32(k, _mm_cvtsi32_si128(shift as i32));
-        let masked = _mm256_and_si256(shifted, _mm256_set1_epi32(mask32 as i32));
-        let mut tmp = [0u32; HASH_BLOCK];
-        _mm256_storeu_si256(tmp.as_mut_ptr() as *mut __m256i, masked);
-        let mut out = [0usize; HASH_BLOCK];
-        for (o, &v) in out.iter_mut().zip(tmp.iter()) {
-            *o = v as usize;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const BOTH: [KernelBackend; 2] = [KernelBackend::Scalar, KernelBackend::Simd];
+
     #[test]
     fn batch_hash_matches_scalar_reference() {
-        for backend in KernelBackend::ALL {
+        for backend in BOTH {
             let keys: [Key; HASH_BLOCK] =
                 [0, 1, 2, 0xDEAD_BEEF, u32::MAX, 42, 7_777_777, 123_456_789];
             let got = hash_batch8(backend, &keys);
             for (g, &k) in got.iter().zip(keys.iter()) {
-                assert_eq!(*g, hash_key(k), "backend={backend} key={k}");
+                assert_eq!(*g, hash_key(k), "backend={backend:?} key={k}");
             }
         }
     }
 
     #[test]
     fn slice_hash_covers_tails() {
-        for backend in KernelBackend::ALL {
+        for backend in BOTH {
             for n in [0usize, 1, 7, 8, 9, 16, 17, 100] {
                 let keys: Vec<Key> = (0..n as u32)
                     .map(|i| i.wrapping_mul(2_654_435_761))
@@ -298,7 +226,7 @@ mod tests {
                 let mut out = vec![0u64; n];
                 hash_keys_into(backend, &keys, &mut out);
                 for (o, &k) in out.iter().zip(keys.iter()) {
-                    assert_eq!(*o, hash_key(k), "backend={backend} n={n}");
+                    assert_eq!(*o, hash_key(k), "backend={backend:?} n={n}");
                 }
             }
         }
@@ -307,7 +235,7 @@ mod tests {
     #[test]
     fn tuple_buckets_match_bucket_of() {
         let mask = 1023u64;
-        for backend in KernelBackend::ALL {
+        for backend in BOTH {
             for n in [0usize, 1, 7, 8, 9, 4097] {
                 let tuples: Vec<Tuple> = (0..n as u32)
                     .map(|i| Tuple {
@@ -319,34 +247,10 @@ mod tests {
                 tuple_buckets_into(backend, &tuples, mask, &mut out);
                 assert_eq!(out.len(), n);
                 for (b, t) in out.iter().zip(tuples.iter()) {
-                    assert_eq!(*b, bucket_of(t.key, mask), "backend={backend} n={n}");
+                    assert_eq!(*b, bucket_of(t.key, mask), "backend={backend:?} n={n}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn partition_batch_matches_scalar_shift_and() {
-        let keys: [Key; HASH_BLOCK] = [0, 1, 255, 256, 65_535, 65_536, u32::MAX, 0x1234_5678];
-        for backend in KernelBackend::ALL {
-            for (shift, bits) in [(0u32, 10u32), (6, 8), (12, 14), (0, 1)] {
-                let mask32 = (1u32 << bits) - 1;
-                let got = partition_batch8(backend, &keys, shift, mask32);
-                for (g, &k) in got.iter().zip(keys.iter()) {
-                    assert_eq!(*g, ((k >> shift) & mask32) as usize, "backend={backend}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn backend_parse_and_labels() {
-        assert_eq!("scalar".parse::<KernelBackend>(), Ok(KernelBackend::Scalar));
-        assert_eq!("simd".parse::<KernelBackend>(), Ok(KernelBackend::Simd));
-        assert!("avx512".parse::<KernelBackend>().is_err());
-        assert_eq!(KernelBackend::default(), KernelBackend::Simd);
-        assert_eq!(KernelBackend::Scalar.to_string(), "scalar");
-        assert_eq!(KernelBackend::Simd.label(), "simd");
     }
 
     #[test]

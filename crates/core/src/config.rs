@@ -1,9 +1,8 @@
 //! Run configuration: thread count, sort backend, the per-algorithm tuning
 //! knobs of §5.5, and harness controls (time compression, match sampling).
 
-use iawj_common::{KernelBackend, DEFAULT_PREFETCH_DIST};
 use iawj_exec::morsel::DEFAULT_MORSEL;
-use iawj_exec::{Executor, NpjTable, PinPolicy, ScatterMode, Scheduler, SortBackend};
+use iawj_exec::{Executor, PinPolicy, ScatterMode, Scheduler, SortBackend};
 
 /// Executor knobs: how the pool's worker threads are placed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -11,37 +10,6 @@ pub struct ExecConfig {
     /// Core-placement policy for pool workers (`none` leaves the OS
     /// scheduler in charge; `compact`/`scatter` pin via `sched_setaffinity`).
     pub pin: PinPolicy,
-}
-
-/// Batched-kernel knobs (Fig. 21's scalar-vs-SIMD A/B switch).
-#[derive(Clone, Copy, Debug)]
-pub struct KernelConfig {
-    /// Hot-loop kernel selection: `Scalar` keeps the original per-tuple
-    /// paths byte-for-byte; `Simd` (the default) batches hash/partition
-    /// derivation 8 keys at a time, software-prefetches bucket heads ahead
-    /// of the probe/build pipelines, and sorts through the explicit AVX2
-    /// network where the CPU supports it.
-    pub backend: KernelBackend,
-    /// How many tuples ahead of the consume point bucket-head prefetches
-    /// are issued (Simd pipelines only; clamped to ≥ 1).
-    pub prefetch_dist: usize,
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig {
-            backend: KernelBackend::default(),
-            prefetch_dist: DEFAULT_PREFETCH_DIST,
-        }
-    }
-}
-
-/// NPJ knobs (see DESIGN.md §5).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NpjConfig {
-    /// Which shared table the build phase fills: per-bucket latched (the
-    /// paper's default) or lock-free CAS-chained (the Fig. 8 A/B).
-    pub table: NpjTable,
 }
 
 /// PRJ knobs (§5.5, Figure 18).
@@ -174,7 +142,9 @@ impl Default for IndexConfig {
 /// ablation: static `chunk_range` splits vs morsel-driven stealing).
 #[derive(Clone, Copy, Debug)]
 pub struct SchedConfig {
-    /// Which scheduler drives the parallel scan/probe loops.
+    /// Which scheduler drives the parallel scan/probe loops of the lazy
+    /// engines and IBWJ_PART; engines on the eager pull loop (SHJ, PMJ,
+    /// hybrid, IBWJ) never steal and ignore it.
     pub scheduler: Scheduler,
     /// Morsel size in tuples (steal mode only; clamped to ≥ 1).
     pub morsel_size: usize,
@@ -226,10 +196,6 @@ pub struct RunConfig {
     pub exec: ExecConfig,
     /// Work-distribution knobs (scheduler + morsel size).
     pub sched: SchedConfig,
-    /// Batched-kernel knobs (scalar/SIMD switch + prefetch distance).
-    pub kernel: KernelConfig,
-    /// NPJ knobs.
-    pub npj: NpjConfig,
     /// PRJ knobs.
     pub prj: PrjConfig,
     /// PMJ knobs.
@@ -257,8 +223,6 @@ impl Default for RunConfig {
             perf: false,
             exec: ExecConfig::default(),
             sched: SchedConfig::default(),
-            kernel: KernelConfig::default(),
-            npj: NpjConfig::default(),
             prj: PrjConfig::default(),
             pmj: PmjConfig::default(),
             jb: JbConfig::default(),
@@ -332,24 +296,6 @@ impl RunConfig {
         self
     }
 
-    /// Builder: select the NPJ shared-table mode.
-    pub fn npj_table(mut self, table: NpjTable) -> Self {
-        self.npj.table = table;
-        self
-    }
-
-    /// Builder: select the hot-loop kernel backend.
-    pub fn kernel(mut self, backend: KernelBackend) -> Self {
-        self.kernel.backend = backend;
-        self
-    }
-
-    /// Builder: set the software-prefetch distance for Simd pipelines.
-    pub fn prefetch_dist(mut self, dist: usize) -> Self {
-        self.kernel.prefetch_dist = dist;
-        self
-    }
-
     /// Check the knobs that would otherwise fail far from their cause —
     /// a zero morsel size would spin the morsel driver (or divide by zero
     /// in grid-cell arithmetic), a zero thread count has no workers to run,
@@ -363,9 +309,6 @@ impl RunConfig {
         }
         if self.sched.morsel_size == 0 {
             return Err("morsel size must be at least 1 tuple".into());
-        }
-        if self.kernel.prefetch_dist == 0 {
-            return Err("prefetch distance must be at least 1 tuple".into());
         }
         if !(1..=MAX_RADIX_BITS).contains(&self.prj.radix_bits) {
             return Err(format!(
@@ -549,15 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn npj_table_builder_defaults_to_latch() {
-        let c = RunConfig::default();
-        assert_eq!(c.npj.table, NpjTable::Latch);
-        let c = c.npj_table(NpjTable::LockFree);
-        assert_eq!(c.npj.table, NpjTable::LockFree);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
     fn validate_bounds_prj_radix_bits() {
         let with_bits = |radix: u32, per_pass: u32| {
             let mut c = RunConfig::default();
@@ -577,20 +511,6 @@ mod tests {
             let err = with_bits(10, per_pass).unwrap_err();
             assert!(err.contains("bits per pass"), "per_pass={per_pass}: {err}");
         }
-    }
-
-    #[test]
-    fn kernel_defaults_to_simd_and_validates_dist() {
-        let c = RunConfig::default();
-        assert_eq!(c.kernel.backend, KernelBackend::Simd);
-        assert_eq!(c.kernel.prefetch_dist, DEFAULT_PREFETCH_DIST);
-        let c = c.kernel(KernelBackend::Scalar).prefetch_dist(4);
-        assert_eq!(c.kernel.backend, KernelBackend::Scalar);
-        assert_eq!(c.kernel.prefetch_dist, 4);
-        assert!(c.validate().is_ok());
-        let bad = RunConfig::default().prefetch_dist(0);
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("prefetch"), "unexpected message: {err}");
     }
 
     #[test]

@@ -31,10 +31,9 @@ use crate::eager::shj::ShjEngine;
 use crate::eager::Engine;
 use crate::lazy::EmitClock;
 use crate::output::WorkerOut;
-use iawj_common::KernelBackend;
 use iawj_common::{Phase, Sink, Tuple};
 use iawj_exec::mergejoin::merge_join;
-use iawj_exec::sort::{sort_packed_kernel, SortBackend};
+use iawj_exec::sort::{sort_packed, SortBackend};
 use iawj_exec::PhaseTimer;
 
 /// Per-worker hybrid state: an SHJ core plus a flushable backlog.
@@ -47,7 +46,6 @@ pub struct HybridEngine {
     /// Combined backlog size that triggers a mid-stream bulk flush.
     flush_at: usize,
     sort: SortBackend,
-    kernel: KernelBackend,
     flushes: usize,
 }
 
@@ -69,15 +67,8 @@ impl HybridEngine {
             defer_at_batch: defer_at_batch.max(1),
             flush_at: defer_at_batch.saturating_mul(16).max(1024),
             sort,
-            kernel: KernelBackend::default(),
             flushes: 0,
         }
-    }
-
-    /// Builder: select the hot-loop kernel backend for the flush sorts.
-    pub fn kernel(mut self, kernel: KernelBackend) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// How many tuples are currently deferred (diagnostics).
@@ -99,9 +90,9 @@ impl HybridEngine {
         // Backlog × backlog: one sorted merge join.
         timer.switch_to(Phase::BuildSort);
         let mut r_sorted: Vec<u64> = self.r_backlog.iter().map(|t| t.pack()).collect();
-        sort_packed_kernel(&mut r_sorted, self.sort, self.kernel);
+        sort_packed(&mut r_sorted, self.sort);
         let mut s_sorted: Vec<u64> = self.s_backlog.iter().map(|t| t.pack()).collect();
-        sort_packed_kernel(&mut s_sorted, self.sort, self.kernel);
+        sort_packed(&mut s_sorted, self.sort);
         timer.switch_to(Phase::Probe);
         let mut local_now = emit.refresh();
         let mut n = 0u32;
@@ -236,37 +227,6 @@ mod tests {
         let s = random_stream(3000, 32, 4);
         let expect = nested_loop_join(&r, &s, Window::of_len(64));
         assert_eq!(run_single(&r, &s, 1), expect);
-    }
-
-    #[test]
-    fn steal_scheduler_matches_reference() {
-        use iawj_exec::Scheduler;
-        let r = random_stream(1000, 16, 5);
-        let s = random_stream(1000, 16, 6);
-        let expect = nested_loop_join(&r, &s, Window::of_len(64));
-        let clock = EventClock::ungated();
-        // Sub-chunked pulls shrink per-call batch sizes below the defer
-        // threshold; the engine must stay exact either way it flips.
-        let cfg = RunConfig::with_threads(1)
-            .record_all()
-            .scheduler(Scheduler::Steal)
-            .morsel_size(16);
-        let engine = HybridEngine::new(r.len(), s.len(), 16, SortBackend::Vectorized);
-        let out = drive_worker(
-            engine,
-            View::strided(&r, 0, 1),
-            View::strided(&s, 0, 1),
-            &cfg,
-            &clock,
-        );
-        let mut got: Vec<_> = out
-            .sink
-            .samples
-            .iter()
-            .map(|m| (m.key, m.r_ts, m.s_ts))
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, expect);
     }
 
     #[test]

@@ -7,16 +7,15 @@
 //! has nothing available the worker reads from the other, and when neither
 //! does it stalls (the Wait phase), exactly the behaviour §4.2.2 describes.
 //!
-//! Scheduler note: under `--scheduler steal` the eager loop adopts the
-//! morsel *claim granularity* (pulled batches are processed and journaled
-//! in `morsel:claim` units) but performs no inter-worker stealing. The
-//! distribution schemes are ownership contracts — a JB worker's state only
-//! joins tuples of its key classes, a JM worker covers a fixed matrix cell
-//! — so migrating a pulled tuple to another worker would silently drop its
-//! matches. Dynamic rebalancing for eager engines means re-partitioning
-//! (PanJoin-style), which is out of scope here; both scheduler flags are
-//! nevertheless valid on every engine and checked by the differential
-//! harness.
+//! Scheduler note: `--scheduler` has no effect on engines driven by this
+//! loop (SHJ, PMJ, hybrid, and IBWJ's key-ownership workers). They never
+//! steal: the distribution schemes are ownership contracts — a JB worker's
+//! state only joins tuples of its key classes, a JM worker covers a fixed
+//! matrix cell — so migrating a pulled tuple to another worker would
+//! silently drop its matches. Dynamic rebalancing for eager engines means
+//! re-partitioning (PanJoin-style), which is out of scope here; both
+//! scheduler flags are nevertheless accepted on every engine and checked
+//! by the differential harness.
 
 pub mod handshake;
 pub mod hybrid;
@@ -29,7 +28,6 @@ use crate::distribute::{Take, View};
 use crate::lazy::EmitClock;
 use crate::output::WorkerOut;
 use iawj_common::{Phase, Tuple};
-use iawj_exec::morsel::MARK_CLAIM;
 use iawj_exec::PhaseTimer;
 use std::time::Duration;
 
@@ -82,8 +80,6 @@ pub fn drive_worker<E: Engine>(
     // dispatched tuple in worker-local buffers.
     let mut retained: Vec<Tuple> = Vec::new();
     let physical = cfg.jm.physical_partition;
-    let stealing = cfg.sched.stealing();
-    let morsel = cfg.sched.morsel_size.max(1);
     let mut processed_since_sample = 0usize;
 
     loop {
@@ -102,25 +98,11 @@ pub fn drive_worker<E: Engine>(
             // stall would otherwise stamp matches with pre-stall time.
             emit.refresh();
         }
-        if stealing {
-            // Morsel claim granularity: journal each processed unit so
-            // steal-mode traces are comparable across engines. (No
-            // inter-worker stealing here — see the module docs.)
-            for chunk in r_batch.chunks(morsel) {
-                timer.instant(MARK_CLAIM);
-                engine.on_r(chunk, &mut timer, &mut emit, &mut out);
-            }
-            for chunk in s_batch.chunks(morsel) {
-                timer.instant(MARK_CLAIM);
-                engine.on_s(chunk, &mut timer, &mut emit, &mut out);
-            }
-        } else {
-            if !r_batch.is_empty() {
-                engine.on_r(&r_batch, &mut timer, &mut emit, &mut out);
-            }
-            if !s_batch.is_empty() {
-                engine.on_s(&s_batch, &mut timer, &mut emit, &mut out);
-            }
+        if !r_batch.is_empty() {
+            engine.on_r(&r_batch, &mut timer, &mut emit, &mut out);
+        }
+        if !s_batch.is_empty() {
+            engine.on_s(&s_batch, &mut timer, &mut emit, &mut out);
         }
         processed_since_sample += r_batch.len() + s_batch.len();
 

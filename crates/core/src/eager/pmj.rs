@@ -12,11 +12,10 @@
 use crate::eager::Engine;
 use crate::lazy::EmitClock;
 use crate::output::WorkerOut;
-use iawj_common::KernelBackend;
 use iawj_common::{Phase, Sink, Tuple};
 use iawj_exec::merge::kway_merge_tagged;
 use iawj_exec::mergejoin::{merge_join, merge_join_cross_runs};
-use iawj_exec::sort::{sort_packed_kernel, SortBackend};
+use iawj_exec::sort::{sort_packed, SortBackend};
 use iawj_exec::PhaseTimer;
 
 /// Per-worker PMJ state.
@@ -24,7 +23,6 @@ pub struct PmjEngine {
     /// Tuples per run (δ × expected per-worker input), at least 16.
     run_size: usize,
     sort: SortBackend,
-    kernel: KernelBackend,
     /// Cross-join new runs against old ones immediately (progressive
     /// merging) instead of one final merge phase.
     eager_merge: bool,
@@ -52,19 +50,12 @@ impl PmjEngine {
         PmjEngine {
             run_size,
             sort,
-            kernel: KernelBackend::default(),
             eager_merge,
             r_pending: Vec::new(),
             s_pending: Vec::new(),
             r_runs: Vec::new(),
             s_runs: Vec::new(),
         }
-    }
-
-    /// Builder: select the hot-loop kernel backend for the sort steps.
-    pub fn kernel(mut self, kernel: KernelBackend) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// The configured tuples-per-run.
@@ -80,9 +71,9 @@ impl PmjEngine {
         }
         timer.switch_to(Phase::BuildSort);
         let mut r_run = std::mem::take(&mut self.r_pending);
-        sort_packed_kernel(&mut r_run, self.sort, self.kernel);
+        sort_packed(&mut r_run, self.sort);
         let mut s_run = std::mem::take(&mut self.s_pending);
-        sort_packed_kernel(&mut s_run, self.sort, self.kernel);
+        sort_packed(&mut s_run, self.sort);
 
         timer.switch_to(Phase::Probe);
         let now = emit.refresh();
@@ -242,37 +233,6 @@ mod tests {
         for &delta in &[0.05, 0.2, 0.5, 1.0] {
             assert_eq!(run_single(&r, &s, delta), expect, "delta={delta}");
         }
-    }
-
-    #[test]
-    fn steal_scheduler_matches_reference() {
-        use iawj_exec::Scheduler;
-        let r = random_stream(600, 48, 1);
-        let s = random_stream(800, 48, 2);
-        let expect = nested_loop_join(&r, &s, Window::of_len(64));
-        let clock = EventClock::ungated();
-        // Sub-chunked delivery changes PMJ's run boundaries; the match set
-        // must not change with them.
-        let cfg = RunConfig::with_threads(1)
-            .record_all()
-            .scheduler(Scheduler::Steal)
-            .morsel_size(5);
-        let engine = PmjEngine::new(r.len().max(s.len()), 0.2, SortBackend::Vectorized);
-        let out = drive_worker(
-            engine,
-            View::strided(&r, 0, 1),
-            View::strided(&s, 0, 1),
-            &cfg,
-            &clock,
-        );
-        let mut got: Vec<_> = out
-            .sink
-            .samples
-            .iter()
-            .map(|m| (m.key, m.r_ts, m.s_ts))
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, expect);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::lazy::{EmitClock, Scan};
 use crate::output::WorkerOut;
 use iawj_common::hash::hash_key;
 use iawj_common::kernel::tuple_buckets_into;
-use iawj_common::{KernelBackend, Phase, Sink, Tuple, Ts};
+use iawj_common::{KernelBackend, Phase, Sink, Ts, Tuple, DEFAULT_PREFETCH_DIST};
 use iawj_exec::{Executor, PhaseTimer, WindowIndex};
 use iawj_obs::{MARK_INDEX_EVICT, MARK_INDEX_INSERT, MARK_INDEX_REPART};
 use std::sync::{Barrier, Mutex};
@@ -47,6 +47,13 @@ fn owner_hash(key: u32) -> usize {
     (hash_key(key) >> 32) as usize
 }
 
+/// Bucket derivation for the window-index pipelines (IBWJ here, the
+/// persistent index in `streaming`): the 8-wide hash. Against per-tuple
+/// hashing IBWJ measured within spread at 4M × 4M — insert 218.6 vs 202.7
+/// ms, probe 2164.3 vs 2123.0 ms, quartiles overlapping (DESIGN.md §5) —
+/// so the batched path stays.
+pub(crate) const INDEX_KERNEL: KernelBackend = KernelBackend::Simd;
+
 /// Per-worker IBWJ state: one evictable index per side plus the batched
 /// pipeline's scratch buffers.
 pub struct IbwjEngine {
@@ -54,8 +61,6 @@ pub struct IbwjEngine {
     s_index: WindowIndex,
     tid: usize,
     workers: usize,
-    kernel: KernelBackend,
-    prefetch_dist: usize,
     evict_horizon: Option<u32>,
     max_ts: Ts,
     evicted_below: Ts,
@@ -72,21 +77,12 @@ impl IbwjEngine {
             s_index: WindowIndex::with_capacity(expected_s.max(16)),
             tid,
             workers: workers.max(1),
-            kernel: KernelBackend::default(),
-            prefetch_dist: iawj_common::DEFAULT_PREFETCH_DIST,
             evict_horizon: None,
             max_ts: 0,
             evicted_below: 0,
             owned: Vec::new(),
             buckets: Vec::new(),
         }
-    }
-
-    /// Builder: adopt the run's kernel knobs (backend + prefetch distance).
-    pub fn kernel(mut self, backend: KernelBackend, prefetch_dist: usize) -> Self {
-        self.kernel = backend;
-        self.prefetch_dist = prefetch_dist.max(1);
-        self
     }
 
     /// Builder: evict entries older than `horizon_ms` behind the newest
@@ -108,10 +104,10 @@ impl IbwjEngine {
     }
 
     /// Batched insert of `self.owned` into one side's index.
-    fn insert_owned(index: &mut WindowIndex, owned: &[Tuple], buckets: &mut Vec<usize>, kernel: KernelBackend, dist: usize) {
-        tuple_buckets_into(kernel, owned, index.mask(), buckets);
+    fn insert_owned(index: &mut WindowIndex, owned: &[Tuple], buckets: &mut Vec<usize>) {
+        tuple_buckets_into(INDEX_KERNEL, owned, index.mask(), buckets);
         for (i, t) in owned.iter().enumerate() {
-            if let Some(&ahead) = buckets.get(i + dist) {
+            if let Some(&ahead) = buckets.get(i + DEFAULT_PREFETCH_DIST) {
                 index.prefetch_bucket(ahead);
             }
             index.insert_at(buckets[i], t.key, t.ts);
@@ -151,23 +147,23 @@ impl Engine for IbwjEngine {
         // stands in for the window bound.
         self.maybe_evict(timer);
         timer.switch_to(Phase::BuildSort);
-        Self::insert_owned(
-            &mut self.r_index,
-            &self.owned,
-            &mut self.buckets,
-            self.kernel,
-            self.prefetch_dist,
-        );
+        Self::insert_owned(&mut self.r_index, &self.owned, &mut self.buckets);
         timer.instant(MARK_INDEX_INSERT);
         timer.switch_to(Phase::Probe);
-        tuple_buckets_into(self.kernel, &self.owned, self.s_index.mask(), &mut self.buckets);
+        tuple_buckets_into(
+            INDEX_KERNEL,
+            &self.owned,
+            self.s_index.mask(),
+            &mut self.buckets,
+        );
         for (i, t) in self.owned.iter().enumerate() {
-            if let Some(&ahead) = self.buckets.get(i + self.prefetch_dist) {
+            if let Some(&ahead) = self.buckets.get(i + DEFAULT_PREFETCH_DIST) {
                 self.s_index.prefetch_bucket(ahead);
             }
             let now = emit.now();
-            self.s_index
-                .probe_at(self.buckets[i], t.key, |s_ts| out.sink.push(t.key, t.ts, s_ts, now));
+            self.s_index.probe_at(self.buckets[i], t.key, |s_ts| {
+                out.sink.push(t.key, t.ts, s_ts, now)
+            });
         }
     }
 
@@ -184,23 +180,23 @@ impl Engine for IbwjEngine {
         }
         self.maybe_evict(timer);
         timer.switch_to(Phase::BuildSort);
-        Self::insert_owned(
-            &mut self.s_index,
-            &self.owned,
-            &mut self.buckets,
-            self.kernel,
-            self.prefetch_dist,
-        );
+        Self::insert_owned(&mut self.s_index, &self.owned, &mut self.buckets);
         timer.instant(MARK_INDEX_INSERT);
         timer.switch_to(Phase::Probe);
-        tuple_buckets_into(self.kernel, &self.owned, self.r_index.mask(), &mut self.buckets);
+        tuple_buckets_into(
+            INDEX_KERNEL,
+            &self.owned,
+            self.r_index.mask(),
+            &mut self.buckets,
+        );
         for (i, t) in self.owned.iter().enumerate() {
-            if let Some(&ahead) = self.buckets.get(i + self.prefetch_dist) {
+            if let Some(&ahead) = self.buckets.get(i + DEFAULT_PREFETCH_DIST) {
                 self.r_index.prefetch_bucket(ahead);
             }
             let now = emit.now();
-            self.r_index
-                .probe_at(self.buckets[i], t.key, |r_ts| out.sink.push(t.key, r_ts, t.ts, now));
+            self.r_index.probe_at(self.buckets[i], t.key, |r_ts| {
+                out.sink.push(t.key, r_ts, t.ts, now)
+            });
         }
     }
 
@@ -271,7 +267,10 @@ fn build_plan(
         };
         let (assignment, repart) = if k == 0 {
             // Nothing observed yet: round-robin.
-            ((0..partitions).map(|p| p % workers).collect::<Vec<_>>(), false)
+            (
+                (0..partitions).map(|p| p % workers).collect::<Vec<_>>(),
+                false,
+            )
         } else {
             let prev = &plans[k - 1].assignment;
             let mut load = vec![0u64; workers];
@@ -373,7 +372,15 @@ pub fn run_part_on(
     let partitions = cfg.index_partitions();
     let epochs = cfg.index.epochs.max(1);
     let span = arrive_by as u64 + 1;
-    let plan = build_plan(r, s, span, epochs, partitions, workers, cfg.index.repart_factor);
+    let plan = build_plan(
+        r,
+        s,
+        span,
+        epochs,
+        partitions,
+        workers,
+        cfg.index.repart_factor,
+    );
 
     let expected = (r.len() + s.len()) / partitions + 1;
     let parts: Vec<Mutex<PartState>> = (0..partitions)
@@ -424,12 +431,21 @@ pub fn run_part_on(
                 if ep.assignment[p] != w {
                     continue;
                 }
-                if owned_r[p].is_empty() && owned_s[p].is_empty() && cfg.index.evict_horizon_ms.is_none() {
+                if owned_r[p].is_empty()
+                    && owned_s[p].is_empty()
+                    && cfg.index.evict_horizon_ms.is_none()
+                {
                     continue;
                 }
                 let mut st = parts[p].lock().unwrap();
                 join_partition(
-                    &mut st, &owned_r[p], &owned_s[p], &mut timer, &mut emit, &mut out, &cfg.sched,
+                    &mut st,
+                    &owned_r[p],
+                    &owned_s[p],
+                    &mut timer,
+                    &mut emit,
+                    &mut out,
+                    &cfg.sched,
                 );
                 if let Some(h) = cfg.index.evict_horizon_ms {
                     let horizon = ep.wait_ts.saturating_sub(h);
@@ -493,7 +509,10 @@ mod tests {
             &cfg,
             &clock,
         );
-        assert_eq!(canonical(&out), nested_loop_join(&r, &s, Window::of_len(64)));
+        assert_eq!(
+            canonical(&out),
+            nested_loop_join(&r, &s, Window::of_len(64))
+        );
     }
 
     #[test]

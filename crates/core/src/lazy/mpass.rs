@@ -17,7 +17,7 @@ use iawj_exec::merge::{
     choose_splitters, merge_two_into, merge_two_into_branchless, splitter_bounds,
 };
 use iawj_exec::pool::{barrier, chunk_range};
-use iawj_exec::sort::{pack_tuples, sort_packed_kernel, SortBackend};
+use iawj_exec::sort::{pack_tuples, sort_packed, SortBackend};
 use iawj_exec::{Executor, Latch};
 
 /// Run MPass on an existing executor (reused across runs / window closes).
@@ -55,10 +55,10 @@ pub fn run_on(
         // Sort local runs.
         timer.switch_to(Phase::BuildSort);
         let mut r_run = pack_tuples(&r[chunk_range(r.len(), threads, tid)]);
-        sort_packed_kernel(&mut r_run, cfg.sort, cfg.kernel.backend);
+        sort_packed(&mut r_run, cfg.sort);
         *r_store[tid].lock() = Some(r_run);
         let mut s_run = pack_tuples(&s[chunk_range(s.len(), threads, tid)]);
-        sort_packed_kernel(&mut s_run, cfg.sort, cfg.kernel.backend);
+        sort_packed(&mut s_run, cfg.sort);
         *s_store[tid].lock() = Some(s_run);
         timer.switch_to(Phase::Other);
         sorted.wait();

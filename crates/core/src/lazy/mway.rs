@@ -13,7 +13,7 @@ use crate::output::WorkerOut;
 use iawj_common::{Phase, Sink, Ts, Tuple};
 use iawj_exec::merge::{choose_splitters, kway_merge_loser, splitter_bounds};
 use iawj_exec::pool::{barrier, chunk_range};
-use iawj_exec::sort::{pack_tuples, sort_packed_kernel};
+use iawj_exec::sort::{pack_tuples, sort_packed};
 use iawj_exec::{Executor, PhaseTimer};
 
 /// How many splitter ranges steal mode requests per worker: over-splitting
@@ -76,10 +76,10 @@ pub fn run_on(
         // Sort local runs.
         timer.switch_to(Phase::BuildSort);
         let mut r_run = pack_tuples(&r[chunk_range(r.len(), threads, tid)]);
-        sort_packed_kernel(&mut r_run, cfg.sort, cfg.kernel.backend);
+        sort_packed(&mut r_run, cfg.sort);
         r_runs.set(tid, r_run);
         let mut s_run = pack_tuples(&s[chunk_range(s.len(), threads, tid)]);
-        sort_packed_kernel(&mut s_run, cfg.sort, cfg.kernel.backend);
+        sort_packed(&mut s_run, cfg.sort);
         s_runs.set(tid, s_run);
         timer.switch_to(Phase::Other);
         sorted.wait();

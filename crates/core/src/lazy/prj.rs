@@ -9,10 +9,9 @@
 //! like the original's two-pass scheme.
 
 use crate::clock::EventClock;
-use crate::config::{KernelConfig, RunConfig};
+use crate::config::RunConfig;
 use crate::lazy::{claim_mark, EmitClock};
 use crate::output::WorkerOut;
-use iawj_common::kernel::tuple_buckets_into;
 use iawj_common::{Phase, Sink, Ts, Tuple};
 use iawj_exec::morsel::{for_each_morsel, MorselQueue};
 use iawj_exec::pool::barrier;
@@ -45,7 +44,6 @@ pub fn run_on(
             SlotLayout::PerThread
         },
         scatter: cfg.prj.scatter,
-        kernel: cfg.kernel.backend,
         // With pinned workers the partition arenas use first-touch
         // allocation: each scattering worker faults the slots it scatters
         // onto its own NUMA node.
@@ -107,11 +105,7 @@ pub fn run_on(
 
         // --- Per-partition cache-resident joins from a shared queue ---
         let mut emit = EmitClock::new(clock);
-        let kcfg = cfg.kernel;
-        // Per-worker scratch for the batched bucket pipeline, reused across
-        // every partition this worker joins.
-        let mut buckets: Vec<usize> = Vec::new();
-        let mut do_partition =
+        let do_partition =
             |p: usize, timer: &mut PhaseTimer, emit: &mut EmitClock, out: &mut WorkerOut| {
                 let rp = &r_part[r_bounds[p]..r_bounds[p + 1]];
                 let sp = &s_part[s_bounds[p]..s_bounds[p + 1]];
@@ -121,21 +115,13 @@ pub fn run_on(
                 if bits2 > 0 {
                     // --- Pass 2: thread-local refinement ---
                     timer.switch_to(Phase::Partition);
-                    let rr = partition_seq(rp, bits1, bits2, kcfg.backend);
-                    let ss = partition_seq(sp, bits1, bits2, kcfg.backend);
+                    let rr = partition_seq(rp, bits1, bits2);
+                    let ss = partition_seq(sp, bits1, bits2);
                     for q in 0..rr.fanout() {
-                        join_partition(
-                            rr.partition(q),
-                            ss.partition(q),
-                            &kcfg,
-                            &mut buckets,
-                            timer,
-                            emit,
-                            out,
-                        );
+                        join_partition(rr.partition(q), ss.partition(q), timer, emit, out);
                     }
                 } else {
-                    join_partition(rp, sp, &kcfg, &mut buckets, timer, emit, out);
+                    join_partition(rp, sp, timer, emit, out);
                 }
             };
         if stealing {
@@ -162,19 +148,13 @@ pub fn run_on(
 }
 
 /// Cache-resident hash join of one partition pair: build a private table
-/// over the R side, probe with the S side.
-///
-/// Under [`KernelBackend::Simd`] both loops run as batched pipelines:
-/// bucket indices come from the 8-wide hash kernel and each access
-/// prefetches the bucket head `dist` tuples ahead. The partition is mostly
-/// cache-resident already, so the win here is smaller than NPJ's — but the
-/// pipeline keeps the A/B symmetric across algorithms. `Scalar` keeps the
-/// original per-tuple loops byte-for-byte.
+/// over the R side, probe with the S side, one tuple at a time. The
+/// partition is cache-resident already, so the batched hash + prefetch
+/// pipeline only added work: at 4M × 4M it built in 24.6 vs 10.3 ms and
+/// probed in 255.9 vs 255.2 ms (DESIGN.md §5).
 fn join_partition(
     rp: &[Tuple],
     sp: &[Tuple],
-    kcfg: &KernelConfig,
-    buckets: &mut Vec<usize>,
     timer: &mut PhaseTimer,
     emit: &mut EmitClock<'_>,
     out: &mut WorkerOut,
@@ -182,37 +162,15 @@ fn join_partition(
     if rp.is_empty() || sp.is_empty() {
         return;
     }
-    let (kernel, dist) = (kcfg.backend, kcfg.prefetch_dist.max(1));
     timer.switch_to(Phase::BuildSort);
     let mut table = LocalTable::with_capacity(rp.len());
-    if kernel.is_simd() {
-        tuple_buckets_into(kernel, rp, table.mask(), buckets);
-        for (i, t) in rp.iter().enumerate() {
-            if let Some(&ahead) = buckets.get(i + dist) {
-                table.prefetch_bucket(ahead);
-            }
-            table.insert_at(buckets[i], t.key, t.ts);
-        }
-        timer.switch_to(Phase::Probe);
-        tuple_buckets_into(kernel, sp, table.mask(), buckets);
-        for (i, t) in sp.iter().enumerate() {
-            if let Some(&ahead) = buckets.get(i + dist) {
-                table.prefetch_bucket(ahead);
-            }
-            let now = emit.now();
-            table.probe_at(buckets[i], t.key, |r_ts| {
-                out.sink.push(t.key, r_ts, t.ts, now)
-            });
-        }
-    } else {
-        for t in rp {
-            table.insert(t.key, t.ts);
-        }
-        timer.switch_to(Phase::Probe);
-        for t in sp {
-            let now = emit.now();
-            table.probe(t.key, |r_ts| out.sink.push(t.key, r_ts, t.ts, now));
-        }
+    for t in rp {
+        table.insert(t.key, t.ts);
+    }
+    timer.switch_to(Phase::Probe);
+    for t in sp {
+        let now = emit.now();
+        table.probe(t.key, |r_ts| out.sink.push(t.key, r_ts, t.ts, now));
     }
 }
 
@@ -220,7 +178,7 @@ fn join_partition(
 mod tests {
     use super::*;
     use crate::reference::nested_loop_join;
-    use iawj_common::{KernelBackend, Rng, Window};
+    use iawj_common::{Rng, Window};
     use iawj_exec::ScatterMode;
 
     fn random_stream(n: usize, keys: u32, seed: u64) -> Vec<Tuple> {
@@ -364,34 +322,6 @@ mod tests {
         let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         // 10 grid cells per side, each drained exactly once.
         assert_eq!(count_flush_marks(&outs), 10 + 10);
-    }
-
-    #[test]
-    fn kernel_backends_agree_bitwise() {
-        use iawj_exec::Scheduler;
-        let r = random_stream(2500, 1 << 10, 71);
-        let s = random_stream(2500, 1 << 10, 72);
-        for scheduler in [Scheduler::Static, Scheduler::Steal] {
-            for (bits, per_pass) in [(6u32, 8u32), (10, 6)] {
-                let collect = |backend: KernelBackend| {
-                    let mut cfg = RunConfig::with_threads(4)
-                        .record_all()
-                        .scheduler(scheduler)
-                        .morsel_size(128)
-                        .kernel(backend)
-                        .prefetch_dist(4);
-                    cfg.prj.radix_bits = bits;
-                    cfg.prj.max_bits_per_pass = per_pass;
-                    let clock = EventClock::ungated();
-                    canonical(&run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor()))
-                };
-                assert_eq!(
-                    collect(KernelBackend::Scalar),
-                    collect(KernelBackend::Simd),
-                    "scheduler {scheduler:?} bits={bits}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -143,8 +143,7 @@ fn run_algorithm(
                     }
                     Algorithm::HybridShj => {
                         let engine =
-                            HybridEngine::new(exp_r, exp_s, cfg.hybrid.defer_at_batch, cfg.sort)
-                                .kernel(cfg.kernel.backend);
+                            HybridEngine::new(exp_r, exp_s, cfg.hybrid.defer_at_batch, cfg.sort);
                         drive_worker(engine, rv, sv, cfg, clock)
                     }
                     _ => {
@@ -153,8 +152,7 @@ fn run_algorithm(
                             cfg.pmj.delta,
                             cfg.sort,
                             cfg.pmj.eager_merge,
-                        )
-                        .kernel(cfg.kernel.backend);
+                        );
                         drive_worker(engine, rv, sv, cfg, clock)
                     }
                 }
@@ -166,7 +164,6 @@ fn run_algorithm(
             let exp_r = r.len() / cfg.threads + 1;
             let exp_s = s.len() / cfg.threads + 1;
             let engine = IbwjEngine::new(exp_r, exp_s, w, cfg.threads)
-                .kernel(cfg.kernel.backend, cfg.kernel.prefetch_dist)
                 .evict_horizon(cfg.index.evict_horizon_ms);
             drive_worker(
                 engine,
@@ -195,8 +192,7 @@ fn run_algorithm(
                         cfg.pmj.delta,
                         cfg.sort,
                         cfg.pmj.eager_merge,
-                    )
-                    .kernel(cfg.kernel.backend);
+                    );
                     drive_worker(engine, rv, sv, cfg, clock)
                 }
             })
@@ -232,16 +228,6 @@ mod tests {
         let mut cfg = RunConfig::with_threads(2);
         cfg.prj.radix_bits = 33;
         let _ = execute(Algorithm::Prj, &ds, &cfg);
-    }
-
-    #[test]
-    fn npj_lockfree_table_through_execute_is_exact() {
-        let ds = small_static();
-        let cfg = RunConfig::with_threads(4)
-            .record_all()
-            .npj_table(iawj_exec::NpjTable::LockFree);
-        let result = execute(Algorithm::Npj, &ds, &cfg);
-        assert_eq!(result.matches, match_count(&ds.r, &ds.s, ds.window));
     }
 
     #[test]

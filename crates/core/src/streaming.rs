@@ -69,12 +69,12 @@
 
 use crate::algo::Algorithm;
 use crate::config::RunConfig;
-use crate::index::part_of;
+use crate::index::{part_of, INDEX_KERNEL};
 use crate::runner::execute_on;
 use crate::windowing::{pair_multiplicity, WindowSpec};
 use iawj_common::kernel::tuple_buckets_into;
 use iawj_common::spsc::{stream_channel, RecvError, StreamReceiver, StreamSender};
-use iawj_common::{KernelBackend, Rate, Ts, Tuple, Window};
+use iawj_common::{Rate, Ts, Tuple, Window, DEFAULT_PREFETCH_DIST};
 use iawj_datagen::{Dataset, StreamSource};
 use iawj_exec::{Executor, WindowIndex};
 use iawj_obs::{
@@ -300,8 +300,6 @@ struct StreamIndex {
     /// per-close histogram trigger.
     assignment: Vec<usize>,
     threads: usize,
-    kernel: KernelBackend,
-    prefetch_dist: usize,
     repart_factor: f64,
     /// Tuples indexed since the last `index:insert` journal mark (the
     /// operator marks once per ingest poll, not per tuple).
@@ -322,8 +320,6 @@ impl StreamIndex {
                 .collect(),
             assignment: (0..p_n).map(|p| p % threads).collect(),
             threads,
-            kernel: run.kernel.backend,
-            prefetch_dist: run.kernel.prefetch_dist.max(1),
             repart_factor: run.index.repart_factor,
             unmarked_inserts: 0,
         }
@@ -358,9 +354,9 @@ impl StreamIndex {
         let mut m = 0u64;
         let mut buckets = Vec::new();
         for chunk in r.chunks(64) {
-            tuple_buckets_into(self.kernel, chunk, idx.mask(), &mut buckets);
+            tuple_buckets_into(INDEX_KERNEL, chunk, idx.mask(), &mut buckets);
             for (i, t) in chunk.iter().enumerate() {
-                if let Some(&ahead) = buckets.get(i + self.prefetch_dist) {
+                if let Some(&ahead) = buckets.get(i + DEFAULT_PREFETCH_DIST) {
                     idx.prefetch_bucket(ahead);
                 }
                 idx.probe_range_at(buckets[i], t.key, lo, hi, |_| m += 1);

@@ -7,7 +7,7 @@
 
 use iawj_common::Window;
 use iawj_core::reference::match_count;
-use iawj_core::{execute_on, Algorithm, NpjTable, RunConfig};
+use iawj_core::{execute_on, Algorithm, RunConfig};
 use iawj_datagen::MicroSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,17 +48,15 @@ fn npj_allocates_per_worker_not_per_key() {
     let expected = match_count(&ds.r, &ds.s, Window::of_len(u32::MAX));
     assert!(expected >= N as u64, "the workload must produce matches");
 
-    for table in NpjTable::ALL {
-        let cfg = RunConfig::with_threads(THREADS).npj_table(table);
-        let exec = cfg.make_executor();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let result = execute_on(Algorithm::Npj, &ds, &cfg, &exec);
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(result.matches, expected, "{table}");
-        // A table with one heap chain per non-empty bucket makes 25 000+.
-        assert!(
-            allocations < 100 * THREADS,
-            "{table}: {allocations} heap allocations for {THREADS} workers"
-        );
-    }
+    let cfg = RunConfig::with_threads(THREADS);
+    let exec = cfg.make_executor();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let result = execute_on(Algorithm::Npj, &ds, &cfg, &exec);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(result.matches, expected);
+    // A table with one heap chain per non-empty bucket makes 25 000+.
+    assert!(
+        allocations < 100 * THREADS,
+        "{allocations} heap allocations for {THREADS} workers"
+    );
 }

@@ -23,8 +23,8 @@
 //! once at startup via raw `sched_setaffinity`. Pin failures and missing
 //! topology degrade to unpinned workers with a journaled
 //! [`MARK_EXEC_UNPINNED`] notice — never an error. The executor also
-//! tracks the CPU each lane was last observed on and counts involuntary
-//! migrations, which the Chrome-trace export surfaces per worker.
+//! tracks the CPU each lane was last observed on, which the Chrome-trace
+//! export surfaces per worker.
 //!
 //! This pool is deliberately the seam a future sharded (shared-nothing)
 //! execution layer plugs into: one executor per shard, placement per
@@ -35,7 +35,7 @@ use crate::topology::{current_cpu, pin_to_cpu, PinPolicy, Topology};
 use iawj_obs::journal::SpanJournal;
 use iawj_obs::{MARK_EXEC_DISPATCH, MARK_EXEC_PARK, MARK_EXEC_UNPINNED};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -84,10 +84,6 @@ struct Inner {
     placement: Vec<Option<usize>>,
     /// CPU each lane was last observed on ([`CPU_UNKNOWN`] = never).
     observed: Vec<AtomicUsize>,
-    /// Lane moved between CPUs across observations (for pinned lanes this
-    /// means the kernel overrode the pin; for unpinned lanes, an ordinary
-    /// scheduler migration).
-    migrations: AtomicU64,
     /// Executor-lifecycle journal: dispatch/park instants and placement
     /// degradation notices.
     journal: Mutex<SpanJournal>,
@@ -101,16 +97,11 @@ impl Inner {
         }
     }
 
-    /// Record the CPU lane `tid` is on right now; count a migration when
-    /// it moved since the previous observation.
+    /// Record the CPU lane `tid` is on right now.
     fn note_observed(&self, tid: usize) {
         let Some(cpu) = current_cpu() else { return };
-        let Some(slot) = self.observed.get(tid) else {
-            return;
-        };
-        let prev = slot.swap(cpu, Ordering::Relaxed);
-        if prev != CPU_UNKNOWN && prev != cpu {
-            self.migrations.fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = self.observed.get(tid) {
+            slot.store(cpu, Ordering::Relaxed);
         }
     }
 }
@@ -157,7 +148,6 @@ impl Executor {
             observed: (0..threads)
                 .map(|_| AtomicUsize::new(CPU_UNKNOWN))
                 .collect(),
-            migrations: AtomicU64::new(0),
             // Sized for a long dispatch/park history.
             journal: Mutex::new(SpanJournal::with_capacity(Instant::now(), 1024)),
         });
@@ -207,17 +197,6 @@ impl Executor {
     /// Number of generations dispatched through the pool so far.
     pub fn generations(&self) -> u64 {
         self.inner.state.lock().map(|s| s.generation).unwrap_or(0)
-    }
-
-    /// Observed lane-to-CPU moves since construction (see
-    /// [`Executor::run`]'s per-dispatch observation points).
-    pub fn migrations(&self) -> u64 {
-        self.inner.migrations.load(Ordering::Relaxed)
-    }
-
-    /// The CPU planned for lane `tid` (`None`: unpinned or out of range).
-    pub fn planned_core(&self, tid: usize) -> Option<usize> {
-        self.inner.placement.get(tid).copied().flatten()
     }
 
     /// The CPU lane `tid` was last observed on (`None`: never observed,
@@ -523,15 +502,19 @@ mod tests {
         // are identical and nothing panics (degradation is journaled).
         for pin in [PinPolicy::Compact, PinPolicy::Scatter] {
             let exec = Executor::new(pin, 4);
-            assert_eq!(exec.run(4, |tid| tid * 3), vec![0, 3, 6, 9]);
-            for tid in 1..4 {
-                if let (Some(planned), Some(observed)) =
-                    (exec.planned_core(tid), exec.observed_core(tid))
-                {
-                    let _ = (planned, observed); // both queryable, no panic
-                }
+            let cpus = exec.run(4, |tid| (tid * 3, current_cpu()));
+            assert_eq!(
+                cpus.iter().map(|c| c.0).collect::<Vec<_>>(),
+                vec![0, 3, 6, 9]
+            );
+            // Every lane that ran was observed, wherever `getcpu` works.
+            for (tid, &(_, cpu)) in cpus.iter().enumerate() {
+                assert_eq!(
+                    exec.observed_core(tid).is_some(),
+                    cpu.is_some(),
+                    "lane {tid}"
+                );
             }
-            assert!(exec.planned_core(0).is_none(), "caller lane never pinned");
         }
     }
 

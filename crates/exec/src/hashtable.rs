@@ -5,93 +5,20 @@
 //!   insert during the build phase under per-bucket latches; the
 //!   concurrent-visit contention on hot buckets is exactly the NPJ
 //!   pathology §5.3.2 measures.
-//! - [`LockFreeTable`] — the latch-free alternative after Blanas et al.'s
-//!   no-partitioning build table: entries live in a pre-sized append-only
-//!   arena (slot claimed by one `fetch_add`), chains are linked by CAS on
-//!   atomic bucket heads, and probes are plain acquire loads. The A/B
-//!   against [`SharedTable`] is the latched-vs-lock-free comparison behind
-//!   the paper's Figure 8 discussion.
 //! - [`LocalTable`] — the bucket-chain table of PRJ, reused for SHJ's two
 //!   per-thread tables as the paper does (§4.2.2). Single-owner, latch-free,
 //!   with chained entries in one contiguous arena so growth never
 //!   invalidates earlier entries.
 //!
-//! All derive bucket indices from the shared [`iawj_common::hash_key`]
-//! so hash quality never differs across algorithms. The two shared tables
-//! expose their build/probe surface through [`ConcurrentTable`], so NPJ is
-//! written once, generic over the table.
+//! Both derive bucket indices from the shared [`iawj_common::hash_key`]
+//! so hash quality never differs across algorithms.
 
 use crate::latch::RawLatch;
 use iawj_common::hash::{bucket_of, next_pow2_at_least};
 use iawj_common::{prefetch_read, Key, Ts, Tuple};
-use iawj_obs::{MARK_CAS_RETRY, MARK_LATCH_WAIT};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicI32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Which shared table NPJ builds into: the per-bucket latched table (the
-/// paper's default) or the lock-free CAS-chained variant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum NpjTable {
-    /// [`SharedTable`]: per-bucket spin latches on build and probe.
-    #[default]
-    Latch,
-    /// [`LockFreeTable`]: latch-free CAS-chained build, plain-load probe.
-    LockFree,
-}
-
-impl NpjTable {
-    /// Both table modes, for sweeps.
-    pub const ALL: [NpjTable; 2] = [NpjTable::Latch, NpjTable::LockFree];
-}
-
-impl std::str::FromStr for NpjTable {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "latch" => Ok(NpjTable::Latch),
-            "lockfree" => Ok(NpjTable::LockFree),
-            other => Err(format!("unknown NPJ table mode '{other}'")),
-        }
-    }
-}
-
-impl std::fmt::Display for NpjTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            NpjTable::Latch => "latch",
-            NpjTable::LockFree => "lockfree",
-        })
-    }
-}
-
-/// The surface NPJ needs from a shared table: bucket derivation split from
-/// the access (so the batched pipelines can hash 8 keys at a time and
-/// prefetch ahead), with every access reporting the contention events it
-/// cost. Counting is free off the slow path — an uncontended latch acquire
-/// or a first-try CAS returns 0 without extra work — so it is always on.
-pub trait ConcurrentTable: Sync {
-    /// Journal mark the engine emits per contention event.
-    const CONTENTION_MARK: &'static str;
-
-    /// The power-of-two bucket mask, for batched bucket derivation
-    /// (`iawj_common::kernel::tuple_buckets_into`).
-    fn mask(&self) -> u64;
-
-    /// Hint-prefetch the head of bucket `b` (out-of-range is a no-op).
-    fn prefetch_bucket(&self, b: usize);
-
-    /// Insert into bucket `b`, which must equal `bucket_of(key, mask())`;
-    /// returns the contention events the insert cost.
-    fn insert_at(&self, b: usize, key: Key, ts: Ts) -> u32;
-
-    /// Call `f(ts)` for every entry of bucket `b` (same contract) with this
-    /// key; returns the contention events the probe cost.
-    fn probe_at(&self, b: usize, key: Key, f: impl FnMut(Ts)) -> u32;
-
-    /// Approximate heap footprint in bytes.
-    fn bytes(&self) -> usize;
-}
 
 /// A thread-local chained hash table over `(key, ts)` entries.
 ///
@@ -138,34 +65,10 @@ impl LocalTable {
             + self.entries.capacity() * std::mem::size_of::<Entry>()
     }
 
-    /// The power-of-two bucket mask, for batched bucket derivation
-    /// (`iawj_common::kernel::tuple_buckets_into`).
-    #[inline]
-    pub fn mask(&self) -> u64 {
-        self.mask
-    }
-
-    /// Hint-prefetch the chain head of bucket `b` ahead of an
-    /// [`LocalTable::insert_at`]/[`LocalTable::probe_at`] at distance.
-    #[inline]
-    pub fn prefetch_bucket(&self, b: usize) {
-        if let Some(h) = self.heads.get(b) {
-            prefetch_read(h);
-        }
-    }
-
     /// Insert an entry.
     #[inline]
     pub fn insert(&mut self, key: Key, ts: Ts) {
-        self.insert_at(bucket_of(key, self.mask), key, ts);
-    }
-
-    /// Insert into a precomputed bucket. `b` must equal
-    /// `bucket_of(key, self.mask())` — the prefetched pipelines compute it
-    /// in 8-key blocks and feed it back here.
-    #[inline]
-    pub fn insert_at(&mut self, b: usize, key: Key, ts: Ts) {
-        debug_assert_eq!(b, bucket_of(key, self.mask));
+        let b = bucket_of(key, self.mask);
         let idx = self.entries.len() as i32;
         self.entries.push(Entry {
             key,
@@ -177,16 +80,8 @@ impl LocalTable {
 
     /// Call `f(ts)` for every stored entry with this key.
     #[inline]
-    pub fn probe(&self, key: Key, f: impl FnMut(Ts)) {
-        self.probe_at(bucket_of(key, self.mask), key, f);
-    }
-
-    /// Probe a precomputed bucket; same contract as
-    /// [`LocalTable::insert_at`].
-    #[inline]
-    pub fn probe_at(&self, b: usize, key: Key, mut f: impl FnMut(Ts)) {
-        debug_assert_eq!(b, bucket_of(key, self.mask));
-        let mut cur = self.heads[b];
+    pub fn probe(&self, key: Key, mut f: impl FnMut(Ts)) {
+        let mut cur = self.heads[bucket_of(key, self.mask)];
         while cur >= 0 {
             let e = &self.entries[cur as usize];
             if e.key == key {
@@ -335,6 +230,83 @@ impl SharedTable {
         self.len() == 0
     }
 
+    /// The power-of-two bucket mask, for batched bucket derivation
+    /// (`iawj_common::kernel::tuple_buckets_into`).
+    #[inline]
+    pub fn mask(&self) -> u64 {
+        self.mask
+    }
+
+    /// Hint-prefetch head bucket `b` — latch, count and inline tuples at
+    /// once (out-of-range is a no-op).
+    #[inline]
+    pub fn prefetch_bucket(&self, b: usize) {
+        if b < self.heads() {
+            prefetch_read(self.arena.get(b));
+        }
+    }
+
+    /// Insert into bucket `b`, which must equal `bucket_of(key, mask())`;
+    /// returns the latch spin-wait episodes the insert cost (0 off the
+    /// slow path, so the count is always on).
+    ///
+    /// As in the paper's code, an insert looks at the head and the first
+    /// overflow bucket only: when both are full a fresh bucket is linked in
+    /// *between* them, so every bucket further down a chain is full.
+    #[inline]
+    pub fn insert_at(&self, b: usize, key: Key, ts: Ts) -> u32 {
+        debug_assert_eq!(b, bucket_of(key, self.mask));
+        let head = self.head(b);
+        let (_held, waits) = head.latch.lock_waits();
+        // SAFETY: the chain's latch is held until `_held` drops, so this
+        // thread has exclusive access to every cell of the chain.
+        unsafe {
+            let mut dest = head;
+            if usize::from(*head.count.get()) == SLOTS {
+                let first = *head.next.get();
+                let spare = (first != 0)
+                    .then(|| self.bucket(first as usize))
+                    .filter(|over| usize::from(*over.count.get()) < SLOTS);
+                dest = spare.unwrap_or_else(|| {
+                    // Relaxed: the claim only hands out exclusive ids; the
+                    // fresh (zeroed) bucket is published by this link.
+                    let id = self.claimed.fetch_add(1, Ordering::Relaxed);
+                    let link = u32::try_from(id).expect("bucket ids exceed u32 chain links");
+                    let fresh = self.bucket(id);
+                    *fresh.next.get() = first;
+                    *head.next.get() = link;
+                    fresh
+                });
+            }
+            let (count, slots) = (&mut *dest.count.get(), &mut *dest.slots.get());
+            slots[usize::from(*count)] = Tuple::new(key, ts);
+            *count += 1;
+        }
+        waits
+    }
+
+    /// Call `f(ts)` for every entry of bucket `b` (same contract as
+    /// [`Self::insert_at`]) with this key; returns the latch spin-wait
+    /// episodes the probe cost.
+    #[inline]
+    pub fn probe_at(&self, b: usize, key: Key, mut f: impl FnMut(Ts)) -> u32 {
+        debug_assert_eq!(b, bucket_of(key, self.mask));
+        self.scan_chain(b, |tuples| {
+            for t in tuples {
+                if t.key == key {
+                    f(t.ts);
+                }
+            }
+        })
+    }
+
+    /// Approximate heap footprint: head plus claimed overflow buckets, one
+    /// line each, read off the id cursor — no latch, no walk, so a mid-run
+    /// sample costs the run nothing.
+    pub fn bytes(&self) -> usize {
+        self.claimed.load(Ordering::Relaxed) * BUCKET_BYTES
+    }
+
     #[inline]
     fn heads(&self) -> usize {
         self.mask as usize + 1
@@ -386,123 +358,14 @@ impl SharedTable {
     }
 }
 
-impl ConcurrentTable for SharedTable {
-    /// One per spin-wait episode on a bucket latch.
-    const CONTENTION_MARK: &'static str = MARK_LATCH_WAIT;
-
-    #[inline]
-    fn mask(&self) -> u64 {
-        self.mask
-    }
-
-    /// Prefetches head bucket `b`: latch, count and inline tuples at once.
-    #[inline]
-    fn prefetch_bucket(&self, b: usize) {
-        if b < self.heads() {
-            prefetch_read(self.arena.get(b));
-        }
-    }
-
-    /// As in the paper's code, an insert looks at the head and the first
-    /// overflow bucket only: when both are full a fresh bucket is linked in
-    /// *between* them, so every bucket further down a chain is full.
-    #[inline]
-    fn insert_at(&self, b: usize, key: Key, ts: Ts) -> u32 {
-        debug_assert_eq!(b, bucket_of(key, self.mask));
-        let head = self.head(b);
-        let (_held, waits) = head.latch.lock_waits();
-        // SAFETY: the chain's latch is held until `_held` drops, so this
-        // thread has exclusive access to every cell of the chain.
-        unsafe {
-            let mut dest = head;
-            if usize::from(*head.count.get()) == SLOTS {
-                let first = *head.next.get();
-                let spare = (first != 0)
-                    .then(|| self.bucket(first as usize))
-                    .filter(|over| usize::from(*over.count.get()) < SLOTS);
-                dest = spare.unwrap_or_else(|| {
-                    // Relaxed: the claim only hands out exclusive ids; the
-                    // fresh (zeroed) bucket is published by this link.
-                    let id = self.claimed.fetch_add(1, Ordering::Relaxed);
-                    let link = u32::try_from(id).expect("bucket ids exceed u32 chain links");
-                    let fresh = self.bucket(id);
-                    *fresh.next.get() = first;
-                    *head.next.get() = link;
-                    fresh
-                });
-            }
-            let (count, slots) = (&mut *dest.count.get(), &mut *dest.slots.get());
-            slots[usize::from(*count)] = Tuple::new(key, ts);
-            *count += 1;
-        }
-        waits
-    }
-
-    #[inline]
-    fn probe_at(&self, b: usize, key: Key, mut f: impl FnMut(Ts)) -> u32 {
-        debug_assert_eq!(b, bucket_of(key, self.mask));
-        self.scan_chain(b, |tuples| {
-            for t in tuples {
-                if t.key == key {
-                    f(t.ts);
-                }
-            }
-        })
-    }
-
-    /// Head plus claimed overflow buckets, one line each, read off the id
-    /// cursor: no latch, no walk, so a mid-run sample costs the run nothing.
-    fn bytes(&self) -> usize {
-        self.claimed.load(Ordering::Relaxed) * BUCKET_BYTES
-    }
-}
-
-/// Lock-free shared table for NPJ: CAS-chained bucket heads over a
-/// pre-sized append-only entry arena.
-///
-/// Build path: a thread claims an arena slot with one `fetch_add`, writes
-/// the entry (it has exclusive ownership of that slot forever), then
-/// publishes it by CAS-ing the bucket head from the observed chain head to
-/// the slot index. No latch anywhere; a failed CAS just re-links `next`
-/// and retries, and each failure is reported so the engine can journal it
-/// as a `cas:retry` instant — the lock-free twin of `latch:wait`.
-///
-/// Probe path: one `Acquire` load of the bucket head, then plain reads
-/// while walking the chain. The `Release` CAS that published the head
-/// synchronises with that load, and because every later head update is a
-/// read-modify-write on the same atomic, the release sequence headed by
-/// each entry's publishing CAS is preserved — so *every* entry reachable
-/// from an acquired head (not just the newest) is fully visible. Probing
-/// concurrently with building is sound (a probe just misses entries not
-/// yet published); the NPJ engine nevertheless separates the phases with a
-/// barrier, exactly as it does for the latched table.
-///
-/// The arena does not grow: `with_capacity(expected)` is an upper bound on
-/// inserts and overflowing it panics. NPJ sizes it to `|R|`, which is
-/// exact.
-pub struct LockFreeTable {
-    mask: u64,
-    heads: Vec<AtomicI32>,
-    slots: Box<[UnsafeCell<Entry>]>,
-    claimed: AtomicUsize,
-}
-
-// SAFETY: each arena slot is written by exactly one thread (the one whose
-// `fetch_add` claimed it) before being published via a Release CAS on the
-// bucket head, and is never written again; readers only reach a slot
-// through an Acquire head load that happens-after its publication. Bucket
-// heads are atomics. So no data race is possible on any shared word.
-unsafe impl Sync for LockFreeTable {}
-unsafe impl Send for LockFreeTable {}
-
 /// Allocate a `Vec<T>` of `len` zeroed elements without the constructing
 /// thread touching the pages: `alloc_zeroed` hands back lazily-mapped
 /// zero pages, so physical placement is deferred to the first writer
 /// (NUMA first-touch).
 ///
 /// # Safety
-/// The all-zero bit pattern must be a valid `T` (here: `AtomicI32`,
-/// `UnsafeCell<Entry>`, `Tuple` and `u64` — plain integers throughout).
+/// The all-zero bit pattern must be a valid `T` (here: `Tuple` and `u64`
+/// — plain integers throughout).
 pub(crate) unsafe fn alloc_zeroed_vec<T>(len: usize) -> Vec<T> {
     if len == 0 {
         return Vec::new();
@@ -517,194 +380,6 @@ pub(crate) unsafe fn alloc_zeroed_vec<T>(len: usize) -> Vec<T> {
             std::alloc::handle_alloc_error(layout);
         }
         Vec::from_raw_parts(ptr, len, len)
-    }
-}
-
-impl LockFreeTable {
-    /// Table with room for exactly `expected` entries (2× buckets, min 16).
-    pub fn with_capacity(expected: usize) -> Self {
-        let table = Self::with_capacity_untouched(expected);
-        // SAFETY: nothing else can reach the table yet; one caller covering
-        // the whole table is the single-threaded case of the contract.
-        unsafe { table.first_touch(0, 1) };
-        table
-    }
-
-    /// [`LockFreeTable::with_capacity`] with deferred (first-touch)
-    /// initialization: the backing memory comes from `alloc_zeroed`, so the
-    /// constructing thread never faults the pages in. Each build worker
-    /// must call [`LockFreeTable::first_touch`] for its share — which
-    /// writes the `-1` chain sentinels the zeroed heads still lack — and
-    /// the caller must barrier between the touch pass and the first
-    /// insert/probe. NPJ always builds into such a table: initialization
-    /// runs on all workers in parallel inside the timed build phase, and a
-    /// pinned worker's share lands on that worker's NUMA node.
-    pub fn with_capacity_untouched(expected: usize) -> Self {
-        let n = next_pow2_at_least(expected * 2, 16);
-        assert!(
-            expected <= i32::MAX as usize,
-            "LockFreeTable: {expected} entries exceed i32 chain indices"
-        );
-        // SAFETY: atomics and `Entry` are plain integers; zero is valid.
-        let (heads, slots) = unsafe {
-            (
-                alloc_zeroed_vec::<AtomicI32>(n),
-                alloc_zeroed_vec::<UnsafeCell<Entry>>(expected),
-            )
-        };
-        LockFreeTable {
-            mask: n as u64 - 1,
-            heads,
-            slots: slots.into_boxed_slice(),
-            claimed: AtomicUsize::new(0),
-        }
-    }
-
-    /// First-touch worker `tid`'s share (of `threads`) of an untouched
-    /// table: stores the `-1` chain sentinel over its chunk of bucket
-    /// heads and the default entry over its chunk of arena slots, faulting
-    /// those pages in on the calling thread (and so, when it is pinned,
-    /// onto its NUMA node). After every worker has touched its share (and
-    /// a barrier), the table is indistinguishable from an eagerly-built
-    /// one.
-    ///
-    /// # Safety
-    ///
-    /// Must run on a [`LockFreeTable::with_capacity_untouched`] table
-    /// before any insert or probe; at most one concurrent caller per
-    /// `tid` with a consistent `threads` (the chunks are disjoint only
-    /// then); and all touch calls must be ordered before the build phase
-    /// by a barrier. Skipping a `tid` leaves zeroed heads, which corrupt
-    /// chain walks.
-    pub unsafe fn first_touch(&self, tid: usize, threads: usize) {
-        for b in crate::pool::chunk_range(self.heads.len(), threads, tid) {
-            self.heads[b].store(-1, Ordering::Relaxed);
-        }
-        let blank = Entry {
-            key: 0,
-            ts: 0,
-            next: -1,
-        };
-        for i in crate::pool::chunk_range(self.slots.len(), threads, tid) {
-            // Volatile: the store must reach memory even though slot
-            // contents are never read before an insert overwrites them.
-            std::ptr::write_volatile(self.slots[i].get(), blank);
-        }
-    }
-
-    /// Insert from any thread; returns the number of failed bucket-head
-    /// CAS attempts (0 when no other thread raced on this bucket).
-    ///
-    /// Panics if the arena is exhausted — the caller promised at most
-    /// `expected` inserts.
-    #[inline]
-    pub fn insert(&self, key: Key, ts: Ts) -> u32 {
-        self.insert_at(bucket_of(key, self.mask), key, ts)
-    }
-
-    /// Call `f(ts)` for every stored entry with this key.
-    #[inline]
-    pub fn probe(&self, key: Key, f: impl FnMut(Ts)) {
-        self.probe_at(bucket_of(key, self.mask), key, f);
-    }
-
-    /// Number of entries stored.
-    pub fn len(&self) -> usize {
-        self.claimed.load(Ordering::Relaxed).min(self.slots.len())
-    }
-
-    /// True when no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of matches for a key (tests, sizing).
-    pub fn count(&self, key: Key) -> usize {
-        let mut n = 0;
-        self.probe(key, |_| n += 1);
-        n
-    }
-}
-
-impl ConcurrentTable for LockFreeTable {
-    /// One per failed bucket-head publish CAS — the lock-free twin of
-    /// `latch:wait`.
-    const CONTENTION_MARK: &'static str = MARK_CAS_RETRY;
-
-    #[inline]
-    fn mask(&self) -> u64 {
-        self.mask
-    }
-
-    /// Prefetches the atomic head of bucket `b` — ahead of both the
-    /// build's CAS loop (which starts with a head load) and the probe's
-    /// acquire load.
-    #[inline]
-    fn prefetch_bucket(&self, b: usize) {
-        if let Some(h) = self.heads.get(b) {
-            prefetch_read(h);
-        }
-    }
-
-    #[inline]
-    fn insert_at(&self, b: usize, key: Key, ts: Ts) -> u32 {
-        debug_assert_eq!(b, bucket_of(key, self.mask));
-        // Claim an arena slot. Relaxed suffices: the claim only hands out
-        // exclusive indices; publication ordering comes from the CAS below.
-        let idx = self.claimed.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            idx < self.slots.len(),
-            "LockFreeTable arena exhausted: capacity {}",
-            self.slots.len()
-        );
-        let head = &self.heads[b];
-        let mut cur = head.load(Ordering::Relaxed);
-        let mut retries = 0u32;
-        loop {
-            // SAFETY: `idx` was claimed exclusively by this thread's
-            // fetch_add and is unpublished, so no other thread can read or
-            // write this slot yet.
-            unsafe {
-                *self.slots[idx].get() = Entry { key, ts, next: cur };
-            }
-            // Release: the slot write above must be visible before the
-            // head points at it.
-            match head.compare_exchange_weak(cur, idx as i32, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => return retries,
-                Err(observed) => {
-                    // Another thread published into this bucket (or the
-                    // weak CAS failed spuriously); re-link and retry.
-                    retries = retries.saturating_add(1);
-                    cur = observed;
-                }
-            }
-        }
-    }
-
-    /// Always 0: the probe path takes no latch and never CASes.
-    #[inline]
-    fn probe_at(&self, b: usize, key: Key, mut f: impl FnMut(Ts)) -> u32 {
-        debug_assert_eq!(b, bucket_of(key, self.mask));
-        // Acquire pairs with the publishing Release CAS; the release
-        // sequence through later head RMWs makes the whole chain visible.
-        let mut cur = self.heads[b].load(Ordering::Acquire);
-        while cur >= 0 {
-            // SAFETY: `cur` was reachable from an acquired head, so the
-            // slot was fully written before publication and is immutable
-            // since.
-            let e = unsafe { &*self.slots[cur as usize].get() };
-            if e.key == key {
-                f(e.ts);
-            }
-            cur = e.next;
-        }
-        0
-    }
-
-    fn bytes(&self) -> usize {
-        self.heads.len() * std::mem::size_of::<AtomicI32>()
-            + self.slots.len() * std::mem::size_of::<UnsafeCell<Entry>>()
     }
 }
 
@@ -907,205 +582,33 @@ mod tests {
     }
 
     #[test]
-    fn lockfree_concurrent_build_then_probe() {
-        let table = LockFreeTable::with_capacity(4000);
-        run_workers(4, |tid| {
-            for i in 0..1000u32 {
-                table.insert(i % 256, tid as u32 * 10_000 + i);
-            }
-        });
-        assert_eq!(table.len(), 4000);
-        for k in [0u32, 100, 255] {
-            let expect = (0..1000u32).filter(|i| i % 256 == k).count() * 4;
-            assert_eq!(table.count(k), expect, "key {k}");
-        }
-    }
-
-    #[test]
-    fn lockfree_contended_single_bucket_loses_nothing() {
-        // All threads hammer one key: every insert must survive the CAS
-        // races and stay reachable from the single bucket chain.
-        let table = LockFreeTable::with_capacity(4000);
-        run_workers(8, |_| {
-            for i in 0..500 {
-                table.insert(42, i);
-            }
-        });
-        assert_eq!(table.count(42), 4000);
-    }
-
-    #[test]
-    fn lockfree_preserves_payloads_exactly() {
-        // Distinct timestamps per thread; the union over the chain must be
-        // the exact multiset inserted.
-        let table = LockFreeTable::with_capacity(800);
-        run_workers(4, |tid| {
-            for i in 0..200u32 {
-                table.insert(7, tid as u32 * 1000 + i);
-            }
-        });
-        let mut seen = Vec::new();
-        table.probe(7, |ts| seen.push(ts));
-        seen.sort_unstable();
-        let mut want: Vec<u32> = (0..4u32)
-            .flat_map(|t| (0..200).map(move |i| t * 1000 + i))
-            .collect();
-        want.sort_unstable();
-        assert_eq!(seen, want);
-    }
-
-    #[test]
-    fn lockfree_single_thread_counts_zero_retries() {
-        let table = LockFreeTable::with_capacity(100);
-        for i in 0..100 {
-            assert_eq!(table.insert(i % 8, i), 0, "insert {i}");
-        }
-        assert_eq!(table.count(3), 13);
-    }
-
-    #[test]
-    fn lockfree_probe_missing_key() {
-        let table = LockFreeTable::with_capacity(16);
-        table.insert(1, 1);
-        assert_eq!(table.count(2), 0);
-        assert!(!table.is_empty());
-        assert!(table.bytes() > 0);
-    }
-
-    #[test]
-    fn lockfree_empty_table() {
-        let table = LockFreeTable::with_capacity(0);
-        assert!(table.is_empty());
-        assert_eq!(table.count(1), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "arena exhausted")]
-    fn lockfree_overflow_panics() {
-        let table = LockFreeTable::with_capacity(2);
-        table.insert(1, 1);
-        table.insert(2, 2);
-        table.insert(3, 3);
-    }
-
-    #[test]
     fn precomputed_bucket_apis_match_plain_paths() {
-        // Every `_at` variant fed `bucket_of(key, mask)` (with a prefetch
-        // ahead, as the pipelines issue them) must behave exactly like the
-        // key-only path.
+        // The `_at` surface fed `bucket_of(key, mask)` (with a prefetch
+        // ahead, as NPJ's pipeline issues them) must behave exactly like
+        // the key-only path and like a single-owner table.
         let keys: Vec<Key> = (0..500u32).map(|i| i % 97).collect();
-
         let mut local = LocalTable::with_capacity(keys.len());
-        for (i, &k) in keys.iter().enumerate() {
-            let b = bucket_of(k, local.mask());
-            local.prefetch_bucket(b);
-            local.insert_at(b, k, i as Ts);
-        }
         let shared = SharedTable::with_capacity(keys.len());
-        let lockfree = LockFreeTable::with_capacity(keys.len());
         for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(shared.insert_at(bucket_of(k, shared.mask()), k, i as Ts), 0);
-            lockfree.prefetch_bucket(bucket_of(k, lockfree.mask()));
-            assert_eq!(
-                lockfree.insert_at(bucket_of(k, lockfree.mask()), k, i as Ts),
-                0
-            );
+            local.insert(k, i as Ts);
+            let b = bucket_of(k, shared.mask());
+            shared.prefetch_bucket(b);
+            assert_eq!(shared.insert_at(b, k, i as Ts), 0);
         }
         for k in 0..97u32 {
-            let mut via_key = Vec::new();
-            local.probe(k, |ts| via_key.push(ts));
-            let mut via_bucket = Vec::new();
-            let b = bucket_of(k, local.mask());
-            local.prefetch_bucket(b);
-            local.probe_at(b, k, |ts| via_bucket.push(ts));
-            assert_eq!(via_key, via_bucket, "LocalTable key {k}");
-
-            let collect = |f: &dyn Fn(&mut Vec<Ts>)| {
-                let mut v = Vec::new();
-                f(&mut v);
-                v.sort_unstable();
-                v
-            };
-            let s1 = collect(&|v| shared.probe(k, |ts| v.push(ts)));
-            let s2 = collect(&|v| {
-                shared.probe_at(bucket_of(k, shared.mask()), k, |ts| v.push(ts));
-            });
-            assert_eq!(s1, s2, "SharedTable key {k}");
-            let l1 = collect(&|v| lockfree.probe(k, |ts| v.push(ts)));
-            let l2 = collect(&|v| {
-                lockfree.probe_at(bucket_of(k, lockfree.mask()), k, |ts| v.push(ts));
-            });
-            assert_eq!(l1, l2, "LockFreeTable key {k}");
-            assert_eq!(s1, l1, "tables disagree on key {k}");
+            let mut expect = Vec::new();
+            local.probe(k, |ts| expect.push(ts));
+            let mut s1 = Vec::new();
+            shared.probe(k, |ts| s1.push(ts));
+            let mut s2 = Vec::new();
+            shared.probe_at(bucket_of(k, shared.mask()), k, |ts| s2.push(ts));
+            expect.sort_unstable();
+            s1.sort_unstable();
+            s2.sort_unstable();
+            assert_eq!(s1, expect, "key {k}");
+            assert_eq!(s2, expect, "key {k}");
         }
         // Out-of-range prefetches are harmless no-ops.
-        local.prefetch_bucket(usize::MAX);
         shared.prefetch_bucket(usize::MAX);
-        lockfree.prefetch_bucket(usize::MAX);
-    }
-
-    /// A first-touched table must be observationally identical to an
-    /// eagerly-initialised one: same retry counts, same probe results.
-    #[test]
-    fn untouched_first_touch_matches_eager() {
-        let eager = LockFreeTable::with_capacity(100);
-        let lazy = LockFreeTable::with_capacity_untouched(100);
-        assert_eq!(eager.mask(), lazy.mask());
-        for tid in 0..4 {
-            // SAFETY: single-threaded, sequential tids, before any insert.
-            unsafe { lazy.first_touch(tid, 4) };
-        }
-        for i in 0..100u32 {
-            assert_eq!(eager.insert(i % 13, i), lazy.insert(i % 13, i));
-        }
-        for k in 0..13u32 {
-            let mut a = Vec::new();
-            eager.probe(k, |ts| a.push(ts));
-            let mut b = Vec::new();
-            lazy.probe(k, |ts| b.push(ts));
-            assert_eq!(a, b, "key {k}");
-        }
-        // Zero-capacity edge: nothing to touch, still a usable empty table.
-        let empty = LockFreeTable::with_capacity_untouched(0);
-        // SAFETY: as above.
-        unsafe { empty.first_touch(0, 1) };
-        assert!(empty.is_empty());
-        assert_eq!(empty.count(1), 0);
-    }
-
-    #[test]
-    fn untouched_concurrent_touch_then_build() {
-        // The NPJ wiring: every worker touches its share, a barrier closes
-        // the touch epoch, then the normal concurrent build runs.
-        let table = LockFreeTable::with_capacity_untouched(4000);
-        let gate = crate::pool::barrier(4);
-        run_workers(4, |tid| {
-            // SAFETY: one caller per tid, consistent threads, barriered
-            // before the first insert.
-            unsafe { table.first_touch(tid, 4) };
-            gate.wait();
-            for i in 0..1000u32 {
-                table.insert(i % 256, tid as u32 * 10_000 + i);
-            }
-        });
-        assert_eq!(table.len(), 4000);
-        for k in [0u32, 100, 255] {
-            let expect = (0..1000u32).filter(|i| i % 256 == k).count() * 4;
-            assert_eq!(table.count(k), expect, "key {k}");
-        }
-    }
-
-    #[test]
-    fn npj_table_parse_and_display() {
-        assert_eq!("latch".parse::<NpjTable>().unwrap(), NpjTable::Latch);
-        assert_eq!("lockfree".parse::<NpjTable>().unwrap(), NpjTable::LockFree);
-        assert_eq!("LOCKFREE".parse::<NpjTable>().unwrap(), NpjTable::LockFree);
-        assert!("mutex".parse::<NpjTable>().is_err());
-        assert_eq!(NpjTable::Latch.to_string(), "latch");
-        assert_eq!(NpjTable::LockFree.to_string(), "lockfree");
-        assert_eq!(NpjTable::default(), NpjTable::Latch);
-        for mode in NpjTable::ALL {
-            assert_eq!(mode.to_string().parse::<NpjTable>().unwrap(), mode);
-        }
     }
 }

@@ -25,9 +25,8 @@
 //! - [`merge`] — k-way (MWay) and successive pairwise (MPass) merging.
 //! - [`mergejoin`] — the duplicate-aware sorted-merge join kernel, plus the
 //!   run-provenance variant PMJ's merge phase needs.
-//! - [`hashtable`] — NPJ's shared tables (per-bucket latched and
-//!   lock-free CAS-chained) and the thread-local chained table used by PRJ
-//!   and SHJ.
+//! - [`hashtable`] — NPJ's per-bucket latched shared table and the
+//!   thread-local chained table used by PRJ and SHJ.
 //! - [`swwc`] — software write-combining scatter buffers and the cachesim
 //!   A/B harness validating their miss reduction (Fig. 18 / Table 5).
 //! - [`window_index`] — the evictable hash index over resident window
@@ -48,9 +47,9 @@ pub mod topology;
 pub mod window_index;
 
 pub use executor::Executor;
-pub use hashtable::{ConcurrentTable, LocalTable, LockFreeTable, NpjTable, SharedTable};
+pub use hashtable::{LocalTable, SharedTable};
 pub use latch::Latch;
-pub use morsel::{for_each_morsel, MorselQueue, MorselStats, Scheduler, DEFAULT_MORSEL};
+pub use morsel::{for_each_morsel, MorselQueue, Scheduler, DEFAULT_MORSEL};
 pub use pool::run_workers;
 pub use sort::SortBackend;
 pub use swwc::{ScatterMode, SwwcBuffers, SWWC_TUPLES_PER_LINE};

@@ -152,42 +152,22 @@ impl MorselQueue {
     }
 }
 
-/// Counters returned by [`for_each_morsel`] for one worker.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MorselStats {
-    /// Morsels this worker processed (own and stolen).
-    pub claims: u64,
-    /// Steal operations: claims taken from another worker's deque. One
-    /// steal may cover several morsels; each still counts in `claims`.
-    pub steals: u64,
-}
-
-impl MorselStats {
-    /// Fold another worker's counters into this one.
-    pub fn merge(&mut self, other: MorselStats) {
-        self.claims += other.claims;
-        self.steals += other.steals;
-    }
-}
-
 /// Drive worker `tid` over `q`: drain the worker's own deque morsel by
 /// morsel, then steal half of the largest victim's remaining morsels at a
 /// time until every deque is empty. `f` receives each claimed range (at
 /// most `q.morsel()` long) plus whether it was stolen. Ranges from one
 /// worker's own deque arrive in ascending order; with `workers == 1` the
 /// whole of `0..len` is visited in order, matching the static scheduler.
-pub fn for_each_morsel<F>(q: &MorselQueue, tid: usize, mut f: F) -> MorselStats
+pub fn for_each_morsel<F>(q: &MorselQueue, tid: usize, mut f: F)
 where
     F: FnMut(Range<usize>, bool),
 {
-    let mut stats = MorselStats::default();
     let m = q.morsel;
     while let Some(r) = q.deques[tid].claim(m) {
-        stats.claims += 1;
         f(r, false);
     }
     if q.deques.len() == 1 {
-        return stats;
+        return;
     }
     // Pick the victim with the most unclaimed work, until all are drained.
     while let Some((_, victim)) = q
@@ -206,16 +186,13 @@ where
         let Some(r) = victim.claim(take) else {
             continue; // lost the race; rescan for a victim
         };
-        stats.steals += 1;
         let mut lo = r.start;
         while lo < r.end {
             let hi = (lo + m).min(r.end);
-            stats.claims += 1;
             f(lo..hi, true);
             lo = hi;
         }
     }
-    stats
 }
 
 #[cfg(test)]
@@ -238,14 +215,15 @@ mod tests {
     fn single_worker_visits_in_order() {
         let q = MorselQueue::new(1000, 1, 64);
         let mut seen = Vec::new();
-        let stats = for_each_morsel(&q, 0, |r, stolen| {
+        let mut claims = 0;
+        for_each_morsel(&q, 0, |r, stolen| {
             assert!(!stolen, "nobody to steal from");
             assert!(r.len() <= 64);
+            claims += 1;
             seen.extend(r);
         });
         assert_eq!(seen, (0..1000).collect::<Vec<_>>());
-        assert_eq!(stats.steals, 0);
-        assert_eq!(stats.claims, 16); // ceil(1000/64)
+        assert_eq!(claims, 16); // ceil(1000/64)
         assert_eq!(q.remaining(), 0);
     }
 
@@ -254,8 +232,7 @@ mod tests {
         let q = MorselQueue::new(0, 4, 8);
         assert!(q.is_empty());
         for tid in 0..4 {
-            let stats = for_each_morsel(&q, tid, |_, _| panic!("no work exists"));
-            assert_eq!(stats, MorselStats::default());
+            for_each_morsel(&q, tid, |_, _| panic!("no work exists"));
         }
     }
 
@@ -263,17 +240,18 @@ mod tests {
     fn lone_runner_steals_everything() {
         // Only worker 0 shows up; it must drain all four deques.
         let q = MorselQueue::new(997, 4, 10);
-        let mut seen = vec![false; 997];
-        let mut stolen_any = false;
-        let stats = for_each_morsel(&q, 0, |r, stolen| {
-            stolen_any |= stolen;
+        let mut seen = vec![None; 997];
+        for_each_morsel(&q, 0, |r, stolen| {
             for i in r {
-                assert!(!seen[i], "index {i} claimed twice");
-                seen[i] = true;
+                assert!(seen[i].is_none(), "index {i} claimed twice");
+                seen[i] = Some(stolen);
             }
         });
-        assert!(seen.iter().all(|&b| b), "every index claimed");
-        assert!(stolen_any && stats.steals >= 3, "must steal from 3 victims");
+        // Its own chunk is claimed, every other worker's chunk stolen.
+        for (i, s) in seen.iter().enumerate() {
+            let own = chunk_range(997, 4, 0).contains(&i);
+            assert_eq!(*s, Some(!own), "index {i}");
+        }
         assert_eq!(q.remaining(), 0);
     }
 

@@ -13,8 +13,7 @@ use crate::executor::Executor;
 use crate::morsel::{for_each_morsel, MorselQueue};
 use crate::pool::chunk_range;
 use crate::swwc::{ScatterMode, SwwcBuffers};
-use iawj_common::kernel::{partition_batch8, HASH_BLOCK};
-use iawj_common::{KernelBackend, Key, Tuple};
+use iawj_common::{Key, Tuple};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -31,45 +30,21 @@ pub fn partition_of(key: Key, shift: u32, bits: u32) -> usize {
 }
 
 /// The one derivation loop: call `f(tuple, partition)` for every tuple in
-/// input order. Under [`KernelBackend::Simd`] partition indices come 8 keys
-/// at a time from the batched shift-and-mask kernel; the derivation is pure
-/// bit arithmetic either way, so every consumer is bitwise-identical across
-/// backends.
+/// input order, one key at a time. An 8-wide AVX2 shift-and-mask made
+/// PRJ's partition phase 1.7× slower (284.5 vs 166.8 ms at 4M × 4M,
+/// DESIGN.md §5): gathering keys into a block and widening the lanes back
+/// costs more than the per-tuple shift and mask it replaces.
 #[inline(always)]
-fn for_each_partition(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    kernel: KernelBackend,
-    mut f: impl FnMut(&Tuple, usize),
-) {
-    if kernel.is_simd() {
-        let mask32 = (fanout(bits) - 1) as u32;
-        let mut chunks = tuples.chunks_exact(HASH_BLOCK);
-        let mut keys = [0 as Key; HASH_BLOCK];
-        for block in &mut chunks {
-            for (k, t) in keys.iter_mut().zip(block) {
-                *k = t.key;
-            }
-            let parts = partition_batch8(kernel, &keys, shift, mask32);
-            for (t, &p) in block.iter().zip(parts.iter()) {
-                f(t, p);
-            }
-        }
-        for t in chunks.remainder() {
-            f(t, partition_of(t.key, shift, bits));
-        }
-    } else {
-        for t in tuples {
-            f(t, partition_of(t.key, shift, bits));
-        }
+fn for_each_partition(tuples: &[Tuple], shift: u32, bits: u32, mut f: impl FnMut(&Tuple, usize)) {
+    for t in tuples {
+        f(t, partition_of(t.key, shift, bits));
     }
 }
 
 /// Per-partition counts of a tuple slice.
-pub fn histogram(tuples: &[Tuple], shift: u32, bits: u32, kernel: KernelBackend) -> Vec<u32> {
+pub fn histogram(tuples: &[Tuple], shift: u32, bits: u32) -> Vec<u32> {
     let mut hist = vec![0u32; fanout(bits)];
-    for_each_partition(tuples, shift, bits, kernel, |_, p| hist[p] += 1);
+    for_each_partition(tuples, shift, bits, |_, p| hist[p] += 1);
     hist
 }
 
@@ -98,13 +73,8 @@ impl Partitioned {
 
 /// Sequential single-pass partitioning — the reference every parallel
 /// layout is bitwise-compared against, and PRJ's thread-local second pass.
-pub fn partition_seq(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    kernel: KernelBackend,
-) -> Partitioned {
-    let hist = histogram(tuples, shift, bits, kernel);
+pub fn partition_seq(tuples: &[Tuple], shift: u32, bits: u32) -> Partitioned {
+    let hist = histogram(tuples, shift, bits);
     let mut bounds = Vec::with_capacity(hist.len() + 1);
     let mut acc = 0usize;
     bounds.push(0);
@@ -114,7 +84,7 @@ pub fn partition_seq(
     }
     let mut cursor: Vec<usize> = bounds[..hist.len()].to_vec();
     let mut data = vec![Tuple::default(); tuples.len()];
-    for_each_partition(tuples, shift, bits, kernel, |t, p| {
+    for_each_partition(tuples, shift, bits, |t, p| {
         data[cursor[p]] = *t;
         cursor[p] += 1;
     });
@@ -298,8 +268,8 @@ impl ScatterPlan {
     /// when it carries buffers — tuples are staged in a cache-line-sized
     /// buffer per partition and flushed a whole line at a time, so each
     /// partition costs one TLB entry per flush instead of one per tuple.
-    /// The buffers delay writes, never reorder them, so both modes (and
-    /// both kernels) produce identical output. `staging` must cover this
+    /// The buffers delay writes, never reorder them, so both modes produce
+    /// identical output. `staging` must cover this
     /// plan's fan-out and arrive empty; the trailing drain leaves it empty
     /// again, so one allocation serves every slot a worker scatters.
     ///
@@ -315,13 +285,12 @@ impl ScatterPlan {
         chunk: &[Tuple],
         slot: usize,
         out: &SharedOut,
-        kernel: KernelBackend,
         staging: Option<&mut SwwcBuffers>,
     ) {
         let f = fanout(self.bits);
         let mut cursor = self.starts[slot * f..(slot + 1) * f].to_vec();
         match staging {
-            None => for_each_partition(chunk, self.shift, self.bits, kernel, |t, p| {
+            None => for_each_partition(chunk, self.shift, self.bits, |t, p| {
                 // SAFETY: `cursor[p]` stays inside this (slot, p) range
                 // per the function contract.
                 unsafe { out.write(cursor[p], *t) };
@@ -329,7 +298,7 @@ impl ScatterPlan {
             }),
             Some(bufs) => {
                 assert_eq!(bufs.fanout(), f, "buffers sized for another plan");
-                for_each_partition(chunk, self.shift, self.bits, kernel, |t, p| {
+                for_each_partition(chunk, self.shift, self.bits, |t, p| {
                     // SAFETY: the staged line flushes into
                     // cursor[p]..cursor[p]+LINE, inside this (slot, p) range.
                     unsafe { bufs.stage(p, *t, &mut cursor, out) };
@@ -362,8 +331,6 @@ pub struct PassKnobs {
     pub layout: SlotLayout,
     /// Scatter path: direct stores or write-combining buffers.
     pub scatter: ScatterMode,
-    /// Partition-index derivation kernel.
-    pub kernel: KernelBackend,
     /// Allocate the output arena untouched and have each worker pre-fault
     /// exactly the ranges it scatters (NUMA first-touch; only useful when
     /// the workers are pinned). Page placement only, never an output change.
@@ -457,12 +424,7 @@ impl<'a> PartitionPass<'a> {
     /// Step 1 (every worker): count this worker's slots.
     pub fn histogram_step(&self, tid: usize, on_claim: impl FnMut(bool)) {
         self.for_each_slot(0, tid, on_claim, |g| {
-            let hist = histogram(
-                &self.input[self.slot_range(g)],
-                self.shift,
-                self.bits,
-                self.knobs.kernel,
-            );
+            let hist = histogram(&self.input[self.slot_range(g)], self.shift, self.bits);
             assert!(self.hists[g].set(hist).is_ok(), "slot {g} counted twice");
         });
     }
@@ -518,13 +480,7 @@ impl<'a> PartitionPass<'a> {
                 if self.knobs.first_touch {
                     plan.touch(g, out);
                 }
-                plan.scatter(
-                    &self.input[self.slot_range(g)],
-                    g,
-                    out,
-                    self.knobs.kernel,
-                    bufs.as_mut(),
-                );
+                plan.scatter(&self.input[self.slot_range(g)], g, out, bufs.as_mut());
             }
         });
         bufs.map_or(0, |b| b.drains())
@@ -568,7 +524,7 @@ impl<'a> PartitionPass<'a> {
 }
 
 /// Parallel single-pass partitioning on an [`Executor`] with the default
-/// [`PassKnobs`] (per-thread slots, direct scatter, default kernel): the
+/// [`PassKnobs`] (per-thread slots, direct scatter): the
 /// same [`PartitionPass`] PRJ runs. When the executor pins its workers the
 /// output arena is allocated untouched and each lane first-touches exactly
 /// its own scatter ranges. Output is bitwise-identical to [`partition_seq`].
@@ -594,8 +550,6 @@ mod tests {
     use crate::topology::PinPolicy;
     use iawj_common::Rng;
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    const SCALAR: KernelBackend = KernelBackend::Scalar;
 
     fn random_tuples(n: usize, key_space: u32, seed: u64) -> Vec<Tuple> {
         let mut rng = Rng::new(seed);
@@ -635,21 +589,21 @@ mod tests {
     #[test]
     fn sequential_partition_correct() {
         let input = random_tuples(1000, 512, 1);
-        let p = partition_seq(&input, 0, 4, SCALAR);
+        let p = partition_seq(&input, 0, 4);
         check_partitioned(&p, &input, 0, 4);
         assert_eq!(p.fanout(), 16);
         // A shifted pass uses the higher bits.
-        check_partitioned(&partition_seq(&input, 4, 4, SCALAR), &input, 4, 4);
+        check_partitioned(&partition_seq(&input, 4, 4), &input, 4, 4);
     }
 
     /// The knob product at one size: every slot layout × scatter mode ×
-    /// kernel × worker count is bitwise-identical to the sequential
+    /// worker count is bitwise-identical to the sequential
     /// partitioner — bounds, data, and within-partition input order (slots
     /// are contiguous ascending slices and offsets are slot-major).
     #[test]
     fn every_knob_combination_matches_sequential() {
         let input = random_tuples(6000, 1 << 14, 2);
-        let seq = partition_seq(&input, 0, 6, SCALAR);
+        let seq = partition_seq(&input, 0, 6);
         check_partitioned(&seq, &input, 0, 6);
         let layouts = [
             SlotLayout::PerThread,
@@ -661,17 +615,14 @@ mod tests {
             let exec = Executor::new(PinPolicy::None, threads);
             for layout in layouts {
                 for scatter in ScatterMode::ALL {
-                    for kernel in KernelBackend::ALL {
-                        let knobs = PassKnobs {
-                            layout,
-                            scatter,
-                            kernel,
-                            first_touch: false,
-                        };
-                        let got = PartitionPass::new(&input, 0, 6, threads, knobs).run(&exec);
-                        assert_eq!(seq.bounds, got.bounds, "{knobs:?} threads={threads}");
-                        assert_eq!(seq.data, got.data, "{knobs:?} threads={threads}");
-                    }
+                    let knobs = PassKnobs {
+                        layout,
+                        scatter,
+                        first_touch: false,
+                    };
+                    let got = PartitionPass::new(&input, 0, 6, threads, knobs).run(&exec);
+                    assert_eq!(seq.bounds, got.bounds, "{knobs:?} threads={threads}");
+                    assert_eq!(seq.data, got.data, "{knobs:?} threads={threads}");
                 }
             }
         }
@@ -692,7 +643,7 @@ mod tests {
                 ..PassKnobs::default()
             };
             let got = PartitionPass::new(&input, 0, 5, 4, knobs).run(&exec);
-            assert_eq!(got.data, partition_seq(&input, 0, 5, SCALAR).data, "n={n}");
+            assert_eq!(got.data, partition_seq(&input, 0, 5).data, "n={n}");
             check_partitioned(
                 &partition_parallel_exec(&input, 0, 5, 4, &exec),
                 &input,
@@ -705,7 +656,7 @@ mod tests {
     #[test]
     fn skewed_keys_pile_into_one_partition() {
         let input: Vec<Tuple> = (0..100).map(|i| Tuple::new(64, i)).collect();
-        let p = partition_seq(&input, 0, 4, SCALAR);
+        let p = partition_seq(&input, 0, 4);
         // key 64 -> low 4 bits are 0.
         assert_eq!(p.partition(0).len(), 100);
         for q in 1..16 {
@@ -729,7 +680,7 @@ mod tests {
                 scatter: ScatterMode::Swwc,
                 ..PassKnobs::default()
             };
-            let plain = partition_seq(&input, 0, 2, SCALAR);
+            let plain = partition_seq(&input, 0, 2);
             assert_eq!(
                 pass(&input, 0, 2, 1, knobs).data,
                 plain.data,
@@ -740,40 +691,18 @@ mod tests {
         // residue: drive two slots back-to-back through the same buffers.
         let input = random_tuples(1000, 64, 13);
         let (a, b) = input.split_at(437); // splits mid-line for most partitions
-        let hists = [histogram(a, 0, 4, SCALAR), histogram(b, 0, 4, SCALAR)];
+        let hists = [histogram(a, 0, 4), histogram(b, 0, 4)];
         let plan = ScatterPlan::from_histograms(&[&hists[0], &hists[1]], 0, 4);
         let out = SharedOut::new(input.len());
         let mut bufs = SwwcBuffers::for_bits(4);
         // SAFETY: single-threaded; each slice is the one its slot counted.
         unsafe {
-            plan.scatter(a, 0, &out, SCALAR, Some(&mut bufs));
-            plan.scatter(b, 1, &out, SCALAR, Some(&mut bufs));
+            plan.scatter(a, 0, &out, Some(&mut bufs));
+            plan.scatter(b, 1, &out, Some(&mut bufs));
         }
         assert!(bufs.line_flushes() > 0, "full lines must have flushed");
         assert_eq!(bufs.drains(), 2, "one drain per slot");
-        assert_eq!(out.into_vec(), partition_seq(&input, 0, 4, SCALAR).data);
-    }
-
-    /// The Simd derivation kernel is pure bit math: histograms and the
-    /// sequential partitioner must be bitwise-identical to the scalar loops
-    /// across block-boundary sizes (the scatter paths share the same
-    /// derivation loop and are covered by the knob-product test).
-    #[test]
-    fn simd_derivation_is_bitwise_identical() {
-        for n in [0usize, 1, 7, 8, 9, 16, 17, 1000, 4097] {
-            let input = random_tuples(n, 1 << 12, n as u64 + 3);
-            for (shift, bits) in [(0u32, 6u32), (4, 4), (6, 8)] {
-                assert_eq!(
-                    histogram(&input, shift, bits, SCALAR),
-                    histogram(&input, shift, bits, KernelBackend::Simd),
-                    "n={n} shift={shift} bits={bits}"
-                );
-                let scalar = partition_seq(&input, shift, bits, SCALAR);
-                let simd = partition_seq(&input, shift, bits, KernelBackend::Simd);
-                assert_eq!(scalar.bounds, simd.bounds);
-                assert_eq!(scalar.data, simd.data);
-            }
-        }
+        assert_eq!(out.into_vec(), partition_seq(&input, 0, 4).data);
     }
 
     /// Pinning (and with it the first-touch arena) is a pure placement
@@ -782,7 +711,7 @@ mod tests {
     fn pinned_executors_are_bitwise_identical() {
         let input = random_tuples(20_000, 1 << 14, 2);
         let threads = 4;
-        let base = partition_seq(&input, 0, 6, SCALAR);
+        let base = partition_seq(&input, 0, 6);
         for pin in [PinPolicy::None, PinPolicy::Compact, PinPolicy::Scatter] {
             let exec = Executor::new(pin, threads);
             let par = partition_parallel_exec(&input, 0, 6, threads, &exec);
@@ -808,7 +737,7 @@ mod tests {
         assert_eq!(eager.into_vec(), lazy.into_vec());
 
         let input = random_tuples(4096, 1 << 10, 77);
-        let expect = partition_seq(&input, 0, 6, SCALAR).data;
+        let expect = partition_seq(&input, 0, 6).data;
         for layout in [SlotLayout::PerThread, SlotLayout::Grid(300)] {
             let knobs = PassKnobs {
                 layout,
@@ -858,7 +787,7 @@ mod tests {
                     0
                 };
                 assert_eq!(drains.into_inner(), expect_drains, "{knobs:?}");
-                assert_eq!(pass.finish().data, partition_seq(&input, 0, 6, SCALAR).data);
+                assert_eq!(pass.finish().data, partition_seq(&input, 0, 6).data);
             }
         }
     }
@@ -866,7 +795,7 @@ mod tests {
     #[test]
     fn histogram_counts() {
         let input = vec![Tuple::new(0, 0), Tuple::new(1, 0), Tuple::new(17, 0)];
-        let h = histogram(&input, 0, 4, SCALAR);
+        let h = histogram(&input, 0, 4);
         assert_eq!(h[0], 1);
         assert_eq!(h[1], 2, "keys 1 and 17 share low nibble 1");
     }

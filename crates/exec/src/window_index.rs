@@ -294,16 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_local_table_on_shared_hash() {
-        // Same bucket derivation as every other table: the batched kernel's
-        // bucket indices are valid for WindowIndex too.
-        use crate::LocalTable;
-        let lt = LocalTable::with_capacity(100);
-        let ix = WindowIndex::with_capacity(100);
-        assert_eq!(lt.mask(), ix.mask());
-    }
-
-    #[test]
     fn batched_surface_agrees_with_scalar() {
         use iawj_common::kernel::tuple_buckets_into;
         use iawj_common::{KernelBackend, Tuple};

@@ -178,9 +178,9 @@ proptest! {
                 .enumerate()
                 .map(|(i, &k)| Tuple::new(k % 257, i as u32))
                 .collect();
-            let mut table = LocalTable::with_capacity(n.max(8));
-            // Prefetched batched build: derive buckets, prefetch ahead,
-            // insert through the *_at split APIs.
+            // NPJ's pipeline: batched bucket derivation, prefetch ahead,
+            // insert and probe through the `_at` split APIs.
+            let table = SharedTable::with_capacity(n.max(8));
             let mut buckets = Vec::new();
             tuple_buckets_into(KernelBackend::Simd, &tuples, table.mask(), &mut buckets);
             for (i, t) in tuples.iter().enumerate() {
@@ -189,7 +189,7 @@ proptest! {
                 }
                 table.insert_at(buckets[i], t.key, t.ts);
             }
-            // Reference: plain per-tuple build.
+            // Reference: plain per-tuple build of a single-owner table.
             let mut plain = LocalTable::with_capacity(n.max(8));
             for t in &tuples {
                 plain.insert(t.key, t.ts);

@@ -21,13 +21,11 @@
 //!   `exec_variants_are_bitwise_identical_to_spawn` — per-thread slots ×
 //!   {direct, swwc} on a pooled executor at sizes on both sides of every
 //!   block, line and dispatch threshold (0, 1, 7, 1023, 1024, 4097);
-//! - `simd_derivation_is_bitwise_identical` (scatter half) — kernel = simd
-//!   against the scalar reference in every cell;
 //! - `two_pass_partition_preserves_multiset` — the two-pass layout check,
 //!   now over the composition PRJ runs (parallel first pass, shifted
 //!   `partition_seq` refinement) instead of a test-only two-pass function.
 
-use iawj_common::{KernelBackend, Rng, Tuple, Zipf};
+use iawj_common::{Rng, Tuple, Zipf};
 use iawj_exec::executor::Executor;
 use iawj_exec::radix::{partition_seq, PartitionPass, PassKnobs, SlotLayout};
 use iawj_exec::topology::PinPolicy;
@@ -87,23 +85,21 @@ proptest! {
         for n in SIZES {
             for keys in [Keys::Zipf(0.0), Keys::Zipf(0.99), Keys::Single] {
                 let input = tuples(n, keys, seed);
-                let expect = partition_seq(&input, shift, bits, KernelBackend::Scalar);
+                let expect = partition_seq(&input, shift, bits);
                 for layout in LAYOUTS {
                     for scatter in ScatterMode::ALL {
-                        for kernel in KernelBackend::ALL {
-                            for (&threads, exec) in THREADS.iter().zip(&execs) {
-                                let knobs = PassKnobs { layout, scatter, kernel, first_touch: false };
-                                let got = PartitionPass::new(&input, shift, bits, threads, knobs)
-                                    .run(exec);
-                                prop_assert_eq!(
-                                    &expect.bounds, &got.bounds,
-                                    "bounds n={} {:?} {:?} threads={}", n, keys, knobs, threads
-                                );
-                                prop_assert_eq!(
-                                    &expect.data, &got.data,
-                                    "data n={} {:?} {:?} threads={}", n, keys, knobs, threads
-                                );
-                            }
+                        for (&threads, exec) in THREADS.iter().zip(&execs) {
+                            let knobs = PassKnobs { layout, scatter, first_touch: false };
+                            let got = PartitionPass::new(&input, shift, bits, threads, knobs)
+                                .run(exec);
+                            prop_assert_eq!(
+                                &expect.bounds, &got.bounds,
+                                "bounds n={} {:?} {:?} threads={}", n, keys, knobs, threads
+                            );
+                            prop_assert_eq!(
+                                &expect.data, &got.data,
+                                "data n={} {:?} {:?} threads={}", n, keys, knobs, threads
+                            );
                         }
                     }
                 }
@@ -130,7 +126,7 @@ proptest! {
         prop_assert_eq!(first.fanout(), 1usize << bits1);
         let mut refined = Vec::with_capacity(input.len());
         for p1 in 0..first.fanout() {
-            let second = partition_seq(first.partition(p1), bits1, bits2, KernelBackend::default());
+            let second = partition_seq(first.partition(p1), bits1, bits2);
             prop_assert_eq!(second.fanout(), 1usize << bits2);
             for p2 in 0..second.fanout() {
                 for t in second.partition(p2) {

@@ -267,8 +267,6 @@ mod tests {
             threads: 4,
             scheduler: "static".into(),
             scatter: "direct".into(),
-            npj_table: "latch".into(),
-            kernel: "simd".into(),
             throughput_tpms: tpt,
             latency_p99_ms: p99,
             latency_max_ms: None,
@@ -360,14 +358,8 @@ mod tests {
         );
         let report = diff(&old, &new, DiffThresholds::default());
         assert!(!report.regressed());
-        assert_eq!(
-            report.only_old,
-            vec!["Rovio|PRJ|t4|static|direct|latch|simd"]
-        );
-        assert_eq!(
-            report.only_new,
-            vec!["Rovio|MWAY|t4|static|direct|latch|simd"]
-        );
+        assert_eq!(report.only_old, vec!["Rovio|PRJ|t4|static|direct"]);
+        assert_eq!(report.only_new, vec!["Rovio|MWAY|t4|static|direct"]);
         let rendered = report.render();
         assert!(rendered.contains("only in old snapshot"));
         assert!(rendered.contains("only in new snapshot"));

@@ -17,11 +17,6 @@ use std::time::Instant;
 /// spin-wait before acquiring it (the §5.3.2 NPJ contention signal).
 pub const MARK_LATCH_WAIT: &str = "latch:wait";
 
-/// Journal mark recorded once per failed bucket-head CAS in the lock-free
-/// shared table: another thread published an entry into the same bucket
-/// between the head load and the compare-exchange.
-pub const MARK_CAS_RETRY: &str = "cas:retry";
-
 /// Journal mark recorded once per non-empty ingest batch drained from the
 /// streaming operator's SPSC ingress queues.
 pub const MARK_STREAM_INGEST: &str = "stream:ingest";
@@ -333,16 +328,16 @@ mod tests {
         j.mark(MARK_LATCH_WAIT, at(epoch, 50)); // in build/sort
         j.mark(MARK_LATCH_WAIT, at(epoch, 150)); // in probe
         j.mark(MARK_LATCH_WAIT, at(epoch, 160)); // in probe
-        j.mark(MARK_CAS_RETRY, at(epoch, 170)); // in probe, other name
+        j.mark(MARK_STREAM_LATE, at(epoch, 170)); // in probe, other name
         j.mark(MARK_LATCH_WAIT, at(epoch, 300)); // outside every span
         assert_eq!(j.count_marks_in(MARK_LATCH_WAIT, "build/sort"), 1);
         assert_eq!(j.count_marks_in(MARK_LATCH_WAIT, "probe"), 2);
-        assert_eq!(j.count_marks_in(MARK_CAS_RETRY, "probe"), 1);
+        assert_eq!(j.count_marks_in(MARK_STREAM_LATE, "probe"), 1);
         assert_eq!(j.count_marks_in(MARK_LATCH_WAIT, "wait"), 0);
         // A mark exactly on the switch boundary belongs to the later span.
-        j.mark(MARK_CAS_RETRY, at(epoch, 100));
-        assert_eq!(j.count_marks_in(MARK_CAS_RETRY, "build/sort"), 0);
-        assert_eq!(j.count_marks_in(MARK_CAS_RETRY, "probe"), 2);
+        j.mark(MARK_STREAM_LATE, at(epoch, 100));
+        assert_eq!(j.count_marks_in(MARK_STREAM_LATE, "build/sort"), 0);
+        assert_eq!(j.count_marks_in(MARK_STREAM_LATE, "probe"), 2);
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub use chrome::{chrome_trace, chrome_trace_with_cores};
 pub use diff::{diff, DiffReport, DiffThresholds, RunDiff, Verdict};
 pub use hist::LogHistogram;
 pub use journal::{
-    Mark, Span, SpanJournal, MARK_CAS_RETRY, MARK_EXEC_DISPATCH, MARK_EXEC_PARK,
-    MARK_EXEC_UNPINNED, MARK_INDEX_EVICT, MARK_INDEX_INSERT, MARK_INDEX_REPART, MARK_LATCH_WAIT,
+    Mark, Span, SpanJournal, MARK_EXEC_DISPATCH, MARK_EXEC_PARK, MARK_EXEC_UNPINNED,
+    MARK_INDEX_EVICT, MARK_INDEX_INSERT, MARK_INDEX_REPART, MARK_LATCH_WAIT,
     MARK_STREAM_BACKPRESSURE, MARK_STREAM_CLOSE, MARK_STREAM_INGEST, MARK_STREAM_LATE,
 };
 pub use perf::{CounterDelta, CounterSource, PerfError, PerfSampler, COUNTER_NAMES, N_COUNTERS};

@@ -2,7 +2,7 @@
 //!
 //! Each harness target can emit a `BENCH_<fig>.json` file: a versioned
 //! record of what ran (git SHA, workload, engine, threads, scheduler,
-//! scatter/table modes), what it measured (throughput, exact p99/max
+//! scatter mode), what it measured (throughput, exact p99/max
 //! latency) and where the time went (per-phase nanoseconds with hardware
 //! counters when [`perf`](crate::perf) could open them). Two snapshots of
 //! the same figure taken at different commits are comparable row-by-row,
@@ -62,10 +62,6 @@ pub struct RunSnapshot {
     pub scheduler: String,
     /// PRJ scatter mode (`"direct"` / `"swwc"`).
     pub scatter: String,
-    /// NPJ shared-table mode (`"latch"` / `"lockfree"`).
-    pub npj_table: String,
-    /// Hot-loop kernel backend (`"scalar"` / `"simd"`).
-    pub kernel: String,
     /// Throughput in input tuples per stream-millisecond.
     pub throughput_tpms: f64,
     /// Exact 99th-percentile latency (stream-ms) from the histogram.
@@ -87,14 +83,8 @@ impl RunSnapshot {
     /// The identity two snapshots are matched on by `bench-diff`.
     pub fn key(&self) -> String {
         format!(
-            "{}|{}|t{}|{}|{}|{}|{}",
-            self.workload,
-            self.engine,
-            self.threads,
-            self.scheduler,
-            self.scatter,
-            self.npj_table,
-            self.kernel
+            "{}|{}|t{}|{}|{}",
+            self.workload, self.engine, self.threads, self.scheduler, self.scatter
         )
     }
 }
@@ -235,8 +225,6 @@ fn push_run(out: &mut String, r: &RunSnapshot) {
     out.push_str(&format!("\"threads\": {}, ", r.threads));
     out.push_str(&format!("\"scheduler\": {}, ", quote(&r.scheduler)));
     out.push_str(&format!("\"scatter\": {}, ", quote(&r.scatter)));
-    out.push_str(&format!("\"npj_table\": {}, ", quote(&r.npj_table)));
-    out.push_str(&format!("\"kernel\": {}, ", quote(&r.kernel)));
     out.push_str(&format!(
         "\"throughput_tpms\": {}, ",
         num(r.throughput_tpms)
@@ -276,6 +264,9 @@ fn push_run(out: &mut String, r: &RunSnapshot) {
     out.push('}');
 }
 
+/// Parse one run row. Unknown fields are ignored — among them the
+/// `npj_table`/`kernel` columns of snapshots written while those knobs
+/// existed.
 fn parse_run(r: &Json) -> Result<RunSnapshot, String> {
     let str_field = |k: &str| -> Result<String, String> {
         r.get(k)
@@ -330,14 +321,6 @@ fn parse_run(r: &Json) -> Result<RunSnapshot, String> {
             .ok_or("missing \"threads\"")?,
         scheduler: str_field("scheduler")?,
         scatter: str_field("scatter")?,
-        npj_table: str_field("npj_table")?,
-        // Absent in snapshots written before the kernel knob existed;
-        // default to the runtime default so old baselines keep matching keys.
-        kernel: r
-            .get("kernel")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .unwrap_or_else(|| "simd".into()),
         throughput_tpms: r
             .get("throughput_tpms")
             .and_then(Json::as_f64)
@@ -377,8 +360,6 @@ mod tests {
                     threads: 4,
                     scheduler: "static".into(),
                     scatter: "direct".into(),
-                    npj_table: "latch".into(),
-                    kernel: "simd".into(),
                     throughput_tpms: 812.5,
                     latency_p99_ms: Some(3.25),
                     latency_max_ms: Some(7.5),
@@ -397,8 +378,6 @@ mod tests {
                     threads: 4,
                     scheduler: "steal".into(),
                     scatter: "swwc".into(),
-                    npj_table: "latch".into(),
-                    kernel: "scalar".into(),
                     throughput_tpms: 1000.0,
                     latency_p99_ms: None,
                     latency_max_ms: None,
@@ -426,8 +405,8 @@ mod tests {
     #[test]
     fn keys_separate_configurations() {
         let snap = sample_snapshot();
-        assert_eq!(snap.runs[0].key(), "Rovio|NPJ|t4|static|direct|latch|simd");
-        assert_eq!(snap.runs[1].key(), "Rovio|PRJ|t4|steal|swwc|latch|scalar");
+        assert_eq!(snap.runs[0].key(), "Rovio|NPJ|t4|static|direct");
+        assert_eq!(snap.runs[1].key(), "Rovio|PRJ|t4|steal|swwc");
         assert_ne!(snap.runs[0].key(), snap.runs[1].key());
     }
 
@@ -452,5 +431,30 @@ mod tests {
         let err = BenchSnapshot::parse(&json).unwrap_err();
         assert!(err.contains("runs[1]"), "{err}");
         assert!(err.contains("engine"), "{err}");
+    }
+
+    /// Every committed baseline still parses — including the ones written
+    /// with `npj_table`/`kernel` columns — and dropping those two key
+    /// components merges no rows within a file.
+    #[test]
+    fn committed_baselines_parse_with_unique_keys() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines");
+        let mut files = 0;
+        for entry in std::fs::read_dir(dir).expect("baselines/ exists") {
+            let path = entry.expect("readable dir entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable baseline");
+            let snap = BenchSnapshot::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let mut keys: Vec<String> = snap.runs.iter().map(RunSnapshot::key).collect();
+            keys.sort_unstable();
+            for pair in keys.windows(2) {
+                assert_ne!(pair[0], pair[1], "{name}: two rows share a key");
+            }
+            files += 1;
+        }
+        assert!(files > 0, "no BENCH_*.json under {dir}");
     }
 }

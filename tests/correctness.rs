@@ -4,7 +4,7 @@
 //! skewed and uniform, symmetric and asymmetric.
 
 use iawj_study::core::reference::{match_count, nested_loop_join};
-use iawj_study::core::{execute, Algorithm, NpjTable, RunConfig, Scheduler};
+use iawj_study::core::{execute, Algorithm, RunConfig, Scheduler};
 use iawj_study::datagen::{Dataset, MicroSpec};
 
 fn canonical(result: &iawj_study::core::RunResult) -> Vec<(u32, u32, u32)> {
@@ -172,14 +172,14 @@ fn differential_index_engines_across_skew_threads_schedulers() {
     }
 }
 
-/// The latched-vs-lock-free differential harness guarding the NPJ table
-/// variants: both table modes against the nested-loop oracle over seed ×
-/// Zipf key skew × thread count × scheduler, asserting the exact sorted
-/// match set. θ=0.99 concentrates the build and probe on a handful of hot
-/// buckets, which is what actually forces contended latch acquisitions in
-/// latch mode and bucket-head CAS races in lock-free mode.
+/// The differential harness guarding NPJ's latched shared table: NPJ
+/// against the nested-loop oracle over seed × Zipf key skew × thread count
+/// (up to 8, past the engine grid above) × scheduler, asserting the exact
+/// sorted match set. θ=0.99 concentrates the build and probe on a handful
+/// of hot buckets, which is what actually forces contended latch
+/// acquisitions and overflow-bucket claims.
 #[test]
-fn differential_npj_tables_across_skew_threads_schedulers() {
+fn differential_npj_across_skew_threads_schedulers() {
     for seed in [51u64, 52] {
         for theta in [0.0f64, 0.4, 0.99] {
             let ds = MicroSpec::static_counts(700, 700)
@@ -190,61 +190,18 @@ fn differential_npj_tables_across_skew_threads_schedulers() {
             let expect = nested_loop_join(&ds.r, &ds.s, ds.window);
             for threads in [1usize, 2, 4, 8] {
                 for sched in Scheduler::ALL {
-                    for table in NpjTable::ALL {
-                        let cfg = RunConfig::with_threads(threads)
-                            .record_all()
-                            .speedup(500.0)
-                            .scheduler(sched)
-                            .morsel_size(64)
-                            .npj_table(table);
-                        let result = execute(Algorithm::Npj, &ds, &cfg);
-                        assert_eq!(
-                            canonical(&result),
-                            expect,
-                            "NPJ/{table} diverged (seed={seed} θ={theta} \
-                             threads={threads} scheduler={sched})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The scalar-vs-simd kernel differential harness guarding the batched
-/// hash/prefetch/sort paths: every studied engine under both kernel
-/// backends against the nested-loop oracle, asserting the exact sorted
-/// match set. θ=0.99 concentrates probes on hot buckets (stressing the
-/// prefetched probe pipeline); dupe=6 exercises duplicate-key chains in
-/// the batched build.
-#[test]
-fn differential_kernel_backends_across_skew_threads() {
-    use iawj_study::common::KernelBackend;
-    for seed in [71u64, 72] {
-        for theta in [0.0f64, 0.99] {
-            let ds = MicroSpec::static_counts(600, 600)
-                .dupe(6)
-                .skew_key(theta)
-                .seed(seed)
-                .generate();
-            let expect = nested_loop_join(&ds.r, &ds.s, ds.window);
-            for threads in [1usize, 4] {
-                for kernel in [KernelBackend::Scalar, KernelBackend::Simd] {
-                    for algo in Algorithm::STUDIED {
-                        let cfg = RunConfig::with_threads(threads)
-                            .record_all()
-                            .speedup(500.0)
-                            .morsel_size(64)
-                            .kernel(kernel)
-                            .prefetch_dist(4);
-                        let result = execute(algo, &ds, &cfg);
-                        assert_eq!(
-                            canonical(&result),
-                            expect,
-                            "{algo} diverged (seed={seed} θ={theta} \
-                             threads={threads} kernel={kernel})"
-                        );
-                    }
+                    let cfg = RunConfig::with_threads(threads)
+                        .record_all()
+                        .speedup(500.0)
+                        .scheduler(sched)
+                        .morsel_size(64);
+                    let result = execute(Algorithm::Npj, &ds, &cfg);
+                    assert_eq!(
+                        canonical(&result),
+                        expect,
+                        "NPJ diverged (seed={seed} θ={theta} \
+                         threads={threads} scheduler={sched})"
+                    );
                 }
             }
         }

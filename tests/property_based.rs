@@ -36,7 +36,7 @@ proptest! {
     }
 
     #[test]
-    fn npj_table_modes_agree_with_oracle(
+    fn npj_matches_oracle_under_both_schedulers(
         n_r in 1usize..400,
         n_s in 1usize..400,
         dupe in 1usize..20,
@@ -45,7 +45,7 @@ proptest! {
         steal in any::<bool>(),
         seed in 0u64..1000,
     ) {
-        use iawj_study::core::{NpjTable, Scheduler};
+        use iawj_study::core::Scheduler;
         let ds = MicroSpec::static_counts(n_r, n_s)
             .dupe(dupe)
             .skew_key(skew as f64 * 0.7)
@@ -53,18 +53,15 @@ proptest! {
             .generate();
         let expect = nested_loop_join(&ds.r, &ds.s, ds.window);
         let sched = if steal { Scheduler::Steal } else { Scheduler::Static };
-        for table in NpjTable::ALL {
-            let cfg = RunConfig::with_threads(threads)
-                .record_all()
-                .scheduler(sched)
-                .morsel_size(64)
-                .npj_table(table);
-            let result = execute(Algorithm::Npj, &ds, &cfg);
-            let mut got: Vec<_> = result.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)).collect();
-            got.sort_unstable();
-            prop_assert_eq!(&got, &expect, "NPJ/{} n_r={} n_s={} dupe={} threads={} sched={}",
-                table, n_r, n_s, dupe, threads, sched);
-        }
+        let cfg = RunConfig::with_threads(threads)
+            .record_all()
+            .scheduler(sched)
+            .morsel_size(64);
+        let result = execute(Algorithm::Npj, &ds, &cfg);
+        let mut got: Vec<_> = result.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)).collect();
+        got.sort_unstable();
+        prop_assert_eq!(&got, &expect, "NPJ n_r={} n_s={} dupe={} threads={} sched={}",
+            n_r, n_s, dupe, threads, sched);
     }
 
     #[test]
