@@ -120,7 +120,7 @@ SERVE OPTIONS (continuous streaming join; also takes --algo, --threads,
                      (default tumbling:250)
   --duration-ms N    stream time to generate and ingest (default 3000)
   --lateness N       allowed out-of-orderness in ms (default 0)
-  --queue-cap N      ingress SPSC queue capacity (default 1024)
+  --queue-cap N      ingress SPSC queue capacity, 1..=16777216 (default 1024)
   --tick-ms F        metrics tick interval in wall ms (default 250)
   --no-share         disable pane sharing for sliding windows
 
@@ -573,6 +573,17 @@ mod tests {
         for bad in ["0", "-0.5", "NaN"] {
             let err = run_cli_str(&["serve", "--algo", "NPJ", "--rate-s", bad]).unwrap_err();
             assert!(err.contains("rate-s"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn serve_rejects_queue_cap_outside_the_ring_bound() {
+        // Past MAX_QUEUE_CAP the ring's preallocation used to panic
+        // ("capacity overflow") or abort the process.
+        for bad in ["0", "16777217", "1099511627776", &usize::MAX.to_string()] {
+            let err = run_cli_str(&["serve", "--algo", "NPJ", "--queue-cap", bad]).unwrap_err();
+            assert!(err.contains("queue-cap"), "{bad}: {err}");
+            assert!(err.contains("1..=16777216"), "{bad}: {err}");
         }
     }
 

@@ -10,7 +10,7 @@
 
 use crate::args::{ArgError, Args};
 use crate::workload::{apply_exec_opts, parse_algorithm, warn_if_oversubscribed};
-use iawj_common::spsc::stream_channel;
+use iawj_common::spsc::{stream_channel, MAX_QUEUE_CAP};
 use iawj_core::streaming::{spawn_source, StreamConfig, StreamReport, StreamingJoin};
 use iawj_core::windowing::WindowSpec;
 use iawj_core::RunConfig;
@@ -56,6 +56,10 @@ pub const SERVE_OPTS: &[&str] = &[
     "no-share",
 ];
 
+/// `--queue-cap`'s accepted range, spelled out for the error message.
+const QUEUE_CAP_RANGE: &str = "a queue capacity in 1..=16777216";
+const _: () = assert!(MAX_QUEUE_CAP == 16_777_216, "update QUEUE_CAP_RANGE");
+
 /// Reject non-finite, zero, or negative values for rates and pacing knobs:
 /// a NaN or ≤0 speedup stalls the paced sources forever, a ≤0 tick never
 /// fires, and ≤0 ingest rates generate nothing while claiming a duration.
@@ -91,11 +95,13 @@ pub fn cmd_serve(args: &Args) -> Result<String, ArgError> {
             expected: "a positive stream duration",
         });
     }
-    if queue_cap == 0 {
+    // The ring preallocates its slots: an oversized capacity would panic or
+    // abort in the allocator instead of failing here.
+    if !(1..=MAX_QUEUE_CAP).contains(&queue_cap) {
         return Err(ArgError::Invalid {
             key: "queue-cap".into(),
-            value: "0".into(),
-            expected: "a positive queue capacity",
+            value: queue_cap.to_string(),
+            expected: QUEUE_CAP_RANGE,
         });
     }
     // A Micro workload spanning the whole serve duration: the generator's

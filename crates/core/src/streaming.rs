@@ -66,6 +66,9 @@
 //! never asked to drop data — the queue counts blocking episodes and the
 //! operator surfaces each observation as a `stream:backpressure` journal
 //! instant plus a counter in the report and the periodic [`StreamTick`].
+//! The operator drains each queue in batches
+//! ([`StreamReceiver::recv_batch`]), ingesting tuple by tuple inside the
+//! batch.
 
 use crate::algo::Algorithm;
 use crate::config::RunConfig;
@@ -92,6 +95,12 @@ pub const WM_END: u64 = u64::MAX;
 /// Tuples drained from one queue per poll before servicing the other side
 /// and the window state.
 const INGEST_BATCH: usize = 256;
+
+/// Busy-wait hints after a poll that found no backlog (every batch short)
+/// before polling again: a few µs, time for the sources to queue a few
+/// dozen tuples. Without it, a `stream_tumbling` capacity run spent most of
+/// its time moving batches of ~5 tuples (PR 16's A/B in CHANGES.md).
+const THIN_POLL_SPINS: usize = 128;
 
 /// Configuration of a [`StreamingJoin`] operator.
 #[derive(Clone, Debug)]
@@ -611,25 +620,25 @@ impl StreamingJoin {
         }
     }
 
+    /// Ingest up to [`INGEST_BATCH`] tuples from one side: one batched
+    /// receive (one queue publication), but still one `ingest` — watermark
+    /// and late test — per tuple, in arrival order.
     fn drain_side(&mut self, rx: &StreamReceiver<Tuple>, side: Side) -> usize {
-        let mut got = 0;
-        while got < INGEST_BATCH {
-            match rx.try_recv() {
-                Ok(t) => {
-                    self.ingest(t, side);
-                    got += 1;
-                }
-                Err(RecvError::Empty) => break,
-                Err(RecvError::Disconnected) => {
-                    match side {
-                        Side::R => self.done_r = true,
-                        Side::S => self.done_s = true,
-                    }
-                    break;
-                }
+        match rx.recv_batch(INGEST_BATCH, |t| self.ingest(t, side)) {
+            Ok(got) => got,
+            Err(RecvError::Empty) => 0,
+            Err(RecvError::Disconnected) => {
+                self.source_done(side);
+                0
             }
         }
-        got
+    }
+
+    fn source_done(&mut self, side: Side) {
+        match side {
+            Side::R => self.done_r = true,
+            Side::S => self.done_s = true,
+        }
     }
 
     fn advance<FW: FnMut(&ClosedWindow)>(&mut self, on_window: &mut FW) {
@@ -906,12 +915,13 @@ impl StreamingJoin {
         let mut peak_queue = 0usize;
         let mut ticks: Vec<StreamTick> = Vec::new();
         loop {
-            let mut got = 0;
-            if !self.done_r {
-                got += self.drain_side(&rx_r, Side::R);
-            }
-            if !self.done_s {
-                got += self.drain_side(&rx_s, Side::S);
+            let (mut got, mut backlog) = (0, false);
+            for (rx, side, done) in [(&rx_r, Side::R, self.done_r), (&rx_s, Side::S, self.done_s)] {
+                if !done {
+                    let n = self.drain_side(rx, side);
+                    got += n;
+                    backlog |= n == INGEST_BATCH;
+                }
             }
             if got > 0 {
                 self.journal.mark(MARK_STREAM_INGEST, Instant::now());
@@ -924,13 +934,15 @@ impl StreamingJoin {
                     self.journal.mark(MARK_INDEX_INSERT, Instant::now());
                 }
             }
-            peak_queue = peak_queue.max(rx_r.len()).max(rx_s.len());
             let bp = rx_r.blocked_sends() + rx_s.blocked_sends();
             if bp > last_bp {
                 self.journal.mark(MARK_STREAM_BACKPRESSURE, Instant::now());
                 last_bp = bp;
             }
             self.advance(&mut on_window);
+            // After the closes: the queues are deepest when a close has
+            // just held up the drain.
+            peak_queue = peak_queue.max(rx_r.len()).max(rx_s.len());
             let finished = self.done_r && self.done_s;
             let tick_due = self.cfg.tick_every_ms > 0.0
                 && last_tick.elapsed().as_secs_f64() * 1e3 >= self.cfg.tick_every_ms;
@@ -969,12 +981,16 @@ impl StreamingJoin {
                 };
                 match rx.recv_timeout(d) {
                     Ok(t) => self.ingest(t, side),
-                    Err(RecvError::Disconnected) => match side {
-                        Side::R => self.done_r = true,
-                        Side::S => self.done_s = true,
-                    },
+                    Err(RecvError::Disconnected) => self.source_done(side),
                     Err(RecvError::Empty) => {}
                 }
+            } else if !backlog {
+                // Every batch came back short: the operator is outrunning
+                // its sources. Re-polling at once would re-read each
+                // queue's `tail` line, which its producer rewrites on
+                // every send, for a handful of tuples; pausing lets the
+                // next poll take a real batch.
+                (0..THIN_POLL_SPINS).for_each(|_| std::hint::spin_loop());
             }
         }
         StreamReport {
@@ -1052,9 +1068,16 @@ pub fn spawn_source<S: StreamSource + 'static>(
         .expect("spawn source thread")
 }
 
-/// Run a full streaming join over two finite in-memory streams: each side
-/// is pushed through a `queue_cap`-bounded ingress queue from its own
-/// producer thread. The workhorse of the differential tests.
+/// Run a full streaming join over two finite in-memory streams, pushed
+/// through `queue_cap`-bounded ingress queues. The workhorse of the
+/// differential tests.
+///
+/// One pusher thread feeds both queues, merging R and S by head timestamp
+/// while keeping each side's own order. That bounds the inter-source skew
+/// by the queue capacities: when a tuple is sent, every earlier-stamped
+/// tuple of the other side has been sent and all but a queue's worth of
+/// them ingested. Which tuples are late is then a function of the streams,
+/// not of how the OS schedules two free-running pumps.
 pub fn run_replay(
     cfg: StreamConfig,
     r: Vec<Tuple>,
@@ -1063,11 +1086,26 @@ pub fn run_replay(
 ) -> StreamReport {
     let (tx_r, rx_r) = stream_channel(queue_cap);
     let (tx_s, rx_s) = stream_channel(queue_cap);
-    let h_r = spawn_source(iawj_datagen::ReplaySource::new(r), tx_r);
-    let h_s = spawn_source(iawj_datagen::ReplaySource::new(s), tx_s);
+    let pusher = std::thread::Builder::new()
+        .name("iawj-replay".into())
+        .spawn(move || {
+            let (mut i, mut j) = (0, 0);
+            while i < r.len() || j < s.len() {
+                let sent = if j == s.len() || (i < r.len() && r[i].ts <= s[j].ts) {
+                    i += 1;
+                    tx_r.send(r[i - 1])
+                } else {
+                    j += 1;
+                    tx_s.send(s[j - 1])
+                };
+                if sent.is_err() {
+                    break;
+                }
+            }
+        })
+        .expect("spawn replay thread");
     let report = StreamingJoin::new(cfg).run(rx_r, rx_s, |_| {}, |_| {});
-    let _ = h_r.join();
-    let _ = h_s.join();
+    pusher.join().expect("the replay pusher does not panic");
     report
 }
 
@@ -1177,7 +1215,9 @@ mod tests {
 
     #[test]
     fn tuples_behind_the_watermark_are_dropped_and_counted() {
-        // In-order run with zero lateness, then inject one stale tuple.
+        // In-order run with zero lateness, then inject one stale tuple. By
+        // the time `run_replay` sends it, all but a queue's worth of the
+        // earlier S tuples are ingested, so the watermark is past ts 0.
         let mut r = stream(100, 4, 400, 11);
         r.push(Tuple::new(1, 0)); // arrives last, 400 ms stale
         let s = stream(100, 4, 400, 12);
@@ -1190,34 +1230,17 @@ mod tests {
     #[test]
     fn panes_are_evicted_after_their_last_window() {
         // Resident state is bounded by the watermark lag — inter-source
-        // skew plus the panes a window covers — not by stream length. A
-        // single pusher interleaving both sides by timestamp bounds the
-        // skew to the queue capacities, so over 200 panes of stream the
-        // operator must hold only a handful at a time.
+        // skew plus the panes a window covers — not by stream length.
+        // `run_replay`'s single pusher bounds the skew to the queue
+        // capacities, so over 200 panes of stream the operator must hold
+        // only a handful at a time.
         let r = stream(4000, 8, 20_000, 13);
         let s = stream(4000, 8, 20_000, 14);
         let spec = WindowSpec::Sliding {
             len_ms: 300,
             slide_ms: 100,
         };
-        let (tx_r, rx_r) = stream_channel(8);
-        let (tx_s, rx_s) = stream_channel(8);
-        let (rr, ss) = (r, s);
-        let pusher = std::thread::spawn(move || {
-            let (mut i, mut j) = (0, 0);
-            while i < rr.len() || j < ss.len() {
-                let take_r = j >= ss.len() || (i < rr.len() && rr[i].ts <= ss[j].ts);
-                if take_r {
-                    let _ = tx_r.send(rr[i]);
-                    i += 1;
-                } else {
-                    let _ = tx_s.send(ss[j]);
-                    j += 1;
-                }
-            }
-        });
-        let report = StreamingJoin::new(cfg(spec)).run(rx_r, rx_s, |_| {}, |_| {});
-        pusher.join().unwrap();
+        let report = run_replay(cfg(spec), r, s, 8);
         assert!(
             report.peak_resident_panes <= 40,
             "resident panes grew with stream length: {} of 200",
@@ -1307,7 +1330,11 @@ mod tests {
                 .lateness(50);
             let report = run_replay(sc, jr.clone(), js.clone(), 32);
             assert_eq!(report.late_dropped, 0, "{engine}");
-            assert_eq!(stream_counts(&report), batch_counts(spec, &r, &s), "{engine}");
+            assert_eq!(
+                stream_counts(&report),
+                batch_counts(spec, &r, &s),
+                "{engine}"
+            );
         }
     }
 
