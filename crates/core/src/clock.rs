@@ -8,6 +8,12 @@
 //! 1000 ms window can be replayed in 100 ms of wall time without changing
 //! any of the relative series shapes (all emission and arrival times are
 //! measured in *stream* milliseconds). `speedup = 1.0` is real-time replay.
+//!
+//! The paper pays one RDTSC per arrival check; an `Instant` read costs
+//! more, so the eager pull loop does not read the clock per tuple. Each
+//! [`crate::distribute::View`] compares a tuple against a cached
+//! monotonic horizon — the stream time it last read here — and reads
+//! [`EventClock::now_ms`] again only for a tuple past it.
 
 use iawj_common::Ts;
 use std::time::{Duration, Instant};
@@ -51,12 +57,6 @@ impl EventClock {
         self.start.elapsed().as_secs_f64() * 1e3 * self.speedup
     }
 
-    /// Has a tuple with this arrival timestamp arrived?
-    #[inline]
-    pub fn available(&self, ts: Ts) -> bool {
-        !self.gated || (ts as f64) <= self.now_ms()
-    }
-
     /// Is arrival gating active?
     pub fn gated(&self) -> bool {
         self.gated
@@ -93,9 +93,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ungated_everything_available() {
+    fn ungated_never_waits() {
         let c = EventClock::ungated();
-        assert!(c.available(u32::MAX));
         assert!(!c.gated());
         c.wait_until(u32::MAX); // must return immediately
     }
@@ -117,21 +116,11 @@ mod tests {
     }
 
     #[test]
-    fn gating_respects_timestamps() {
-        let c = EventClock::start(1.0, true);
-        assert!(c.available(0));
-        assert!(
-            !c.available(60_000),
-            "a timestamp a minute out must not be available yet"
-        );
-    }
-
-    #[test]
     fn wait_until_blocks_until_arrival() {
         let c = EventClock::start(1000.0, true); // 1000 stream ms per real ms
         let t0 = Instant::now();
         c.wait_until(5000); // = 5 real ms
-        assert!(c.available(5000));
+        assert!(c.now_ms() >= 5000.0);
         assert!(t0.elapsed() >= Duration::from_millis(4));
     }
 }

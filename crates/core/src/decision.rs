@@ -190,22 +190,37 @@ pub fn effective_cores(requested: usize) -> usize {
 /// is clamped to the affinity mask ([`effective_cores`]): capacity the
 /// scheduler will never grant must not inflate the bands.
 pub fn calibrate(threads: usize) -> Thresholds {
-    use iawj_exec::LocalTable;
+    use crate::eager::BATCH;
+    use iawj_common::Tuple;
+    use iawj_exec::BucketTable;
     use std::time::Instant;
 
     const PROBE_TUPLES: usize = 200_000;
-    let mut r_table = LocalTable::with_capacity(PROBE_TUPLES);
-    let mut s_table = LocalTable::with_capacity(PROBE_TUPLES);
+    let input: Vec<Tuple> = (0..PROBE_TUPLES as u32)
+        // Decorrelate the keys from the bucket bits.
+        .map(|i| Tuple::new(i.wrapping_mul(0x9E37_79B9), i))
+        .collect();
+    let mut r_table = BucketTable::with_capacity(PROBE_TUPLES);
+    let mut s_table = BucketTable::with_capacity(PROBE_TUPLES);
     let start = Instant::now();
     let mut sink = 0u64;
-    for i in 0..PROBE_TUPLES as u32 {
-        let key = i.wrapping_mul(0x9E37_79B9); // decorrelate from bucket bits
-        if i % 2 == 0 {
-            r_table.insert(key, i);
-            s_table.probe(key, |_| sink += 1);
+    // SHJ's batch shape: R and S batches alternate; each prefetches its
+    // head lines in both tables, inserts into its own, probes the other.
+    for (i, batch) in input.chunks(BATCH).enumerate() {
+        let (own, other) = if i % 2 == 0 {
+            (&mut r_table, &s_table)
         } else {
-            s_table.insert(key, i);
-            r_table.probe(key, |_| sink += 1);
+            (&mut s_table, &r_table)
+        };
+        for t in batch {
+            own.prefetch(t.key);
+            other.prefetch(t.key);
+        }
+        for t in batch {
+            own.insert(t.key, t.ts);
+        }
+        for t in batch {
+            other.probe(t.key, |_| sink += 1);
         }
     }
     std::hint::black_box(sink);

@@ -20,7 +20,7 @@ pub mod jb;
 pub mod jm;
 
 use crate::clock::EventClock;
-use iawj_common::{hash_key, Tuple};
+use iawj_common::{hash_key, Ts, Tuple};
 
 /// Result of pulling a batch from a view.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,6 +39,10 @@ pub struct View<'a> {
     data: &'a [Tuple],
     next: usize,
     kind: ViewKind,
+    /// Arrival horizon: the stream time last read off the clock. A tuple
+    /// at or before it has arrived without another read — stream time is
+    /// monotonic — so a read happens only at the first tuple past it.
+    seen: f64,
     /// Dispatch-status log (JB): global indices of owned tuples. The paper
     /// measures this bookkeeping as JB's partition overhead.
     pub log: Vec<u32>,
@@ -68,6 +72,7 @@ impl<'a> View<'a> {
             data,
             next: 0,
             kind: ViewKind::Strided { offset, stride },
+            seen: f64::NEG_INFINITY,
             log: Vec::new(),
         }
     }
@@ -94,6 +99,7 @@ impl<'a> View<'a> {
                 own_only,
                 seq: 0,
             },
+            seen: f64::NEG_INFINITY,
             log: Vec::new(),
         }
     }
@@ -124,7 +130,7 @@ impl<'a> View<'a> {
                 }
                 while out.len() - before < max && self.next < self.data.len() {
                     let t = self.data[self.next];
-                    if !clock.available(t.ts) {
+                    if !arrived(&mut self.seen, clock, t.ts) {
                         break;
                     }
                     out.push(t);
@@ -141,7 +147,7 @@ impl<'a> View<'a> {
             } => {
                 while out.len() - before < max && self.next < self.data.len() {
                     let t = self.data[self.next];
-                    if !clock.available(t.ts) {
+                    if !arrived(&mut self.seen, clock, t.ts) {
                         break;
                     }
                     if class_of(t.key, groups) == group {
@@ -173,6 +179,18 @@ impl<'a> View<'a> {
     pub fn log_bytes(&self) -> usize {
         self.log.capacity() * std::mem::size_of::<u32>()
     }
+}
+
+/// Has a tuple with arrival timestamp `ts` arrived? Ungated clocks say yes
+/// at once; otherwise the clock is read only when `ts` lies past the
+/// horizon `seen`, which the read then advances.
+#[inline]
+fn arrived(seen: &mut f64, clock: &EventClock, ts: Ts) -> bool {
+    if !clock.gated() || f64::from(ts) <= *seen {
+        return true;
+    }
+    *seen = clock.now_ms();
+    f64::from(ts) <= *seen
 }
 
 /// Hash class of a key for a `groups`-way router.
@@ -270,6 +288,43 @@ mod tests {
         }
         assert_eq!(v.take_batch(&clock, 100, &mut out), Take::NotYet);
         assert!(!v.exhausted());
+    }
+
+    #[test]
+    fn the_first_pull_reads_the_clock() {
+        let data = vec![Tuple::new(1, 0)];
+        let clock = EventClock::start(1.0, true);
+        let mut v = View::strided(&data, 0, 1);
+        assert_eq!(v.seen, f64::NEG_INFINITY);
+        assert_eq!(v.take_batch(&clock, 8, &mut Vec::new()), Take::Got(1));
+        assert!(v.seen >= 0.0, "horizon {} was not read", v.seen);
+    }
+
+    #[test]
+    fn a_tuple_at_exactly_the_horizon_has_arrived() {
+        // Stream time is ~0 ms, so a clock read would hold back the ts = 5
+        // tuple; at a horizon of 5 it passes without one, and the ts = 6
+        // tuple behind it reads the clock and waits.
+        let data = vec![Tuple::new(1, 5), Tuple::new(2, 6)];
+        let clock = EventClock::start(1.0, true);
+        let mut v = View::strided(&data, 0, 1);
+        v.seen = 5.0;
+        let mut out = Vec::new();
+        assert_eq!(v.take_batch(&clock, 8, &mut out), Take::Got(1));
+        assert_eq!(out, [Tuple::new(1, 5)]);
+        assert!(v.seen < 5.0, "the ts = 6 tuple re-read the clock");
+    }
+
+    #[test]
+    fn an_ungated_clock_is_never_read() {
+        let data = tuples(100);
+        let clock = EventClock::ungated();
+        let mut strided = View::strided(&data, 1, 3);
+        let mut class = View::class(&data, 2, 0, 2, 1, true);
+        drain(&mut strided, &clock);
+        drain(&mut class, &clock);
+        assert_eq!(strided.seen, f64::NEG_INFINITY);
+        assert_eq!(class.seen, f64::NEG_INFINITY);
     }
 
     #[test]

@@ -7,36 +7,50 @@
 //! arrived. Exactly-once emission holds because the worker processes its
 //! tuples sequentially: of any matching pair, whichever side is processed
 //! second finds the first in the opposite table.
+//!
+//! The tables are [`BucketTable`]s: a key's head bucket is one cache line,
+//! so a batch first prefetches, for every tuple, its head line in both
+//! tables, and the insert and probe passes that follow find those lines
+//! arriving instead of chasing a chain through DRAM one miss at a time.
 
 use crate::eager::Engine;
 use crate::lazy::EmitClock;
 use crate::output::WorkerOut;
 use iawj_common::{Phase, Sink, Tuple};
-use iawj_exec::{LocalTable, PhaseTimer};
+use iawj_exec::{BucketTable, PhaseTimer};
 
 /// Per-worker SHJ state.
 pub struct ShjEngine {
-    r_table: LocalTable,
-    s_table: LocalTable,
+    r_table: BucketTable,
+    s_table: BucketTable,
 }
 
 impl ShjEngine {
     /// Engine with tables pre-sized for the expected per-worker load.
     pub fn new(expected_r: usize, expected_s: usize) -> Self {
         ShjEngine {
-            r_table: LocalTable::with_capacity(expected_r.max(16)),
-            s_table: LocalTable::with_capacity(expected_s.max(16)),
+            r_table: BucketTable::with_capacity(expected_r.max(16)),
+            s_table: BucketTable::with_capacity(expected_s.max(16)),
         }
     }
 
     /// The R-side table (the hybrid engine's bulk phase probes it).
-    pub fn r_table(&self) -> &LocalTable {
+    pub fn r_table(&self) -> &BucketTable {
         &self.r_table
     }
 
     /// The S-side table.
-    pub fn s_table(&self) -> &LocalTable {
+    pub fn s_table(&self) -> &BucketTable {
         &self.s_table
+    }
+
+    /// Put the head line of every batch tuple's key in flight, in both
+    /// tables, ahead of the insert and probe passes.
+    fn prefetch_heads(&self, batch: &[Tuple]) {
+        for t in batch {
+            self.r_table.prefetch(t.key);
+            self.s_table.prefetch(t.key);
+        }
     }
 
     /// Bulk-insert R tuples without probing (the hybrid engine folds its
@@ -64,6 +78,7 @@ impl Engine for ShjEngine {
         out: &mut WorkerOut,
     ) {
         timer.switch_to(Phase::BuildSort);
+        self.prefetch_heads(batch);
         for t in batch {
             self.r_table.insert(t.key, t.ts);
         }
@@ -83,6 +98,7 @@ impl Engine for ShjEngine {
         out: &mut WorkerOut,
     ) {
         timer.switch_to(Phase::BuildSort);
+        self.prefetch_heads(batch);
         for t in batch {
             self.s_table.insert(t.key, t.ts);
         }

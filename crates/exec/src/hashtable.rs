@@ -5,12 +5,15 @@
 //!   insert during the build phase under per-bucket latches; the
 //!   concurrent-visit contention on hot buckets is exactly the NPJ
 //!   pathology §5.3.2 measures.
-//! - [`LocalTable`] — the bucket-chain table of PRJ, reused for SHJ's two
-//!   per-thread tables as the paper does (§4.2.2). Single-owner, latch-free,
-//!   with chained entries in one contiguous arena so growth never
-//!   invalidates earlier entries.
+//! - [`LocalTable`] — the bucket-chain table of PRJ's per-partition joins.
+//!   Single-owner, latch-free, with chained entries in one contiguous arena
+//!   so growth never invalidates earlier entries.
+//! - [`BucketTable`] — SHJ's two per-thread tables: `SharedTable`'s line
+//!   layout without the latch, owned by one worker that builds while it
+//!   probes, so a probe of a short chain is one cache line the caller can
+//!   prefetch ahead.
 //!
-//! Both derive bucket indices from the shared [`iawj_common::hash_key`]
+//! All derive bucket indices from the shared [`iawj_common::hash_key`]
 //! so hash quality never differs across algorithms.
 
 use crate::latch::RawLatch;
@@ -99,11 +102,166 @@ impl LocalTable {
     }
 }
 
-/// Tuple slots per [`Bucket`]: what fits a 64-byte line beside the header.
+/// Tuple slots per [`Bucket`] and [`Line`]: what fits a 64-byte line beside
+/// the header.
 const SLOTS: usize = 7;
 
 /// Expected tuples per head bucket, before the count rounds up to 2^n.
 const TUPLES_PER_HEAD: usize = 4;
+
+/// Overflow lines per [`BucketTable`] chunk: 64 KiB, below glibc's initial
+/// 128 KiB mmap threshold, so a chunk reuses heap memory an earlier run
+/// freed instead of faulting in fresh pages.
+const CHUNK_LINES: usize = 1024;
+const CHUNK_SHIFT: u32 = CHUNK_LINES.trailing_zeros();
+
+/// One cache line of a [`BucketTable`]: fill count, overflow link and the
+/// tuples themselves.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Line {
+    count: u32,
+    /// Id of the next line of the chain; 0 ends it (id 0 is a head).
+    next: u32,
+    slots: [Tuple; SLOTS],
+}
+
+const _: () = assert!(std::mem::size_of::<Line>() == 64);
+
+impl Line {
+    const EMPTY: Line = Line {
+        count: 0,
+        next: 0,
+        slots: [Tuple::new(0, 0); SLOTS],
+    };
+}
+
+/// SHJ's single-owner hash table: [`SharedTable`]'s cache-line buckets
+/// without latch or `unsafe`. Lines are named by id: `0..heads` are the
+/// heads a key hashes to, held in one allocation of exactly that size, and
+/// ids from `heads` up are overflow lines, appended in 64 KiB chunks so
+/// growth past `expected` never moves a line. (Chunking the heads too
+/// measured a higher peak RSS on the eager benchmark; DESIGN §2.) The
+/// insert rule is `SharedTable`'s: head, then first overflow line, else a
+/// fresh line linked in between, so every line further down a chain is full.
+pub struct BucketTable {
+    mask: u64,
+    heads: Vec<Line>,
+    /// Overflow line `heads + i` is `chunks[i >> 10][i & 1023]`; every chunk
+    /// but the last holds exactly [`CHUNK_LINES`] lines.
+    chunks: Vec<Vec<Line>>,
+    overflow: usize,
+    len: usize,
+}
+
+impl BucketTable {
+    /// Table sized for roughly `expected` entries.
+    pub fn with_capacity(expected: usize) -> Self {
+        let heads = next_pow2_at_least(expected / TUPLES_PER_HEAD, 1);
+        BucketTable {
+            mask: heads as u64 - 1,
+            heads: vec![Line::EMPTY; heads],
+            chunks: Vec::new(),
+            overflow: 0,
+            len: 0,
+        }
+    }
+
+    /// Number of entries stored.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no entries are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Approximate heap footprint: head plus overflow lines, 64 bytes each.
+    pub fn bytes(&self) -> usize {
+        (self.heads.len() + self.overflow) * std::mem::size_of::<Line>()
+    }
+
+    /// Hint-prefetch the head line `key` hashes to, so that a later
+    /// [`Self::insert`] or [`Self::probe`] of it finds the line in cache.
+    #[inline]
+    pub fn prefetch(&self, key: Key) {
+        prefetch_read(&self.heads[bucket_of(key, self.mask)]);
+    }
+
+    /// Insert an entry.
+    #[inline]
+    pub fn insert(&mut self, key: Key, ts: Ts) {
+        let head = bucket_of(key, self.mask);
+        let mut dest = head;
+        if self.heads[head].count as usize == SLOTS {
+            let first = self.heads[head].next;
+            dest = first as usize;
+            if first == 0 || self.line(dest).count as usize == SLOTS {
+                dest = self.append(Line {
+                    next: first,
+                    ..Line::EMPTY
+                });
+                self.heads[head].next = dest as u32;
+            }
+        }
+        let line = self.line_mut(dest);
+        line.slots[line.count as usize] = Tuple::new(key, ts);
+        line.count += 1;
+        self.len += 1;
+    }
+
+    /// Call `f(ts)` for every stored entry with this key.
+    #[inline]
+    pub fn probe(&self, key: Key, mut f: impl FnMut(Ts)) {
+        let mut line = &self.heads[bucket_of(key, self.mask)];
+        loop {
+            // Start on the next line's miss before working through this one.
+            let following = (line.next != 0).then(|| self.line(line.next as usize));
+            if let Some(next) = following {
+                prefetch_read(next);
+            }
+            for t in &line.slots[..line.count as usize] {
+                if t.key == key {
+                    f(t.ts);
+                }
+            }
+            let Some(next) = following else { return };
+            line = next;
+        }
+    }
+
+    #[inline]
+    fn line(&self, id: usize) -> &Line {
+        match id.checked_sub(self.heads.len()) {
+            None => &self.heads[id],
+            Some(i) => &self.chunks[i >> CHUNK_SHIFT][i & (CHUNK_LINES - 1)],
+        }
+    }
+
+    #[inline]
+    fn line_mut(&mut self, id: usize) -> &mut Line {
+        match id.checked_sub(self.heads.len()) {
+            None => &mut self.heads[id],
+            Some(i) => &mut self.chunks[i >> CHUNK_SHIFT][i & (CHUNK_LINES - 1)],
+        }
+    }
+
+    /// Append an overflow line and return its id.
+    fn append(&mut self, line: Line) -> usize {
+        let id = self.heads.len() + self.overflow;
+        assert!(u32::try_from(id).is_ok(), "line ids exceed u32 chain links");
+        if self.overflow.is_multiple_of(CHUNK_LINES) {
+            self.chunks.push(Vec::with_capacity(CHUNK_LINES));
+        }
+        self.chunks
+            .last_mut()
+            .expect("a chunk was pushed")
+            .push(line);
+        self.overflow += 1;
+        id
+    }
+}
 
 /// One cache line of NPJ's shared table, after the bucket of Balkesen et
 /// al.'s no-partitioning join: latch, fill count, overflow link and the
@@ -428,6 +586,24 @@ mod tests {
     fn local_bytes_nonzero() {
         let t = LocalTable::with_capacity(100);
         assert!(t.bytes() > 0);
+    }
+
+    #[test]
+    fn bucket_one_key_is_one_tight_chain_across_chunks() {
+        let mut t = BucketTable::with_capacity(8000);
+        for ts in 0..8000 {
+            t.insert(9, ts);
+        }
+        let mut seen = Vec::new();
+        t.probe(9, |ts| seen.push(ts));
+        seen.sort_unstable();
+        assert_eq!(seen, (0..8000).collect::<Vec<Ts>>());
+        assert_eq!(t.len(), 8000);
+        // 1142 overflow lines behind 2048 heads, every one full but the one
+        // linked in last: a whole chunk and the start of a second.
+        let overflow = (8000 - SLOTS).div_ceil(SLOTS);
+        assert_eq!((overflow, t.chunks.len()), (1142, 2));
+        assert_eq!(t.bytes(), (2048 + overflow) * 64);
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! - [`merge`] — k-way (MWay) and successive pairwise (MPass) merging.
 //! - [`mergejoin`] — the duplicate-aware sorted-merge join kernel, plus the
 //!   run-provenance variant PMJ's merge phase needs.
-//! - [`hashtable`] — NPJ's per-bucket latched shared table and the
-//!   thread-local chained table used by PRJ and SHJ.
+//! - [`hashtable`] — NPJ's per-bucket latched shared table, PRJ's
+//!   thread-local chained table and SHJ's single-owner cache-line bucket
+//!   tables.
 //! - [`swwc`] — software write-combining scatter buffers and the cachesim
 //!   A/B harness validating their miss reduction (Fig. 18 / Table 5).
 //! - [`window_index`] — the evictable hash index over resident window
@@ -47,7 +48,7 @@ pub mod topology;
 pub mod window_index;
 
 pub use executor::Executor;
-pub use hashtable::{LocalTable, SharedTable};
+pub use hashtable::{BucketTable, LocalTable, SharedTable};
 pub use latch::Latch;
 pub use morsel::{for_each_morsel, MorselQueue, Scheduler, DEFAULT_MORSEL};
 pub use pool::run_workers;

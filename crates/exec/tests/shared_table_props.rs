@@ -1,15 +1,24 @@
-//! Property tests of the latched NPJ table: across input sizes that sit on
-//! the bucket-layout edges, uniform and heavily skewed keys, and worker
-//! counts, a concurrent build into [`SharedTable`] must hold exactly the
-//! multiset a single-owner [`LocalTable`] holds — nothing lost to a racing
-//! overflow claim, nothing duplicated by a relinked chain. Sizes are kept
-//! small enough for the nightly Miri job to walk the raw arena, the
-//! hand-aligned allocation and the `UnsafeCell` bucket accesses in
-//! reasonable time.
+//! Property tests of the cache-line bucket tables against the chained
+//! [`LocalTable`]:
+//!
+//! - NPJ's latched [`SharedTable`]: across input sizes that sit on the
+//!   bucket-layout edges, uniform and heavily skewed keys, and worker
+//!   counts, a concurrent build must hold exactly the multiset a
+//!   single-owner table holds — nothing lost to a racing overflow claim,
+//!   nothing duplicated by a relinked chain.
+//! - SHJ's single-owner [`BucketTable`]: over duplication, sizing and sizes
+//!   whose heads and overflow lines cross the 1024-line chunk edges, it must
+//!   hold the same multiset with an exact `len()` and a monotone `bytes()`,
+//!   also while it is probed between inserts.
+//!
+//! Sizes are kept small enough for the nightly Miri job to walk the raw
+//! arena, the hand-aligned allocation and the `UnsafeCell` bucket accesses
+//! in reasonable time.
 
 use iawj_common::{Rng, Zipf};
 use iawj_exec::pool::chunk_range;
-use iawj_exec::{run_workers, LocalTable, SharedTable};
+use iawj_exec::{run_workers, BucketTable, LocalTable, SharedTable};
+use proptest::collection;
 use proptest::prelude::*;
 
 /// Tuple slots of one 64-byte bucket (`hashtable::SLOTS`, which is private):
@@ -28,10 +37,18 @@ fn pairs(n: usize, seed: u64, theta: f64) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// All `(key, ts)` pairs reachable by probing every key, sorted.
-fn drain(probe: impl Fn(u32, &mut dyn FnMut(u32))) -> Vec<(u32, u32)> {
+/// `n` pairs in a seeded random order whose keys `0..n.div_ceil(dupe)` each
+/// occur `dupe` times (the last one fewer), with distinct payloads.
+fn duplicated(n: usize, dupe: usize, seed: u64) -> Vec<(u32, u32)> {
+    let mut keys: Vec<u32> = (0..n).map(|i| (i / dupe) as u32).collect();
+    Rng::new(seed).shuffle(&mut keys);
+    keys.into_iter().zip(0..).collect()
+}
+
+/// All `(key, ts)` pairs reachable by probing keys `0..keys`, sorted.
+fn drain(keys: u32, probe: impl Fn(u32, &mut dyn FnMut(u32))) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
-    for k in 0..KEY_SPACE as u32 {
+    for k in 0..keys {
         probe(k, &mut |ts| out.push((k, ts)));
     }
     out.sort_unstable();
@@ -61,20 +78,110 @@ fn concurrent_build_matches_single_owner_table() {
             for &(k, ts) in &input {
                 local.insert(k, ts);
             }
-            let want = drain(|k, f| local.probe(k, f));
+            let want = drain(KEY_SPACE as u32, |k, f| local.probe(k, f));
             for threads in [1, 2, 4, 8] {
                 let table = build_shared(&input, n, threads);
                 let cell = format!("n={n} theta={theta} threads={threads}");
                 assert_eq!(table.len(), n, "{cell}");
                 assert_eq!(table.is_empty(), n == 0, "{cell}");
-                assert_eq!(drain(|k, f| table.probe(k, f)), want, "{cell}");
+                assert_eq!(
+                    drain(KEY_SPACE as u32, |k, f| table.probe(k, f)),
+                    want,
+                    "{cell}"
+                );
             }
         }
     }
 }
 
+/// Sizes of the single-owner grid. Overflow lines live in chunks of 1024,
+/// so overflow line 1024 opens the second chunk and 2048 the third. The
+/// undersized cells (`expected = n / 8`) of 16 384 inserts chain past the
+/// third, and of 8192 (Miri) past the second; `expected = n` and `8n` give
+/// 1024 to 32 768 heads with few or no overflow lines.
+#[cfg(not(miri))]
+const BUCKET_SIZES: &[usize] = &[0, 1, SLOTS, SLOTS + 1, 4096, 16_384];
+#[cfg(miri)]
+const BUCKET_SIZES: &[usize] = &[0, 1, SLOTS + 1, 8192];
+
+/// Overflow lines the grid must pass: into the third chunk natively, the
+/// second under Miri.
+const OVERFLOW_REACH: usize = if cfg!(miri) { 1024 } else { 2048 };
+
+/// Head lines of a `BucketTable` sized for `expected` (its private rule:
+/// one per 4 expected tuples, rounded up to a power of two).
+fn heads(expected: usize) -> usize {
+    (expected / 4).max(1).next_power_of_two()
+}
+
+#[test]
+fn bucket_table_holds_what_a_local_table_holds() {
+    let mut reach = 0;
+    for dupe in [1, 4, 100] {
+        for &n in BUCKET_SIZES {
+            let input = duplicated(n, dupe, (n * dupe) as u64);
+            let keys = n.div_ceil(dupe) as u32;
+            let mut local = LocalTable::with_capacity(n);
+            for &(k, ts) in &input {
+                local.insert(k, ts);
+            }
+            let want = drain(keys, |k, f| local.probe(k, f));
+            for expected in [n / 8, n, 8 * n] {
+                let cell = format!("n={n} dupe={dupe} expected={expected}");
+                let mut table = BucketTable::with_capacity(expected);
+                let mut bytes = table.bytes();
+                assert_eq!(bytes, heads(expected) * 64, "{cell}");
+                for (i, &(k, ts)) in input.iter().enumerate() {
+                    table.insert(k, ts);
+                    assert_eq!(table.len(), i + 1, "{cell}");
+                    assert!(
+                        table.bytes() >= bytes,
+                        "{cell}: bytes() shrank at insert {i}"
+                    );
+                    bytes = table.bytes();
+                }
+                assert_eq!(table.is_empty(), n == 0, "{cell}");
+                assert_eq!(drain(keys, |k, f| table.probe(k, f)), want, "{cell}");
+                reach = reach.max(bytes / 64 - heads(expected));
+            }
+        }
+    }
+    assert!(
+        reach > OVERFLOW_REACH,
+        "the grid claimed only {reach} overflow lines"
+    );
+}
+
+/// Most operations of one build-while-probe sequence.
+const MAX_OPS: usize = if cfg!(miri) { 300 } else { 1500 };
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    #[test]
+    fn build_while_probe_matches_local_tables(
+        ops in collection::vec((any::<bool>(), 0u32..48), 1..MAX_OPS),
+        expected in 0usize..300) {
+        // SHJ's regime: each arrival goes into its own side's table, then
+        // probes the other side's, which is still being built.
+        let mut local = [LocalTable::with_capacity(expected), LocalTable::with_capacity(expected)];
+        let mut table = [BucketTable::with_capacity(expected), BucketTable::with_capacity(expected)];
+        for (ts, &(s_side, key)) in ops.iter().enumerate() {
+            let (own, other) = (usize::from(s_side), usize::from(!s_side));
+            local[own].insert(key, ts as u32);
+            table[own].insert(key, ts as u32);
+            let mut want = Vec::new();
+            local[other].probe(key, |ts| want.push(ts));
+            let mut got = Vec::new();
+            table[other].probe(key, |ts| got.push(ts));
+            want.sort_unstable();
+            got.sort_unstable();
+            prop_assert_eq!(got, want, "op {}", ts);
+        }
+        for side in 0..2 {
+            prop_assert_eq!(table[side].len(), local[side].len());
+        }
+    }
 
     #[test]
     fn undersized_table_grows_and_loses_nothing(
@@ -89,6 +196,6 @@ proptest! {
         let table = build_shared(&input, expected, threads);
         let mut want = input;
         want.sort_unstable();
-        prop_assert_eq!(drain(|k, f| table.probe(k, f)), want);
+        prop_assert_eq!(drain(KEY_SPACE as u32, |k, f| table.probe(k, f)), want);
     }
 }

@@ -8,8 +8,17 @@ use iawj_study::core::{execute, Algorithm, RunConfig};
 use iawj_study::datagen::MicroSpec;
 use proptest::prelude::*;
 
+/// Cases per property: 8, or `PROPTEST_CASES` when set (the CI stress job
+/// runs 64). An explicit `cases` would otherwise override the variable.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(8)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(), ..ProptestConfig::default() })]
 
     #[test]
     fn gated_runs_are_exact_for_all_schemes(
