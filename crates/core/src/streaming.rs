@@ -49,16 +49,26 @@
 //! over tuples at rest at all — that would rebuild the index at every
 //! close, which defeats the entire point of the family. Instead it keeps a
 //! *persistent* [`WindowIndex`] per side (sharded by key partition for
-//! IBWJ_PART), inserting each tuple once at ingest (`index:insert`). A
-//! window close gathers the window's R tuples from the resident panes and
-//! probes the persistent S index with a timestamp-range filter, fanned out
-//! as contiguous morsel ranges over the operator's executor — safe because
-//! probing takes `&self` and the single writer only mutates between
-//! closes. Pane eviction evicts the index to the same horizon
-//! (`index:evict`), and the partitioned variant re-balances its
-//! partition→worker probe ownership from the per-close partition
-//! histogram (`index:repart`), mirroring the batch engine's LPT plan.
-//! Session geometry falls back to the generic at-rest path.
+//! IBWJ_PART), inserting each tuple once at ingest (`index:insert`).
+//!
+//! A close costs one slide, not one window: each pane pair is counted
+//! once, by the later of its two panes, as in the IBWJ study's
+//! second-arrival rule. Pane `p` is *complete* at the first close whose
+//! window ends at or after `(p + 1)·g`; the watermark has then passed the
+//! pane, so no tuple can join it any more. At that close, with `a` the
+//! window's first pane, `p`'s R tuples probe the S index over
+//! `[a·g, (p+1)·g)` and its S tuples the R index over `[a·g, p·g)`, and
+//! each match adds to the cell `pane_counts[p][p − ts/g]`. Window `k` then
+//! sums the cells `d ≤ p − a` of its panes `[a, b)`; no later window needs
+//! a pair reaching back before `a`. The cells recombine with
+//! [`pair_multiplicity`] like the cached pane pairs above. The probes
+//! fan out over the operator's executor — safe because probing takes
+//! `&self` and the single writer only mutates between closes. Pane
+//! eviction evicts the index to the same horizon (`index:evict`), one
+//! sub-index per lane, and the partitioned variant re-balances its
+//! partition→worker probe ownership from the partition histogram of the
+//! panes each close probes (`index:repart`), mirroring the batch engine's
+//! LPT plan. Session geometry falls back to the generic at-rest path.
 //!
 //! ## Backpressure contract
 //!
@@ -85,6 +95,7 @@ use iawj_obs::{
     MARK_STREAM_BACKPRESSURE, MARK_STREAM_CLOSE, MARK_STREAM_INGEST, MARK_STREAM_LATE,
 };
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -180,9 +191,12 @@ pub struct ClosedWindow {
     pub watermark_ms: u64,
     /// Wall ms spent joining (engine runs + recombination) at close.
     pub join_wall_ms: f64,
-    /// Pane pairs whose engine run happened at this close (shared mode).
+    /// Pane pairs whose engine run happened at this close (shared mode),
+    /// or, on the persistent-index path, pane-pair cells counted at this
+    /// close.
     pub pane_pairs_computed: usize,
-    /// Pane pairs answered from the cache at this close (shared mode).
+    /// Pane pairs answered from the cache at this close (shared mode), or
+    /// pane-pair cells counted at an earlier close (persistent index).
     pub pane_pairs_reused: usize,
 }
 
@@ -202,8 +216,8 @@ pub struct StreamReport {
     /// Total matches across all closed windows.
     pub matches: u64,
     /// Total matches recombined as `Σ M(i,j) × pair_multiplicity` (shared
-    /// pane mode and sessions; `None` when the naive per-window path or
-    /// the persistent-index path ran).
+    /// pane mode, the persistent-index path and sessions; `None` when the
+    /// naive per-window path ran).
     pub matches_via_multiplicity: Option<u64>,
     /// Tuples ingested from the R side (late drops included).
     pub ingested_r: u64,
@@ -213,7 +227,9 @@ pub struct StreamReport {
     pub late_dropped: u64,
     /// Producer blocking episodes observed on the ingress queues.
     pub backpressure_waits: u64,
-    /// Engine invocations (whole windows or pane pairs).
+    /// Engine invocations: at-rest runs over whole windows, pane pairs or
+    /// sessions, or, on the persistent-index path, completed panes probed
+    /// against the resident index.
     pub engine_runs: u64,
     /// Most panes (or pending sessions) resident at once. Pane counts are
     /// tracked per tuple; session residency needs a scan of the pending
@@ -296,11 +312,12 @@ fn gcd(a: u64, b: u64) -> u64 {
 }
 
 /// Persistent index state for the index-based engines over pane
-/// geometries: resident window content is indexed once at ingest and
-/// re-probed at every close instead of rebuilt per close. Probing is
-/// read-only (`&self` on [`WindowIndex`]), so a close fans morsel ranges
-/// out across the operator's executor; the single writer (the operator
-/// thread) only mutates between closes.
+/// geometries: resident window content is indexed once at ingest, and a
+/// close probes only the panes that completed since the previous close, so
+/// each pane pair is counted once. Probing is read-only (`&self` on
+/// [`WindowIndex`]), so a close fans the probes out across the operator's
+/// executor; the single writer (the operator thread) only mutates between
+/// closes, and eviction runs one sub-index per lane.
 struct StreamIndex {
     /// Key-partitioned `(R, S)` sub-index pairs. IBWJ keeps one partition;
     /// IBWJ_PART keeps [`RunConfig::index_partitions`] of them.
@@ -313,6 +330,23 @@ struct StreamIndex {
     /// Tuples indexed since the last `index:insert` journal mark (the
     /// operator marks once per ingest poll, not per tuple).
     unmarked_inserts: u64,
+    /// Panes before this one are complete: no tuple can join them any
+    /// more, and their pairs are counted.
+    complete: u64,
+    /// Per complete resident pane `p`, `pane_counts[&p][d]` counts the
+    /// matches between pane `p` and pane `p − d`, R side in either. Evicted
+    /// with the panes.
+    pane_counts: BTreeMap<u64, Vec<u64>>,
+}
+
+/// One lane's probe at a close: `tuples`, from side `side` of the
+/// `pane`-th completing pane, against the other side's sub-index of
+/// partition `part`.
+struct Probe<'a> {
+    pane: usize,
+    side: Side,
+    part: usize,
+    tuples: &'a [Tuple],
 }
 
 impl StreamIndex {
@@ -325,12 +359,19 @@ impl StreamIndex {
         let threads = run.threads.max(1);
         StreamIndex {
             parts: (0..p_n)
-                .map(|_| (WindowIndex::with_capacity(64), WindowIndex::with_capacity(64)))
+                .map(|_| {
+                    (
+                        WindowIndex::with_capacity(64),
+                        WindowIndex::with_capacity(64),
+                    )
+                })
                 .collect(),
             assignment: (0..p_n).map(|p| p % threads).collect(),
             threads,
             repart_factor: run.index.repart_factor,
             unmarked_inserts: 0,
+            complete: 0,
+            pane_counts: BTreeMap::new(),
         }
     }
 
@@ -347,67 +388,140 @@ impl StreamIndex {
         self.unmarked_inserts += 1;
     }
 
-    /// Drop all entries with `ts < horizon` from every sub-index; returns
-    /// the number of entries evicted.
-    fn evict(&mut self, horizon: Ts) -> usize {
-        self.parts
+    /// Drop all tuples with `ts < horizon` from every sub-index, one
+    /// sub-index per lane on `exec`; returns the number of tuples evicted.
+    fn evict(&mut self, horizon: Ts, exec: &Executor) -> usize {
+        let subs: Vec<Mutex<&mut WindowIndex>> = self
+            .parts
             .iter_mut()
-            .map(|(r, s)| r.evict_before(horizon) + s.evict_before(horizon))
-            .sum()
+            .flat_map(|(r, s)| [r, s])
+            .map(Mutex::new)
+            .collect();
+        let lanes = subs.len().min(self.threads);
+        exec.run(lanes, |w| {
+            subs.iter()
+                .skip(w)
+                .step_by(lanes)
+                .map(|ix| {
+                    ix.lock()
+                        .expect("one lane per sub-index")
+                        .evict_before(horizon)
+                })
+                .sum::<usize>()
+        })
+        .into_iter()
+        .sum()
     }
 
-    /// Probe a contiguous slice of window-R tuples against one S
-    /// sub-index, counting entries with ts in `[lo, hi)` — the batched
-    /// bucket-derivation + software-prefetch pipeline of the batch engines.
-    fn probe_slice(&self, idx: &WindowIndex, r: &[Tuple], lo: Ts, hi: Ts) -> u64 {
-        let mut m = 0u64;
-        let mut buckets = Vec::new();
-        for chunk in r.chunks(64) {
-            tuple_buckets_into(INDEX_KERNEL, chunk, idx.mask(), &mut buckets);
-            for (i, t) in chunk.iter().enumerate() {
-                if let Some(&ahead) = buckets.get(i + DEFAULT_PREFETCH_DIST) {
-                    idx.prefetch_bucket(ahead);
-                }
-                idx.probe_range_at(buckets[i], t.key, lo, hi, |_| m += 1);
-            }
-        }
-        m
-    }
-
-    /// Join one closed window `[lo, hi)`: probe its R tuples against the
-    /// persistent S index in parallel on `exec`. For the partitioned
-    /// variant the per-partition probe histogram doubles as the cheap
-    /// rebalance trigger: when the heaviest worker's share exceeds the
-    /// ideal by `repart_factor`, ownership is recomputed with greedy LPT
-    /// (heaviest partition first, ties by index — deterministic).
-    fn close_join(
+    /// Count the pairs each pane of `fresh`, complete as of this close,
+    /// forms with itself and the earlier panes from `a` on; returns each
+    /// pane's id and its [`StreamIndex::pane_counts`], `p − a + 1` cells for
+    /// pane `p`. Pane `p`'s R tuples probe the S index over `[a·g, (p+1)·g)`
+    /// and its S tuples the R index over `[a·g, p·g)`, so a pair is counted
+    /// once, by the later of its two panes. IBWJ splits each pane's tuples
+    /// evenly over the lanes. IBWJ_PART sends each tuple to its partition's
+    /// owner; the per-partition loads of the close feed the rebalance
+    /// trigger first.
+    fn count_pairs(
         &mut self,
-        r: &[Tuple],
-        lo: Ts,
-        hi: Ts,
+        fresh: &[(u64, &Pane)],
+        a: u64,
+        g: u64,
         exec: &Executor,
         journal: &mut SpanJournal,
-    ) -> u64 {
-        let p_n = self.parts.len();
-        let w_n = self.threads;
+    ) -> Vec<(u64, Vec<u64>)> {
+        if fresh.is_empty() {
+            return Vec::new();
+        }
+        let (p_n, w_n) = (self.parts.len(), self.threads);
+        let mut grouped: Vec<(usize, Side, usize, Vec<Tuple>)> = Vec::new();
+        if p_n > 1 {
+            for (i, (_, pane)) in fresh.iter().enumerate() {
+                for (side, tuples) in [(Side::R, &pane.r), (Side::S, &pane.s)] {
+                    let mut by_part = vec![Vec::new(); p_n];
+                    for t in tuples {
+                        by_part[part_of(t.key, p_n)].push(*t);
+                    }
+                    grouped.extend(
+                        by_part
+                            .into_iter()
+                            .enumerate()
+                            .filter(|(_, v)| !v.is_empty())
+                            .map(|(part, v)| (i, side, part, v)),
+                    );
+                }
+            }
+            let mut loads = vec![0usize; p_n];
+            for (_, _, part, v) in &grouped {
+                loads[*part] += v.len();
+            }
+            self.rebalance(&loads, journal);
+        }
+        let mut lanes: Vec<Vec<Probe>> = (0..w_n).map(|_| Vec::new()).collect();
         if p_n == 1 {
-            let this = &*self;
-            let idx = &this.parts[0].1;
-            let per = r.len().div_ceil(w_n).max(1);
-            return exec
-                .run(w_n, |w| {
-                    let a = (w * per).min(r.len());
-                    let b = ((w + 1) * per).min(r.len());
-                    this.probe_slice(idx, &r[a..b], lo, hi)
-                })
-                .into_iter()
-                .sum();
+            for (i, (_, pane)) in fresh.iter().enumerate() {
+                for (side, tuples) in [(Side::R, &pane.r), (Side::S, &pane.s)] {
+                    let per = tuples.len().div_ceil(w_n).max(1);
+                    for (w, chunk) in tuples.chunks(per).enumerate() {
+                        lanes[w].push(Probe {
+                            pane: i,
+                            side,
+                            part: 0,
+                            tuples: chunk,
+                        });
+                    }
+                }
+            }
+        } else {
+            for (i, side, part, tuples) in &grouped {
+                lanes[self.assignment[*part]].push(Probe {
+                    pane: *i,
+                    side: *side,
+                    part: *part,
+                    tuples,
+                });
+            }
         }
-        let mut by_part: Vec<Vec<Tuple>> = vec![Vec::new(); p_n];
-        for t in r {
-            by_part[part_of(t.key, p_n)].push(*t);
+        let this = &*self;
+        let mut per_lane = exec.run(w_n, |w| {
+            let mut pairs: Vec<Vec<u64>> = fresh
+                .iter()
+                .map(|&(p, _)| vec![0; (p - a + 1) as usize])
+                .collect();
+            let mut buckets = Vec::new();
+            for probe in &lanes[w] {
+                let p = fresh[probe.pane].0;
+                let (idx, hi) = match probe.side {
+                    Side::R => (&this.parts[probe.part].1, (p + 1) * g),
+                    Side::S => (&this.parts[probe.part].0, p * g),
+                };
+                count_into(
+                    idx,
+                    probe.tuples,
+                    (a * g, hi),
+                    p,
+                    g,
+                    &mut pairs[probe.pane],
+                    &mut buckets,
+                );
+            }
+            pairs
+        });
+        let mut pairs = per_lane.pop().expect("at least one lane");
+        for lane in per_lane {
+            for (sum, part) in pairs.iter_mut().zip(lane) {
+                sum.iter_mut().zip(part).for_each(|(s, m)| *s += m);
+            }
         }
-        let loads: Vec<usize> = by_part.iter().map(|v| v.len()).collect();
+        fresh.iter().map(|&(p, _)| p).zip(pairs).collect()
+    }
+
+    /// The cheap rebalance trigger of IBWJ_PART: when the heaviest worker's
+    /// share of `loads` exceeds the ideal by `repart_factor`, ownership is
+    /// recomputed with greedy LPT (heaviest partition first, ties by index —
+    /// deterministic).
+    fn rebalance(&mut self, loads: &[usize], journal: &mut SpanJournal) {
+        let (p_n, w_n) = (self.parts.len(), self.threads);
         let total: usize = loads.iter().sum();
         let mut per_worker = vec![0usize; w_n];
         for (p, &l) in loads.iter().enumerate() {
@@ -429,20 +543,41 @@ impl StreamIndex {
                 journal.mark(MARK_INDEX_REPART, Instant::now());
             }
         }
-        let this = &*self;
-        let by_part = &by_part;
-        exec.run(w_n, |w| {
-            let mut m = 0u64;
-            for (p, tuples) in by_part.iter().enumerate() {
-                if this.assignment[p] == w && !tuples.is_empty() {
-                    m += this.probe_slice(&this.parts[p].1, tuples, lo, hi);
-                }
-            }
-            m
-        })
-        .into_iter()
-        .sum()
     }
+}
+
+/// Count the matches of `probe` against `idx` with ts in `[lo, hi)` into
+/// `pairs[p − ts/g]` — the batched bucket-derivation + software-prefetch
+/// pipeline of the batch engines.
+fn count_into(
+    idx: &WindowIndex,
+    probe: &[Tuple],
+    (lo, hi): (u64, u64),
+    p: u64,
+    g: u64,
+    pairs: &mut [u64],
+    buckets: &mut Vec<usize>,
+) {
+    if lo >= hi {
+        return;
+    }
+    let (lo, hi) = (clamp_ts(lo), clamp_ts(hi));
+    for chunk in probe.chunks(64) {
+        tuple_buckets_into(INDEX_KERNEL, chunk, idx.mask(), buckets);
+        for (i, t) in chunk.iter().enumerate() {
+            if let Some(&ahead) = buckets.get(i + DEFAULT_PREFETCH_DIST) {
+                idx.prefetch_bucket(ahead);
+            }
+            idx.probe_range_at(buckets[i], t.key, lo, hi, |ts| {
+                pairs[(p - ts as u64 / g) as usize] += 1;
+            });
+        }
+    }
+}
+
+/// A stream-time bound in ms as a [`Ts`], saturating at the top.
+fn clamp_ts(ms: u64) -> Ts {
+    ms.min(Ts::MAX as u64) as Ts
 }
 
 /// The long-running streaming join operator. See the module docs.
@@ -505,13 +640,11 @@ impl StreamingJoin {
             }
             _ => None,
         };
-        // The index path computes per-window matches directly from the
-        // persistent index, so there are no pane-pair counts to recombine.
-        let track_mult = idx.is_none()
-            && match geo {
-                Geo::Panes { .. } => cfg.share_panes,
-                Geo::Session { .. } => true,
-            };
+        // The index path counts pane pairs too, whatever `share_panes` says.
+        let track_mult = match geo {
+            Geo::Panes { .. } => cfg.share_panes || idx.is_some(),
+            Geo::Session { .. } => true,
+        };
         let journal = SpanJournal::with_capacity(Instant::now(), cfg.run.journal_capacity);
         let exec = cfg.run.make_executor();
         StreamingJoin {
@@ -716,22 +849,8 @@ impl StreamingJoin {
         let mut matches = 0u64;
         let mut computed = 0usize;
         let mut reused = 0usize;
-        if let Some(ix) = self.idx.as_mut() {
-            // Persistent-index close: gather the window's R tuples once
-            // and probe the resident S index with a ts-range filter. No
-            // per-close rebuild and no pane-pair cache — the index *is*
-            // the shared state.
-            if inputs_r > 0 && inputs_s > 0 {
-                let r: Vec<Tuple> = self
-                    .panes
-                    .range(a..b)
-                    .flat_map(|(_, p)| p.r.iter().copied())
-                    .collect();
-                let lo = start.min(Ts::MAX as u64) as Ts;
-                let hi = (start + len).min(Ts::MAX as u64) as Ts;
-                matches = ix.close_join(&r, lo, hi, &self.exec, &mut self.journal);
-                self.engine_runs += 1;
-            }
+        if self.idx.is_some() {
+            (matches, computed, reused) = self.close_index_window(a, b, g);
         } else if self.cfg.share_panes {
             for i in a..b {
                 for j in a..b {
@@ -796,8 +915,8 @@ impl StreamingJoin {
         // The persistent index evicts to the same horizon as the panes:
         // everything strictly before the next window's start.
         if let Some(ix) = self.idx.as_mut() {
-            let horizon = (keep * g).min(Ts::MAX as u64) as Ts;
-            if ix.evict(horizon) > 0 {
+            ix.pane_counts = ix.pane_counts.split_off(&keep);
+            if ix.evict(clamp_ts(keep * g), &self.exec) > 0 {
                 self.journal.mark(MARK_INDEX_EVICT, Instant::now());
             }
         }
@@ -815,6 +934,49 @@ impl StreamingJoin {
             reused,
             on_window,
         );
+    }
+
+    /// The persistent-index close of the window over panes `[a, b)`;
+    /// returns its matches and the pane-pair cells it counted and reused.
+    /// The watermark has passed the window's end, so panes before `b` are
+    /// complete: count the pairs of those that completed since the last
+    /// close against the resident index, then sum the window's cells.
+    /// Earlier panes not yet complete belong to no window (hopping gaps),
+    /// and panes without tuples have no pairs and no entry.
+    fn close_index_window(&mut self, a: u64, b: u64, g: u64) -> (u64, usize, usize) {
+        let ix = self.idx.as_mut().expect("the index path keeps an index");
+        let (mut matches, mut computed, mut reused) = (0, 0, 0);
+        let first = ix.complete.max(a);
+        ix.complete = ix.complete.max(b);
+        let fresh: Vec<(u64, &Pane)> = self
+            .panes
+            .range(first..b)
+            .map(|(&p, pane)| (p, pane))
+            .collect();
+        let counted = ix.count_pairs(&fresh, a, g, &self.exec, &mut self.journal);
+        self.engine_runs += counted.len() as u64;
+        for (p, pairs) in counted {
+            if let Some(acc) = self.via_mult.as_mut() {
+                // No earlier window holds pane `p`, and every later one
+                // that holds both panes reads this cell, so each cell
+                // recombines with its full multiplicity.
+                for (d, &m) in pairs.iter().enumerate() {
+                    let lo = (p - d as u64) * g;
+                    *acc += m * pair_multiplicity(self.cfg.spec, lo as Ts, (p * g + g - 1) as Ts);
+                }
+            }
+            ix.pane_counts.insert(p, pairs);
+        }
+        for (&p, pairs) in ix.pane_counts.range(a..b) {
+            let cells = (p - a + 1) as usize;
+            matches += pairs[..cells].iter().sum::<u64>();
+            if p < first {
+                reused += cells;
+            } else {
+                computed += cells;
+            }
+        }
+        (matches, computed, reused)
     }
 
     fn close_session<FW: FnMut(&ClosedWindow)>(
@@ -1286,7 +1448,8 @@ mod tests {
     fn index_engines_maintain_state_across_closes() {
         // The persistent-index path must reproduce the batch oracle over
         // overlapping sliding windows while indexing each tuple once at
-        // ingest and evicting with the panes.
+        // ingest, probing each pane once when it completes, and evicting
+        // with the panes.
         let spec = WindowSpec::Sliding {
             len_ms: 300,
             slide_ms: 100,
@@ -1294,6 +1457,9 @@ mod tests {
         let r = stream(300, 8, 900, 23);
         let s = stream(300, 8, 900, 24);
         let expect = batch_counts(spec, &r, &s);
+        let mut panes: Vec<u32> = r.iter().chain(&s).map(|t| t.ts / 100).collect();
+        panes.sort_unstable();
+        panes.dedup();
         for engine in [Algorithm::Ibwj, Algorithm::IbwjPart] {
             let sc = StreamConfig::new(spec, engine)
                 .run_config(RunConfig::with_threads(2))
@@ -1302,14 +1468,24 @@ mod tests {
             assert_eq!(stream_counts(&report), expect, "{engine}");
             assert!(report.count_marks(MARK_INDEX_INSERT) >= 1, "{engine}");
             assert!(report.count_marks(MARK_INDEX_EVICT) >= 1, "{engine}");
-            // No pane-pair recombination on this path.
-            assert_eq!(report.matches_via_multiplicity, None, "{engine}");
-            let probed = report
+            // Pane-pair recombination: Σ per-window == Σ cells × mult.
+            assert_eq!(
+                report.matches_via_multiplicity,
+                Some(report.matches),
+                "{engine}"
+            );
+            // One probe round per non-empty pane. A window of three panes
+            // reads six cells; after the first, a close by watermark counts
+            // the three of its newest pane and reuses the rest.
+            assert_eq!(report.engine_runs, panes.len() as u64, "{engine}");
+            let by_watermark = report
                 .windows
                 .iter()
-                .filter(|w| w.inputs_r > 0 && w.inputs_s > 0)
-                .count() as u64;
-            assert_eq!(report.engine_runs, probed, "{engine}");
+                .filter(|w| w.window.start > 0 && !w.flushed_at_end());
+            for w in by_watermark {
+                assert_eq!(w.pane_pairs_computed + w.pane_pairs_reused, 6, "{engine}");
+                assert_eq!(w.pane_pairs_computed, 3, "{engine}");
+            }
         }
     }
 

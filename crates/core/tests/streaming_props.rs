@@ -6,14 +6,27 @@
 //! 2. every non-late tuple lands in exactly the windows
 //!    [`pair_multiplicity`] / [`windows_for`] predict,
 //! 3. pane-shared sliding totals equal naive per-window re-joining,
-//! 4. capacity-1 queues neither deadlock nor drop in-order tuples.
+//! 4. capacity-1 queues neither deadlock nor drop in-order tuples,
+//! 5. the index engines' incremental pane-pair close equals NPJ's at-rest
+//!    close window for window, over sliding, hopping and tumbling
+//!    geometries and bounded out-of-order arrival.
 
 use iawj_common::Tuple;
 use iawj_core::streaming::{run_replay, StreamConfig, WM_END};
 use iawj_core::windowing::{pair_multiplicity, windows_for, WindowSpec};
 use iawj_core::{Algorithm, RunConfig};
-use iawj_datagen::MicroSpec;
+use iawj_datagen::{jitter_arrival_order, MicroSpec};
 use proptest::prelude::*;
+
+/// Cases per property: 24, or `PROPTEST_CASES` when set (the CI
+/// `stream-soak` job runs 64). An explicit `cases` would otherwise override
+/// the variable.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24)
+}
 
 fn spec_from(kind: u8, a: u32, b: u32) -> WindowSpec {
     match kind % 3 {
@@ -44,7 +57,7 @@ fn streams(n: usize, span_ms: u32, seed: u64) -> (Vec<Tuple>, Vec<Tuple>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(), ..ProptestConfig::default() })]
 
     /// (1) + (2): closes respect the watermark, and window membership is
     /// exactly what the spec arithmetic predicts.
@@ -145,5 +158,51 @@ proptest! {
         prop_assert_eq!(report.late_dropped, 0);
         prop_assert_eq!(report.final_watermark_ms, WM_END);
         prop_assert!(report.peak_queue_depth <= 1);
+    }
+
+    /// (5) The index engines count each pane pair once, when the later pane
+    /// completes, and sum a window's cells at its close. Every geometry must
+    /// give NPJ's per-window counts: `slide > len` leaves gap panes in no
+    /// window, `gcd(len, slide) < slide` completes several panes at one
+    /// close, and arrival jittered within the lateness completes a pane
+    /// only once its stragglers are in.
+    #[test]
+    fn index_close_matches_npj_over_every_geometry(
+        len in 1u32..12,
+        slide in 1u32..12,
+        unit in 5u32..30,
+        n in 30usize..150,
+        jitter in 0u32..40,
+        seed in 0u64..500,
+    ) {
+        let spec = WindowSpec::Sliding { len_ms: len * unit, slide_ms: slide * unit };
+        let (r, s) = streams(n, 600, seed);
+        let counts = |engine: Algorithm, threads: usize, r: Vec<Tuple>, s: Vec<Tuple>| {
+            let cfg = StreamConfig::new(spec, engine)
+                .run_config(RunConfig::with_threads(threads))
+                .lateness(jitter)
+                .tick_every_ms(0.0);
+            let report = run_replay(cfg, r, s, 16);
+            assert_eq!(report.late_dropped, 0, "{engine} threads={threads}");
+            assert_eq!(
+                report.matches_via_multiplicity,
+                Some(report.matches),
+                "{engine} threads={threads}: recombination"
+            );
+            report
+                .windows
+                .iter()
+                .map(|w| (w.window, w.matches))
+                .collect::<Vec<_>>()
+        };
+        let want = counts(Algorithm::Npj, 1, r.clone(), s.clone());
+        let arrival_r = jitter_arrival_order(&r, jitter, seed ^ 0xa5);
+        let arrival_s = jitter_arrival_order(&s, jitter, seed ^ 0x5a);
+        for engine in [Algorithm::Ibwj, Algorithm::IbwjPart] {
+            for threads in [1, 2] {
+                let got = counts(engine, threads, arrival_r.clone(), arrival_s.clone());
+                prop_assert_eq!(&got, &want, "{} threads={} {:?}", engine, threads, spec);
+            }
+        }
     }
 }

@@ -104,7 +104,7 @@ impl LocalTable {
 
 /// Tuple slots per [`Bucket`] and [`Line`]: what fits a 64-byte line beside
 /// the header.
-const SLOTS: usize = 7;
+pub(crate) const SLOTS: usize = 7;
 
 /// Expected tuples per head bucket, before the count rounds up to 2^n.
 const TUPLES_PER_HEAD: usize = 4;
@@ -115,21 +115,22 @@ const TUPLES_PER_HEAD: usize = 4;
 const CHUNK_LINES: usize = 1024;
 const CHUNK_SHIFT: u32 = CHUNK_LINES.trailing_zeros();
 
-/// One cache line of a [`BucketTable`]: fill count, overflow link and the
+/// One cache line of a [`BucketTable`] or a
+/// [`WindowIndex`](crate::WindowIndex): fill count, overflow link and the
 /// tuples themselves.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 #[repr(C, align(64))]
-struct Line {
-    count: u32,
+pub(crate) struct Line {
+    pub(crate) count: u32,
     /// Id of the next line of the chain; 0 ends it (id 0 is a head).
-    next: u32,
-    slots: [Tuple; SLOTS],
+    pub(crate) next: u32,
+    pub(crate) slots: [Tuple; SLOTS],
 }
 
 const _: () = assert!(std::mem::size_of::<Line>() == 64);
 
 impl Line {
-    const EMPTY: Line = Line {
+    pub(crate) const EMPTY: Line = Line {
         count: 0,
         next: 0,
         slots: [Tuple::new(0, 0); SLOTS],

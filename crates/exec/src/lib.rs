@@ -31,7 +31,7 @@
 //! - [`swwc`] — software write-combining scatter buffers and the cachesim
 //!   A/B harness validating their miss reduction (Fig. 18 / Table 5).
 //! - [`window_index`] — the evictable hash index over resident window
-//!   content that backs the IBWJ engine family.
+//!   content that backs the IBWJ engine family, on `BucketTable`'s lines.
 
 pub mod executor;
 pub mod hashtable;

@@ -1,18 +1,22 @@
 //! The evictable window index behind the IBWJ engine family.
 //!
-//! A bucket-chain hash index over `(key, ts)` entries that — unlike
-//! [`crate::LocalTable`], whose arena is append-only — supports removing
-//! entries as they leave the window ([`WindowIndex::evict_before`]).
-//! Evicted slots go on a free list and are reused by later inserts, so the
-//! arena's footprint tracks the *peak resident* window content rather than
-//! the whole stream's history: the property that makes an index-based
-//! engine viable on an unbounded stream.
+//! A hash index over `(key, ts)` tuples that — unlike the append-only
+//! tables of [`crate::hashtable`] — supports removing tuples as they leave
+//! the window ([`WindowIndex::evict_before`]). It stores them on the same
+//! 64-byte lines as [`crate::BucketTable`]: a fill count, an overflow link
+//! and 7 tuples inline, so a probe of a short chain touches one cache line
+//! and a batched pipeline can prefetch it. Eviction packs each chain's
+//! surviving tuples into its first lines and puts the emptied overflow
+//! lines on a free list of lines, which later inserts reuse, so the
+//! footprint tracks the *peak resident* window content rather than the
+//! whole stream's history: the property that makes an index-based engine
+//! viable on an unbounded stream.
 //!
 //! The batched probe pipeline of PR 8 is supported through the same
 //! `mask` / `prefetch_bucket` / `insert_at` / `probe_at` surface as the
 //! other tables, so engines derive bucket indices 8 keys at a time with
-//! [`iawj_common::kernel::tuple_buckets_into`] and software-prefetch chain
-//! heads ahead of the walk.
+//! [`iawj_common::kernel::tuple_buckets_into`] and software-prefetch head
+//! lines ahead of the walk.
 //!
 //! ## Concurrency contract
 //!
@@ -27,60 +31,57 @@
 //! Sharded multi-writer use wraps shards in a `Mutex` (see the IBWJ_PART
 //! engine), keeping this type free of unsafe code.
 
+use crate::hashtable::{Line, SLOTS};
 use iawj_common::hash::{bucket_of, next_pow2_at_least};
-use iawj_common::{prefetch_read, Key, Ts};
-
-/// Chain terminator / free-list terminator.
-const NIL: i32 = -1;
-
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    key: Key,
-    ts: Ts,
-    next: i32,
-}
+use iawj_common::{prefetch_read, Key, Ts, Tuple};
 
 /// An evictable single-writer, multi-reader hash index over window
 /// content. See the module docs for the concurrency contract.
+///
+/// Lines are named by id as in [`crate::BucketTable`]: `0..heads` are the
+/// heads a key hashes to, and overflow line `heads + i` is `overflow[i]`.
+/// The insert rule is `BucketTable`'s: head, then first overflow line, else
+/// a fresh line linked in between.
 #[derive(Debug)]
 pub struct WindowIndex {
     mask: u64,
-    heads: Vec<i32>,
-    entries: Vec<Entry>,
-    /// Head of the free list threaded through `entries[..].next`.
-    free: i32,
-    /// Entries currently linked into a bucket chain.
+    heads: Vec<Line>,
+    overflow: Vec<Line>,
+    /// First line of the free list threaded through `next`; 0 when empty
+    /// (id 0 is a head, never freed).
+    free: u32,
+    /// Tuples currently resident.
     live: usize,
 }
 
 impl WindowIndex {
-    /// Index sized for roughly `expected` resident entries (2× buckets,
-    /// minimum 16).
+    /// Index sized for roughly `expected` resident tuples: one head line
+    /// per 7, rounded up to a power of two.
     pub fn with_capacity(expected: usize) -> Self {
-        let buckets = next_pow2_at_least(expected * 2, 16);
+        let heads = next_pow2_at_least(expected / SLOTS, 1);
         WindowIndex {
-            mask: buckets as u64 - 1,
-            heads: vec![NIL; buckets],
-            entries: Vec::with_capacity(expected),
-            free: NIL,
+            mask: heads as u64 - 1,
+            heads: vec![Line::EMPTY; heads],
+            overflow: Vec::new(),
+            free: 0,
             live: 0,
         }
     }
 
-    /// Number of resident (non-evicted) entries.
+    /// Number of resident (non-evicted) tuples.
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// True when no entries are resident.
+    /// True when no tuples are resident.
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint: every head and overflow line allocated
+    /// so far, free-listed ones included, 64 bytes each.
     pub fn bytes(&self) -> usize {
-        self.heads.capacity() * std::mem::size_of::<i32>()
-            + self.entries.capacity() * std::mem::size_of::<Entry>()
+        (self.heads.len() + self.overflow.len()) * std::mem::size_of::<Line>()
     }
 
     /// The power-of-two bucket mask, for batched bucket derivation
@@ -90,7 +91,7 @@ impl WindowIndex {
         self.mask
     }
 
-    /// Hint-prefetch the chain head of bucket `b` ahead of an
+    /// Hint-prefetch the head line of bucket `b` ahead of an
     /// [`WindowIndex::insert_at`]/[`WindowIndex::probe_at`] at distance.
     #[inline]
     pub fn prefetch_bucket(&self, b: usize) {
@@ -99,8 +100,8 @@ impl WindowIndex {
         }
     }
 
-    /// Insert an entry, doubling the bucket array whenever the load
-    /// factor reaches 1 (amortized O(1); chains stay short no matter how
+    /// Insert a tuple, doubling the head lines once there are 7 resident
+    /// tuples per head (amortized O(1); chains stay short no matter how
     /// far the resident set outgrows the initial capacity hint). Only
     /// this self-bucketing path rehashes — [`WindowIndex::insert_at`]
     /// trusts the caller's bucket indices, so batched pipelines derive
@@ -108,59 +109,45 @@ impl WindowIndex {
     /// batch.
     #[inline]
     pub fn insert(&mut self, key: Key, ts: Ts) {
-        if self.live >= self.heads.len() {
+        if self.live >= SLOTS * self.heads.len() {
             self.grow();
         }
         self.insert_at(bucket_of(key, self.mask), key, ts);
     }
 
-    /// Double the bucket array and relink every resident entry.
-    /// O(resident + buckets); free-listed slots are unreachable from any
-    /// head, so exactly the live entries move.
+    /// Rehash every resident tuple into twice the head lines. The old
+    /// overflow lines, free-listed ones included, are dropped with the old
+    /// layout.
     fn grow(&mut self) {
-        let buckets = self.heads.len() * 2;
-        let mask = buckets as u64 - 1;
-        let mut heads = vec![NIL; buckets];
-        for b in 0..self.heads.len() {
-            let mut cur = self.heads[b];
-            while cur != NIL {
-                let next = self.entries[cur as usize].next;
-                let nb = bucket_of(self.entries[cur as usize].key, mask);
-                self.entries[cur as usize].next = heads[nb];
-                heads[nb] = cur;
-                cur = next;
-            }
+        let heads = self.heads.len() * 2;
+        let old = std::mem::replace(self, WindowIndex::with_capacity(heads * SLOTS));
+        for b in 0..old.heads.len() {
+            old.scan(b, |t| {
+                self.insert_at(bucket_of(t.key, self.mask), t.key, t.ts)
+            });
         }
-        self.heads = heads;
-        self.mask = mask;
     }
 
     /// [`WindowIndex::insert`] with the bucket index already derived
     /// (batched pipelines).
     #[inline]
     pub fn insert_at(&mut self, b: usize, key: Key, ts: Ts) {
-        let slot = if self.free != NIL {
-            let slot = self.free as usize;
-            self.free = self.entries[slot].next;
-            slot
-        } else {
-            self.entries.push(Entry {
-                key: 0,
-                ts: 0,
-                next: NIL,
-            });
-            self.entries.len() - 1
-        };
-        self.entries[slot] = Entry {
-            key,
-            ts,
-            next: self.heads[b],
-        };
-        self.heads[b] = slot as i32;
+        let mut dest = b;
+        if self.heads[b].count as usize == SLOTS {
+            let first = self.heads[b].next;
+            dest = first as usize;
+            if first == 0 || self.line(dest).count as usize == SLOTS {
+                dest = self.fresh(first);
+                self.heads[b].next = dest as u32;
+            }
+        }
+        let line = self.line_mut(dest);
+        line.slots[line.count as usize] = Tuple::new(key, ts);
+        line.count += 1;
         self.live += 1;
     }
 
-    /// Visit the timestamp of every resident entry with `key`.
+    /// Visit the timestamp of every resident tuple with `key`.
     #[inline]
     pub fn probe(&self, key: Key, f: impl FnMut(Ts)) {
         self.probe_at(bucket_of(key, self.mask), key, f);
@@ -170,17 +157,14 @@ impl WindowIndex {
     /// (batched pipelines).
     #[inline]
     pub fn probe_at(&self, b: usize, key: Key, mut f: impl FnMut(Ts)) {
-        let mut cur = self.heads[b];
-        while cur != NIL {
-            let e = &self.entries[cur as usize];
-            if e.key == key {
-                f(e.ts);
+        self.scan(b, |t| {
+            if t.key == key {
+                f(t.ts);
             }
-            cur = e.next;
-        }
+        });
     }
 
-    /// Visit the timestamp of every resident entry with `key` whose ts
+    /// Visit the timestamp of every resident tuple with `key` whose ts
     /// lies in `[lo, hi)` — the range filter of a windowed probe against
     /// an index that also holds content beyond the probed window.
     #[inline]
@@ -192,40 +176,127 @@ impl WindowIndex {
         });
     }
 
-    /// Unlink every entry with `ts < horizon` and recycle its slot.
-    /// Returns how many entries were evicted. O(resident + buckets); meant
-    /// to run at window-close cadence, not per tuple.
+    /// Drop every tuple with `ts < horizon`: each chain's survivors are
+    /// packed into its first lines, and the overflow lines this empties go
+    /// on the free list. Returns how many tuples were evicted. O(resident +
+    /// buckets); meant to run at window-close cadence, not per tuple.
     pub fn evict_before(&mut self, horizon: Ts) -> usize {
-        let mut evicted = 0usize;
+        let before = self.live;
         for b in 0..self.heads.len() {
-            let mut cur = self.heads[b];
-            let mut prev = NIL;
-            while cur != NIL {
-                let next = self.entries[cur as usize].next;
-                if self.entries[cur as usize].ts < horizon {
-                    if prev == NIL {
-                        self.heads[b] = next;
-                    } else {
-                        self.entries[prev as usize].next = next;
-                    }
-                    self.entries[cur as usize].next = self.free;
-                    self.free = cur;
-                    evicted += 1;
-                } else {
-                    prev = cur;
-                }
-                cur = next;
-            }
+            self.compact(b, horizon);
         }
-        self.live -= evicted;
-        evicted
+        before - self.live
     }
 
-    /// Count resident entries with `key` (tests and diagnostics).
+    /// Count resident tuples with `key` (tests and diagnostics).
     pub fn count(&self, key: Key) -> usize {
         let mut n = 0;
         self.probe(key, |_| n += 1);
         n
+    }
+
+    /// Lines in bucket `b`'s chain, head included (tests and diagnostics).
+    /// Right after [`WindowIndex::evict_before`] a chain of `n` tuples
+    /// holds exactly `max(1, ceil(n / 7))`.
+    pub fn chain_lines(&self, b: usize) -> usize {
+        let mut lines = 1;
+        let mut id = self.heads[b].next;
+        while id != 0 {
+            lines += 1;
+            id = self.line(id as usize).next;
+        }
+        lines
+    }
+
+    /// Call `f` with every tuple of chain `b`.
+    #[inline]
+    fn scan(&self, b: usize, mut f: impl FnMut(&Tuple)) {
+        let mut line = &self.heads[b];
+        loop {
+            // Start on the next line's miss before working through this one.
+            let following = (line.next != 0).then(|| self.line(line.next as usize));
+            if let Some(next) = following {
+                prefetch_read(next);
+            }
+            line.slots[..line.count as usize].iter().for_each(&mut f);
+            let Some(next) = following else { return };
+            line = next;
+        }
+    }
+
+    /// Pack chain `b`'s tuples with `ts >= horizon` into its first lines,
+    /// full but for the last, and free the lines behind them. The write
+    /// cursor never passes the read cursor, so packing works in place.
+    fn compact(&mut self, b: usize, horizon: Ts) {
+        let (mut write, mut filled) = (b, 0);
+        let mut read = b;
+        loop {
+            // A copy: the write cursor may be on this very line.
+            let line = *self.line(read);
+            for &t in &line.slots[..line.count as usize] {
+                if t.ts < horizon {
+                    self.live -= 1;
+                    continue;
+                }
+                if filled == SLOTS {
+                    let full = self.line_mut(write);
+                    full.count = SLOTS as u32;
+                    (write, filled) = (full.next as usize, 0);
+                }
+                self.line_mut(write).slots[filled] = t;
+                filled += 1;
+            }
+            if line.next == 0 {
+                break;
+            }
+            read = line.next as usize;
+        }
+        let last = self.line_mut(write);
+        last.count = filled as u32;
+        let mut spare = std::mem::take(&mut last.next);
+        while spare != 0 {
+            let free = self.free;
+            let line = self.line_mut(spare as usize);
+            let next = std::mem::replace(&mut line.next, free);
+            self.free = spare;
+            spare = next;
+        }
+    }
+
+    /// An empty overflow line linked to `next`, off the free list if it
+    /// has one; returns its id.
+    fn fresh(&mut self, next: u32) -> usize {
+        let id = if self.free != 0 {
+            let id = self.free as usize;
+            self.free = self.line(id).next;
+            id
+        } else {
+            let id = self.heads.len() + self.overflow.len();
+            assert!(u32::try_from(id).is_ok(), "line ids exceed u32 chain links");
+            self.overflow.push(Line::EMPTY);
+            id
+        };
+        *self.line_mut(id) = Line {
+            next,
+            ..Line::EMPTY
+        };
+        id
+    }
+
+    #[inline]
+    fn line(&self, id: usize) -> &Line {
+        match id.checked_sub(self.heads.len()) {
+            None => &self.heads[id],
+            Some(i) => &self.overflow[i],
+        }
+    }
+
+    #[inline]
+    fn line_mut(&mut self, id: usize) -> &mut Line {
+        match id.checked_sub(self.heads.len()) {
+            None => &mut self.heads[id],
+            Some(i) => &mut self.overflow[i],
+        }
     }
 }
 
@@ -248,24 +319,30 @@ mod tests {
     }
 
     #[test]
-    fn eviction_unlinks_and_reuses_slots() {
+    fn eviction_packs_chains_and_reuses_lines() {
+        // One key, so one chain: 100 tuples fill 15 lines.
         let mut ix = WindowIndex::with_capacity(8);
         for i in 0..100u32 {
-            ix.insert(i % 10, i);
+            ix.insert(3, i);
         }
-        let arena_before = ix.entries.len();
+        let b = bucket_of(3, ix.mask());
+        assert_eq!(ix.chain_lines(b), 15);
+        let footprint = ix.bytes();
         assert_eq!(ix.evict_before(50), 50);
         assert_eq!(ix.len(), 50);
-        assert_eq!(ix.count(3), 5, "ts 3,13,23,33,43 evicted");
-        // Freed slots are recycled: the arena must not grow.
-        for i in 100..150u32 {
-            ix.insert(i % 10, i);
+        assert_eq!(ix.count(3), 50, "ts 0..50 evicted");
+        assert_eq!(ix.chain_lines(b), 8, "50 survivors packed into 8 lines");
+        // Freed lines are recycled: the 7 fresh lines 49 more tuples take
+        // come off the free list, so the footprint must not grow.
+        for i in 100..149u32 {
+            ix.insert(3, i);
         }
-        assert_eq!(ix.entries.len(), arena_before, "free list reuses slots");
-        assert_eq!(ix.len(), 100);
+        assert_eq!(ix.bytes(), footprint, "the free list reuses lines");
+        assert_eq!(ix.len(), 99);
         // Evicting everything empties the index but keeps it usable.
-        assert_eq!(ix.evict_before(1000), 100);
+        assert_eq!(ix.evict_before(1000), 99);
         assert!(ix.is_empty());
+        assert_eq!(ix.chain_lines(b), 1);
         ix.insert(1, 1);
         assert_eq!(ix.count(1), 1);
     }
@@ -296,7 +373,7 @@ mod tests {
     #[test]
     fn batched_surface_agrees_with_scalar() {
         use iawj_common::kernel::tuple_buckets_into;
-        use iawj_common::{KernelBackend, Tuple};
+        use iawj_common::KernelBackend;
         let tuples: Vec<Tuple> = (0..300).map(|i| Tuple::new(i * 7 % 31, i)).collect();
         let mut scalar = WindowIndex::with_capacity(tuples.len());
         let mut batched = WindowIndex::with_capacity(tuples.len());
@@ -318,28 +395,26 @@ mod tests {
 
     #[test]
     fn growth_keeps_chains_short_and_content_exact() {
-        // Outgrow a tiny capacity hint 1000x: the bucket array must keep
-        // pace (load factor <= 1) and every entry must stay probeable.
+        // Outgrow a tiny capacity hint 1000x: the head lines must keep
+        // pace (at most 7 tuples per head) and every tuple must stay
+        // probeable.
         let mut ix = WindowIndex::with_capacity(8);
         for i in 0..16_000u32 {
             ix.insert(i % 40, i);
         }
         assert_eq!(ix.len(), 16_000);
-        assert!(
-            ix.heads.len() >= 16_000,
-            "bucket array did not grow: {} buckets",
-            ix.heads.len()
-        );
+        let heads = ix.mask() as usize + 1;
+        assert!(heads * SLOTS >= 16_000, "heads did not grow: {heads}");
         for key in 0..40 {
             assert_eq!(ix.count(key), 400, "key {key}");
         }
-        // Growth must not disturb eviction or slot reuse.
+        // Growth must not disturb eviction or line reuse.
         assert_eq!(ix.evict_before(8_000), 8_000);
-        let arena = ix.entries.len();
+        let footprint = ix.bytes();
         for i in 16_000..20_000u32 {
             ix.insert(i % 40, i);
         }
-        assert_eq!(ix.entries.len(), arena, "free list reuses slots");
+        assert_eq!(ix.bytes(), footprint, "the free list reuses lines");
         assert_eq!(ix.len(), 12_000);
     }
 

@@ -10,14 +10,20 @@
 //!   whose heads and overflow lines cross the 1024-line chunk edges, it must
 //!   hold the same multiset with an exact `len()` and a monotone `bytes()`,
 //!   also while it is probed between inserts.
+//! - The evictable [`WindowIndex`] on the same lines: under random insert,
+//!   evict and range-probe sequences it must agree with a `Vec` model across
+//!   head growth, and eviction must pack every chain into exactly the lines
+//!   its tuples need while later inserts reuse the freed lines before
+//!   allocating, so sliding churn leaks nothing.
 //!
 //! Sizes are kept small enough for the nightly Miri job to walk the raw
 //! arena, the hand-aligned allocation and the `UnsafeCell` bucket accesses
 //! in reasonable time.
 
+use iawj_common::hash::bucket_of;
 use iawj_common::{Rng, Zipf};
 use iawj_exec::pool::chunk_range;
-use iawj_exec::{run_workers, BucketTable, LocalTable, SharedTable};
+use iawj_exec::{run_workers, BucketTable, LocalTable, SharedTable, WindowIndex};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -155,6 +161,54 @@ fn bucket_table_holds_what_a_local_table_holds() {
 /// Most operations of one build-while-probe sequence.
 const MAX_OPS: usize = if cfg!(miri) { 300 } else { 1500 };
 
+/// Keys of the index model: few enough that chains run over several lines.
+const INDEX_KEYS: u32 = 24;
+
+/// Lines a chain of `n` tuples holds once eviction has packed it: the head
+/// always, and no partly filled line but the last.
+fn packed_lines(n: usize) -> usize {
+    n.div_ceil(SLOTS).max(1)
+}
+
+/// Every line `ix` has allocated that sits in a chain.
+fn chained_bytes(ix: &WindowIndex) -> usize {
+    (0..=ix.mask() as usize)
+        .map(|b| ix.chain_lines(b))
+        .sum::<usize>()
+        * 64
+}
+
+#[test]
+fn window_index_reuses_freed_lines_under_sliding_churn() {
+    // A sliding window over a few hot keys in turn: each slide evicts the
+    // oldest tuples and inserts as many new ones, so every chain's length
+    // is steady. Once the window has filled, the footprint must stop
+    // growing however long the stream runs, every freed line going back
+    // into a chain.
+    let (window, slide) = if cfg!(miri) { (126, 14) } else { (2100, 105) };
+    let mut ix = WindowIndex::with_capacity(window);
+    let mut ts = 0u32;
+    let mut settled = 0;
+    for step in 0..4 * window / slide {
+        for _ in 0..slide {
+            ix.insert(ts % 6, ts);
+            ts += 1;
+        }
+        ix.evict_before(ts.saturating_sub(window as u32));
+        assert_eq!(ix.len(), window.min(ts as usize));
+        if step == 2 * window / slide {
+            settled = ix.bytes();
+        }
+    }
+    assert!(settled > 0);
+    assert_eq!(ix.bytes(), settled, "the footprint grew under churn");
+    let heads = ix.mask() as usize + 1;
+    assert!(
+        settled > (heads + 6) * 64,
+        "the churn never needed an overflow line"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
@@ -197,5 +251,61 @@ proptest! {
         let mut want = input;
         want.sort_unstable();
         prop_assert_eq!(drain(KEY_SPACE as u32, |k, f| table.probe(k, f)), want);
+    }
+
+    #[test]
+    fn window_index_matches_a_vec_model(
+        ops in collection::vec((0u32..10, 0u32..INDEX_KEYS, 0u32..4), 1..MAX_OPS),
+        expected in 0usize..100) {
+        // The streaming operator's regime: inserts in (nearly) ts order,
+        // evictions sliding a horizon of varying reach behind them, and
+        // ts-range probes in between.
+        let mut ix = WindowIndex::with_capacity(expected);
+        let mut model: Vec<(u32, u32)> = Vec::new();
+        let mut ts = 0u32;
+        for (op, &(kind, key, step)) in ops.iter().enumerate() {
+            match kind {
+                0..=6 => {
+                    let (mask, bytes) = (ix.mask(), ix.bytes());
+                    ix.insert(key, ts);
+                    model.push((key, ts));
+                    ts += u32::from(step == 0);
+                    if ix.mask() == mask && ix.bytes() > bytes {
+                        // A new line only once no freed line is left.
+                        prop_assert_eq!(chained_bytes(&ix), ix.bytes(), "op {}", op);
+                    }
+                }
+                7 | 8 => {
+                    let horizon = ts.saturating_sub(4 * key + step);
+                    let stale = model.iter().filter(|&&(_, t)| t < horizon).count();
+                    prop_assert_eq!(ix.evict_before(horizon), stale, "op {}", op);
+                    model.retain(|&(_, t)| t >= horizon);
+                    let mut per_chain = vec![0; ix.mask() as usize + 1];
+                    for &(k, _) in &model {
+                        per_chain[bucket_of(k, ix.mask())] += 1;
+                    }
+                    for (b, &n) in per_chain.iter().enumerate() {
+                        prop_assert_eq!(ix.chain_lines(b), packed_lines(n), "op {} chain {}", op, b);
+                    }
+                }
+                _ => {
+                    let (lo, hi) = (ts.saturating_sub(4 * key), ts.saturating_sub(step));
+                    let mut got = Vec::new();
+                    ix.probe_range_at(bucket_of(key, ix.mask()), key, lo, hi, |t| got.push(t));
+                    got.sort_unstable();
+                    let want: Vec<u32> = model
+                        .iter()
+                        .filter(|&&(k, t)| k == key && (lo..hi).contains(&t))
+                        .map(|&(_, t)| t)
+                        .collect();
+                    prop_assert_eq!(got, want, "op {}", op);
+                }
+            }
+            prop_assert_eq!(ix.len(), model.len(), "op {}", op);
+        }
+        for key in 0..INDEX_KEYS {
+            let want = model.iter().filter(|&&(k, _)| k == key).count();
+            prop_assert_eq!(ix.count(key), want, "key {}", key);
+        }
     }
 }
