@@ -5,14 +5,12 @@
 //! Cycles use the calibrated host clock (`IAWJ_CPU_GHZ` override →
 //! perf-measured → assumed 2.6 GHz); the banner labels which. Runs carry
 //! a span journal, so a companion table attributes the journaled
-//! contention marks (`latch:wait`, `swwc:flush`) to the
-//! phase they occurred in.
+//! contention mark (`latch:wait`) to the phase it occurred in.
 
 use iawj_bench::{banner, fmt, print_table, run, BenchEnv, SnapshotWriter};
 use iawj_common::PHASES;
 use iawj_core::Algorithm;
 use iawj_exec::cpu_clock;
-use iawj_exec::swwc::MARK_FLUSH;
 use iawj_obs::MARK_LATCH_WAIT;
 
 fn main() {
@@ -45,10 +43,10 @@ fn main() {
             rows.push(row);
             let per_1k = 1000.0 * per_tuple;
             let mut mark_row = vec![algo.name().to_string()];
-            for mark in [MARK_LATCH_WAIT, MARK_FLUSH] {
-                for span in ["partition", "build/sort", "probe"] {
-                    mark_row.push(fmt(res.count_marks_in(mark, span) as f64 * per_1k));
-                }
+            for span in ["partition", "build/sort", "probe"] {
+                mark_row.push(fmt(
+                    res.count_marks_in(MARK_LATCH_WAIT, span) as f64 * per_1k
+                ));
             }
             mark_rows.push(mark_row);
         }
@@ -69,17 +67,9 @@ fn main() {
             .iter()
             .any(|r| r[1..].iter().any(|c| c != "0" && c != "-"))
         {
-            println!("\ncontention marks per 1k input tuples, by phase");
+            println!("\nlatch waits per 1k input tuples, by phase");
             print_table(
-                &[
-                    "algo",
-                    "latch@part",
-                    "latch@build",
-                    "latch@probe",
-                    "flush@part",
-                    "flush@build",
-                    "flush@probe",
-                ],
+                &["algo", "latch@part", "latch@build", "latch@probe"],
                 &mark_rows,
             );
         }

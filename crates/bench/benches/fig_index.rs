@@ -18,11 +18,11 @@
 //! Emits `BENCH_fig_index.json` when `IAWJ_BENCH_DIR` is set.
 
 use iawj_bench::{banner, fmt, fmt_opt, print_table, BenchEnv, SnapshotWriter};
+use iawj_common::{Rate, Tuple};
 use iawj_core::decision::{recommend, Objective, Thresholds, Workload};
 use iawj_core::streaming::{run_replay, StreamConfig};
 use iawj_core::windowing::WindowSpec;
 use iawj_core::Algorithm;
-use iawj_common::{Rate, Tuple};
 use iawj_datagen::MicroSpec;
 
 const QUEUE_CAP: usize = 1024;

@@ -153,40 +153,6 @@ impl CoreCaches {
         }
     }
 
-    /// Non-temporal (streaming) store of one full cache line, as `movntdq`
-    /// issues them: the page is still translated through the dTLB, but the
-    /// data bypasses L1/L2/L3 via the core's write-combining buffers and
-    /// goes straight to memory. Modelled as one access and one memory-level
-    /// write (counted in `l3_misses`, which feeds the DRAM-byte estimate)
-    /// with no cache allocation or pollution.
-    #[inline]
-    pub fn store_line_nt(&mut self, addr: u64) {
-        self.counters.accesses += 1;
-        if !self.dtlb.access(addr) {
-            self.counters.dtlb_misses += 1;
-        }
-        self.counters.l3_misses += 1;
-    }
-
-    /// Non-temporal store over a byte range, line by line.
-    #[inline]
-    pub fn store_range_nt(&mut self, addr: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let line = 64u64;
-        let first = addr & !(line - 1);
-        let last = (addr + len - 1) & !(line - 1);
-        let mut a = first;
-        loop {
-            self.store_line_nt(a);
-            if a == last {
-                break;
-            }
-            a += line;
-        }
-    }
-
     /// Touch a byte range, line by line.
     #[inline]
     pub fn access_range(&mut self, addr: u64, len: u64) {
@@ -286,25 +252,6 @@ mod tests {
         let c = core.counters();
         assert_eq!(c.accesses, 4096);
         assert_eq!(c.l1d_misses, 64, "one cold miss per line");
-    }
-
-    #[test]
-    fn nt_stores_bypass_the_caches_but_not_the_tlb() {
-        let mut h = Hierarchy::new(1);
-        let core = &mut h.cores[0];
-        // Stream 64 full lines (one 4 KiB page) non-temporally.
-        core.store_range_nt(1 << 20, 4096);
-        let c = core.counters();
-        assert_eq!(c.accesses, 64);
-        assert_eq!(c.l1d_misses, 0, "NT stores allocate no cache lines");
-        assert_eq!(c.l2_misses, 0);
-        assert_eq!(c.l3_misses, 64, "each line is a DRAM write");
-        assert_eq!(c.dtlb_misses, 1, "one page, one translation miss");
-        // A later demand load of the same line must still miss L1: the NT
-        // store left nothing behind.
-        core.reset_counters();
-        core.access_line(1 << 20);
-        assert_eq!(core.counters().l1d_misses, 1);
     }
 
     #[test]

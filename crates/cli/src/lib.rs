@@ -97,7 +97,6 @@ RUN OPTIONS (run, sweep, trace):
                      of the eager pull loop — SHJ, PMJ, IBWJ — which never
                      steal)
   --morsel-size N    steal-mode morsel size in tuples (default 1024, must be >0)
-  --scatter MODE     PRJ scatter path: direct|swwc (default direct)
   --index-partitions N  IBWJ_PART sub-index partitions (default 4*threads,
                      rounded up to a power of two)
   --index-epochs N   IBWJ_PART repartition epochs per run (default 8, must be >0)
@@ -779,12 +778,14 @@ mod tests {
         let err = run_cli_str(&["run", "--algo", "NPJ", "--bogus", "1"]).unwrap_err();
         assert!(err.contains("bogus"), "{err}");
         // Flags of deleted knobs are unknown options now: the spawn
-        // executor, the lock-free NPJ table and the global kernel switch.
+        // executor, the lock-free NPJ table, the global kernel switch and
+        // PRJ's write-combining scatter.
         for (flag, value) in [
             ("--executor", "spawn"),
             ("--npj-table", "lockfree"),
             ("--kernel", "scalar"),
             ("--prefetch-dist", "4"),
+            ("--scatter", "direct"),
         ] {
             let err = run_cli_str(&["run", "--algo", "NPJ", flag, value]).unwrap_err();
             assert!(err.contains(&format!("unknown option {flag}")), "{err}");
@@ -850,7 +851,6 @@ mod tests {
                 engine: "NPJ".into(),
                 threads: 4,
                 scheduler: "static".into(),
-                scatter: "direct".into(),
                 throughput_tpms: tpt,
                 latency_p99_ms: Some(p99),
                 latency_max_ms: Some(p99 * 2.0),
@@ -876,6 +876,14 @@ mod tests {
         let new = write_snapshot("same_b.json", &snapshot_fixture(100.0, 5.0));
         let out = run_cli_str(&["bench-diff", &old, &new]).unwrap();
         assert!(out.contains("OK"), "{out}");
+        // A committed baseline, whose rows still carry a `scatter` column,
+        // diffs clean against itself.
+        let fig7 = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../baselines/BENCH_fig7.json"
+        );
+        let out = run_cli_str(&["bench-diff", fig7, fig7]).unwrap();
+        assert!(out.contains("OK") && !out.contains("FAIL"), "{out}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::args::{ArgError, Args};
 use iawj_core::config::MAX_RADIX_BITS;
-use iawj_core::{Algorithm, PinPolicy, RunConfig, ScatterMode, Scheduler};
+use iawj_core::{Algorithm, PinPolicy, RunConfig, Scheduler};
 use iawj_datagen::{debs, rovio, stock, ysb, Dataset, MicroSpec};
 use iawj_exec::{affinity_core_count, SortBackend};
 
@@ -24,7 +24,6 @@ pub const RUN_OPTS: &[&str] = &[
     "eager-merge",
     "scheduler",
     "morsel-size",
-    "scatter",
     "pin",
     "index-partitions",
     "index-epochs",
@@ -219,13 +218,6 @@ pub fn build_config(args: &Args) -> Result<RunConfig, ArgError> {
             expected: "a positive tuple count",
         });
     }
-    if let Some(v) = args.get("scatter") {
-        cfg.prj.scatter = v.parse::<ScatterMode>().map_err(|_| ArgError::Invalid {
-            key: "scatter".into(),
-            value: v.into(),
-            expected: "direct|swwc",
-        })?;
-    }
     cfg.index.partitions = args.get_or("index-partitions", cfg.index.partitions)?;
     cfg.index.epochs = args.get_or("index-epochs", cfg.index.epochs)?;
     if cfg.index.epochs == 0 {
@@ -401,12 +393,8 @@ mod tests {
 
     #[test]
     fn scatter_knob() {
-        let cfg = build_config(&parse("")).unwrap();
-        assert_eq!(cfg.prj.scatter, ScatterMode::Direct);
-        let cfg = build_config(&parse("--scatter swwc")).unwrap();
-        assert_eq!(cfg.prj.scatter, ScatterMode::Swwc);
-        let cfg = build_config(&parse("--scatter direct")).unwrap();
-        assert_eq!(cfg.prj.scatter, ScatterMode::Direct);
-        assert!(build_config(&parse("--scatter buffered")).is_err());
+        // PRJ scatters one way; the write-combining flag is gone.
+        let err = parse("--scatter swwc").check_known(RUN_OPTS).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --scatter");
     }
 }

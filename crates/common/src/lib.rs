@@ -12,7 +12,6 @@
 //! correctness tests of the eight join algorithms meaningful.
 
 pub mod arena;
-pub mod columnar;
 pub mod hash;
 pub mod kernel;
 pub mod phase;
@@ -26,7 +25,6 @@ pub mod window;
 pub mod zipf;
 
 pub use arena::ChunkedVec;
-pub use columnar::ColumnarStream;
 pub use hash::hash_key;
 pub use kernel::{prefetch_read, KernelBackend, DEFAULT_PREFETCH_DIST};
 pub use phase::{Phase, PhaseBreakdown, PhaseCounters, PHASES};

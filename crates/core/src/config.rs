@@ -2,7 +2,7 @@
 //! knobs of §5.5, and harness controls (time compression, match sampling).
 
 use iawj_exec::morsel::DEFAULT_MORSEL;
-use iawj_exec::{Executor, PinPolicy, ScatterMode, Scheduler, SortBackend};
+use iawj_exec::{Executor, PinPolicy, Scheduler, SortBackend};
 
 /// Executor knobs: how the pool's worker threads are placed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -12,36 +12,23 @@ pub struct ExecConfig {
     pub pin: PinPolicy,
 }
 
-/// PRJ knobs (§5.5, Figure 18).
+/// PRJ knobs (§5.5, Figure 18). The split of `#r` into passes is fixed by
+/// [`iawj_exec::radix::pass_bits`].
 #[derive(Clone, Copy, Debug)]
 pub struct PrjConfig {
     /// Total radix bits `#r`; the paper sweeps 8..18 and settles on ~10.
     pub radix_bits: u32,
-    /// Split partitioning into two passes when `radix_bits` exceeds this
-    /// (keeps first-pass fan-out within TLB reach, per Balkesen et al.).
-    pub max_bits_per_pass: u32,
-    /// Scatter path: direct stores, or software write-combining buffers
-    /// (Balkesen et al.'s SWWCB) flushed a cache line at a time.
-    pub scatter: ScatterMode,
 }
 
 /// Largest accepted [`PrjConfig::radix_bits`]: 2^24 final partitions is
 /// already far past the paper's 8–18 sweep, and the second pass's fan-out
-/// (`radix_bits − max_bits_per_pass` bits per first-pass partition) is
-/// allocated per partition joined.
+/// (`radix_bits − 8` bits per first-pass partition) is allocated per
+/// partition joined.
 pub const MAX_RADIX_BITS: u32 = 24;
-
-/// Largest accepted [`PrjConfig::max_bits_per_pass`]: the first pass
-/// allocates one `2^bits` histogram per scatter slot.
-pub const MAX_BITS_PER_PASS: u32 = 16;
 
 impl Default for PrjConfig {
     fn default() -> Self {
-        PrjConfig {
-            radix_bits: 10,
-            max_bits_per_pass: 8,
-            scatter: ScatterMode::Direct,
-        }
+        PrjConfig { radix_bits: 10 }
     }
 }
 
@@ -290,12 +277,6 @@ impl RunConfig {
         self
     }
 
-    /// Builder: select the PRJ scatter path.
-    pub fn scatter(mut self, scatter: ScatterMode) -> Self {
-        self.prj.scatter = scatter;
-        self
-    }
-
     /// Check the knobs that would otherwise fail far from their cause —
     /// a zero morsel size would spin the morsel driver (or divide by zero
     /// in grid-cell arithmetic), a zero thread count has no workers to run,
@@ -314,11 +295,6 @@ impl RunConfig {
             return Err(format!(
                 "PRJ radix bits must be in 1..={MAX_RADIX_BITS} (keys are 32-bit; \
                  the paper sweeps 8-18)"
-            ));
-        }
-        if !(1..=MAX_BITS_PER_PASS).contains(&self.prj.max_bits_per_pass) {
-            return Err(format!(
-                "PRJ bits per pass must be in 1..={MAX_BITS_PER_PASS}"
             ));
         }
         if self.index.epochs == 0 {
@@ -484,33 +460,22 @@ mod tests {
     }
 
     #[test]
-    fn scatter_builder_sets_prj_mode() {
-        let c = RunConfig::default();
-        assert_eq!(c.prj.scatter, ScatterMode::Direct);
-        let c = c.scatter(ScatterMode::Swwc);
-        assert_eq!(c.prj.scatter, ScatterMode::Swwc);
-    }
-
-    #[test]
     fn validate_bounds_prj_radix_bits() {
-        let with_bits = |radix: u32, per_pass: u32| {
+        let with_bits = |radix: u32| {
             let mut c = RunConfig::default();
             c.prj.radix_bits = radix;
-            c.prj.max_bits_per_pass = per_pass;
             c.validate()
         };
         for radix in [1, 8, 18, MAX_RADIX_BITS] {
-            assert!(with_bits(radix, 8).is_ok(), "radix_bits={radix}");
+            assert!(with_bits(radix).is_ok(), "radix_bits={radix}");
         }
         for radix in [0, MAX_RADIX_BITS + 1, 33, 40, 64] {
-            let err = with_bits(radix, 8).unwrap_err();
+            let err = with_bits(radix).unwrap_err();
             assert!(err.contains("radix bits"), "radix_bits={radix}: {err}");
         }
-        assert!(with_bits(10, 1).is_ok() && with_bits(10, MAX_BITS_PER_PASS).is_ok());
-        for per_pass in [0, MAX_BITS_PER_PASS + 1, 64] {
-            let err = with_bits(10, per_pass).unwrap_err();
-            assert!(err.contains("bits per pass"), "per_pass={per_pass}: {err}");
-        }
+        // The widest accepted `#r` splits into a full first pass and a
+        // 16-bit refinement.
+        assert_eq!(iawj_exec::radix::pass_bits(MAX_RADIX_BITS), (8, 16));
     }
 
     #[test]

@@ -177,7 +177,9 @@ pub fn recommend_default(w: &Workload, objective: Objective) -> Algorithm {
 /// scales its bands — or its `cores_large` comparison — by cores it
 /// cannot use.
 pub fn effective_cores(requested: usize) -> usize {
-    requested.min(iawj_exec::affinity_core_count().max(1)).max(1)
+    requested
+        .min(iawj_exec::affinity_core_count().max(1))
+        .max(1)
 }
 
 /// Calibrate the rate bands to this host (the paper's "the quantitative
@@ -278,7 +280,10 @@ mod tests {
         // One low stream suffices (e.g. Stock).
         let mut w = workload(30000.0, 1.0);
         w.rate_s = Rate::PerMs(100.0);
-        assert_eq!(recommend_default(&w, Objective::Throughput), Algorithm::Ibwj);
+        assert_eq!(
+            recommend_default(&w, Objective::Throughput),
+            Algorithm::Ibwj
+        );
         // High key skew routes to the partitioned adaptive variant.
         w.skew_key = 1.4;
         assert_eq!(

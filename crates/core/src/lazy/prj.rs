@@ -4,9 +4,10 @@
 //! R-partition fits in cache; partitions then get joined independently with
 //! a cache-resident build+probe, pulled from a shared work queue. The first
 //! pass is a cooperative parallel partition (per-thread histograms → prefix
-//! sums → contention-free scatter); when `#r` exceeds the per-pass budget a
-//! second, thread-local refinement pass runs inside the work queue, exactly
-//! like the original's two-pass scheme.
+//! sums → contention-free scatter) on at most
+//! [`MAX_BITS_PER_PASS`](iawj_exec::radix::MAX_BITS_PER_PASS) bits; when `#r`
+//! is wider, a second, thread-local refinement pass runs inside the work
+//! queue, exactly like the original's two-pass scheme.
 
 use crate::clock::EventClock;
 use crate::config::RunConfig;
@@ -15,8 +16,7 @@ use crate::output::WorkerOut;
 use iawj_common::{Phase, Sink, Ts, Tuple};
 use iawj_exec::morsel::{for_each_morsel, MorselQueue};
 use iawj_exec::pool::barrier;
-use iawj_exec::radix::{partition_seq, PartitionPass, PassKnobs, SlotLayout};
-use iawj_exec::swwc::MARK_FLUSH;
+use iawj_exec::radix::{partition_seq, pass_bits, PartitionPass, PassKnobs, SlotLayout};
 use iawj_exec::{Executor, LocalTable, PhaseTimer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -30,9 +30,7 @@ pub fn run_on(
     exec: &Executor,
 ) -> Vec<WorkerOut> {
     let threads = cfg.threads;
-    let bits_total = cfg.prj.radix_bits.max(1);
-    let bits1 = bits_total.min(cfg.prj.max_bits_per_pass).max(1);
-    let bits2 = bits_total - bits1;
+    let (bits1, bits2) = pass_bits(cfg.prj.radix_bits);
 
     let stealing = cfg.sched.stealing();
     let knobs = PassKnobs {
@@ -43,7 +41,6 @@ pub fn run_on(
         } else {
             SlotLayout::PerThread
         },
-        scatter: cfg.prj.scatter,
         // With pinned workers the partition arenas use first-touch
         // allocation: each scattering worker faults the slots it scatters
         // onto its own NUMA node.
@@ -77,16 +74,9 @@ pub fn run_on(
         // SAFETY: `Executor::run` hands each tid to exactly one lane, and
         // the partitioned data is read only after the `scatter_done`
         // barrier below.
-        let drains = unsafe {
-            r_pass.scatter_step(tid, claim_mark(&mut timer))
-                + s_pass.scatter_step(tid, claim_mark(&mut timer))
-        };
-        // One journal mark per end-of-slot buffer drain (chunk in static
-        // mode, grid cell in steal mode), emitted after the scatter so the
-        // hot loop stays mark-free. Across workers the drain marks
-        // therefore count the SWWC scatter slots exactly.
-        for _ in 0..drains {
-            timer.instant(MARK_FLUSH);
+        unsafe {
+            r_pass.scatter_step(tid, claim_mark(&mut timer));
+            s_pass.scatter_step(tid, claim_mark(&mut timer));
         }
         timer.switch_to(Phase::Other);
         scatter_done.wait();
@@ -179,7 +169,6 @@ mod tests {
     use super::*;
     use crate::reference::nested_loop_join;
     use iawj_common::{Rng, Window};
-    use iawj_exec::ScatterMode;
 
     fn random_stream(n: usize, keys: u32, seed: u64) -> Vec<Tuple> {
         let mut rng = Rng::new(seed);
@@ -216,8 +205,7 @@ mod tests {
         let r = random_stream(3000, 1 << 12, 3);
         let s = random_stream(3000, 1 << 12, 4);
         let mut cfg = RunConfig::with_threads(3).record_all();
-        cfg.prj.radix_bits = 10;
-        cfg.prj.max_bits_per_pass = 6; // force a refinement pass
+        cfg.prj.radix_bits = 10; // an 8-bit pass, then a 2-bit refinement
         let clock = EventClock::ungated();
         let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         assert_eq!(
@@ -238,24 +226,8 @@ mod tests {
         assert_eq!(total, 200 * 100);
     }
 
-    #[test]
-    fn swwc_scatter_ablation_is_correct() {
-        let r = random_stream(2000, 1 << 10, 9);
-        let s = random_stream(2000, 1 << 10, 10);
-        let cfg = RunConfig::with_threads(4)
-            .record_all()
-            .scatter(ScatterMode::Swwc);
-        let clock = EventClock::ungated();
-        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
-        assert_eq!(
-            canonical(&outs),
-            nested_loop_join(&r, &s, Window::of_len(64))
-        );
-    }
-
-    /// The scatter knob is an implementation ablation: both modes must
-    /// produce the identical match set under both schedulers and both pass
-    /// shapes.
+    /// Both pass shapes produce the identical match set under both
+    /// schedulers.
     #[test]
     fn scatter_modes_agree_across_schedulers() {
         use iawj_exec::Scheduler;
@@ -263,65 +235,17 @@ mod tests {
         let s = random_stream(2500, 1 << 10, 32);
         let expect = nested_loop_join(&r, &s, Window::of_len(64));
         for sched in Scheduler::ALL {
-            for mode in ScatterMode::ALL {
-                for (bits, per_pass) in [(6u32, 8u32), (10, 6)] {
-                    let mut cfg = RunConfig::with_threads(4)
-                        .record_all()
-                        .scheduler(sched)
-                        .morsel_size(128)
-                        .scatter(mode);
-                    cfg.prj.radix_bits = bits;
-                    cfg.prj.max_bits_per_pass = per_pass;
-                    let clock = EventClock::ungated();
-                    let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
-                    assert_eq!(
-                        canonical(&outs),
-                        expect,
-                        "scheduler={sched} scatter={mode} bits={bits}"
-                    );
-                }
+            for bits in [6u32, 10] {
+                let mut cfg = RunConfig::with_threads(4)
+                    .record_all()
+                    .scheduler(sched)
+                    .morsel_size(128);
+                cfg.prj.radix_bits = bits;
+                let clock = EventClock::ungated();
+                let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
+                assert_eq!(canonical(&outs), expect, "scheduler={sched} bits={bits}");
             }
         }
-    }
-
-    /// SWWC drains are journaled: one `swwc:flush` mark per scatter slot —
-    /// a chunk per worker per side in static mode, a grid cell per side in
-    /// steal mode.
-    #[test]
-    fn swwc_drains_are_journaled() {
-        use iawj_exec::Scheduler;
-        let r = random_stream(1000, 128, 23);
-        let s = random_stream(1000, 128, 24);
-        let count_flush_marks = |outs: &[WorkerOut]| -> usize {
-            outs.iter()
-                .filter_map(|w| w.journal.as_ref())
-                .map(|j| j.count_marks(MARK_FLUSH))
-                .sum()
-        };
-        let mut cfg = RunConfig::with_threads(4)
-            .record_all()
-            .scatter(ScatterMode::Swwc)
-            .with_journal();
-        cfg.prj.radix_bits = 6;
-        let clock = EventClock::ungated();
-        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
-        assert_eq!(
-            count_flush_marks(&outs),
-            4 * 2,
-            "one drain per worker per side"
-        );
-
-        let mut cfg = RunConfig::with_threads(4)
-            .record_all()
-            .scheduler(Scheduler::Steal)
-            .morsel_size(100)
-            .scatter(ScatterMode::Swwc)
-            .with_journal();
-        cfg.prj.radix_bits = 6;
-        let clock = EventClock::ungated();
-        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
-        // 10 grid cells per side, each drained exactly once.
-        assert_eq!(count_flush_marks(&outs), 10 + 10);
     }
 
     #[test]
@@ -330,13 +254,12 @@ mod tests {
         let r = random_stream(2500, 1 << 10, 21);
         let s = random_stream(2500, 1 << 10, 22);
         let expect = nested_loop_join(&r, &s, Window::of_len(64));
-        for (bits, per_pass) in [(6, 8), (10, 6)] {
+        for bits in [6, 10] {
             let mut cfg = RunConfig::with_threads(4)
                 .record_all()
                 .scheduler(Scheduler::Steal)
                 .morsel_size(128);
             cfg.prj.radix_bits = bits;
-            cfg.prj.max_bits_per_pass = per_pass;
             let clock = EventClock::ungated();
             let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
             assert_eq!(canonical(&outs), expect, "bits={bits}");
@@ -376,20 +299,16 @@ mod tests {
         let s = random_stream(3000, 1 << 10, 82);
         let expect = nested_loop_join(&r, &s, Window::of_len(64));
         for sched in Scheduler::ALL {
-            for mode in ScatterMode::ALL {
-                let mut cfg = RunConfig::with_threads(4)
-                    .record_all()
-                    .scheduler(sched)
-                    .morsel_size(128)
-                    .scatter(mode);
-                cfg.prj.radix_bits = 10;
-                cfg.prj.max_bits_per_pass = 6;
-                let exec = cfg.make_executor();
-                let clock = EventClock::ungated();
-                let outs = run_on(&r, &s, &cfg, &clock, 0, &exec);
-                assert_eq!(canonical(&outs), expect, "scheduler={sched} scatter={mode}");
-                assert_eq!(exec.generations(), 1, "scheduler={sched} scatter={mode}");
-            }
+            let mut cfg = RunConfig::with_threads(4)
+                .record_all()
+                .scheduler(sched)
+                .morsel_size(128);
+            cfg.prj.radix_bits = 10;
+            let exec = cfg.make_executor();
+            let clock = EventClock::ungated();
+            let outs = run_on(&r, &s, &cfg, &clock, 0, &exec);
+            assert_eq!(canonical(&outs), expect, "scheduler={sched}");
+            assert_eq!(exec.generations(), 1, "scheduler={sched}");
         }
     }
 

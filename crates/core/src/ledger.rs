@@ -12,7 +12,7 @@ use crate::windowing::{pair_multiplicity, WindowSpec};
 use iawj_common::kernel::tuple_buckets_into;
 use iawj_common::{Ts, Tuple, DEFAULT_PREFETCH_DIST};
 use iawj_exec::pool::barrier;
-use iawj_exec::radix::partition_two_pass;
+use iawj_exec::radix::{partition_two_pass, pass_bits};
 use iawj_exec::{Executor, LocalTable, WindowIndex};
 use iawj_obs::{SpanJournal, MARK_INDEX_REPART};
 use std::collections::BTreeMap;
@@ -476,8 +476,8 @@ const PARTITION_CLAIM: usize = 16;
 /// pane `p`, one table is built on `R_p[x]` and probed with `S_q[x]` for
 /// `q ∈ [a, p]`, and one on `S_p[x]`, probed with `R_q[x]` for `q ∈ [a, p)`;
 /// matches are counted straight into the cells, with one reused
-/// [`LocalTable`] per lane and no sink. `--scatter` and `--scheduler` do
-/// not apply: the panes are small and each side is partitioned by one lane.
+/// [`LocalTable`] per lane and no sink. `--scheduler` does not apply: the
+/// panes are small and each side is partitioned by one lane.
 pub(crate) struct PartitionedPanes {
     bits1: u32,
     bits2: u32,
@@ -505,12 +505,11 @@ impl<'a> PartedSide<'a> {
 
 impl PartitionedPanes {
     fn new(run: &RunConfig) -> PartitionedPanes {
-        let bits = run.prj.radix_bits.max(1);
-        let bits1 = bits.min(run.prj.max_bits_per_pass).max(1);
+        let (bits1, bits2) = pass_bits(run.prj.radix_bits);
         let threads = run.threads.max(1);
         PartitionedPanes {
             bits1,
-            bits2: bits - bits1,
+            bits2,
             threads,
             scratch: (0..threads).map(|_| Mutex::new(Vec::new())).collect(),
             bounds: BTreeMap::new(),

@@ -28,7 +28,7 @@ use iawj_common::hash::{bucket_of, next_pow2_at_least};
 use iawj_common::{Phase, Tuple};
 use iawj_datagen::Dataset;
 use iawj_exec::pool::chunk_range;
-use iawj_exec::radix::partition_of;
+use iawj_exec::radix::{partition_of, pass_bits};
 
 /// Per-tuple out-of-order-engine overhead charged to eager algorithms'
 /// "core bound" bucket: the frequent function calls of pulling tuples from
@@ -282,7 +282,7 @@ pub fn profile_with(
             });
         }
         Algorithm::Prj => {
-            let bits = cfg.prj.radix_bits.min(cfg.prj.max_bits_per_pass).max(1);
+            let (bits, _) = pass_bits(cfg.prj.radix_bits);
             let fanout = 1usize << bits;
             let r_out =
                 layout.region(ds.r.len() as u64 * TUPLE_BYTES + fanout as u64 * TUPLE_BYTES);

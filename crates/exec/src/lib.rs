@@ -28,8 +28,6 @@
 //! - [`hashtable`] — NPJ's per-bucket latched shared table, PRJ's
 //!   thread-local chained table and SHJ's single-owner cache-line bucket
 //!   tables.
-//! - [`swwc`] — software write-combining scatter buffers and the cachesim
-//!   A/B harness validating their miss reduction (Fig. 18 / Table 5).
 //! - [`window_index`] — the evictable hash index over resident window
 //!   content that backs the IBWJ engine family, on `BucketTable`'s lines.
 
@@ -42,7 +40,6 @@ pub mod morsel;
 pub mod pool;
 pub mod radix;
 pub mod sort;
-pub mod swwc;
 pub mod timer;
 pub mod topology;
 pub mod window_index;
@@ -53,7 +50,6 @@ pub use latch::Latch;
 pub use morsel::{for_each_morsel, MorselQueue, Scheduler, DEFAULT_MORSEL};
 pub use pool::run_workers;
 pub use sort::SortBackend;
-pub use swwc::{ScatterMode, SwwcBuffers, SWWC_TUPLES_PER_LINE};
 pub use timer::{
     cpu_clock, ns_to_cycles, ClockSource, CpuClock, PhaseTimer, TimerParts, NOMINAL_GHZ,
 };

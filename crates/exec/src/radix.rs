@@ -12,7 +12,6 @@
 use crate::executor::Executor;
 use crate::morsel::{for_each_morsel, MorselQueue};
 use crate::pool::chunk_range;
-use crate::swwc::{ScatterMode, SwwcBuffers};
 use iawj_common::{Key, Tuple};
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -21,6 +20,20 @@ use std::sync::OnceLock;
 #[inline]
 pub const fn fanout(bits: u32) -> usize {
     1 << bits
+}
+
+/// PRJ's widest single partitioning pass: its 2^8 output fronts, one
+/// 64-byte line each (16 KiB), stay L1D-resident, so the scatter needs no
+/// write-combining buffers.
+pub const MAX_BITS_PER_PASS: u32 = 8;
+
+/// PRJ's pass split of `radix_bits` total bits: `(bits1, bits2)`, a first
+/// pass on the low `bits1 ≤ MAX_BITS_PER_PASS` bits and, when `#r` is
+/// wider, a refinement pass on the next `bits2`. Zero bits count as one.
+pub fn pass_bits(radix_bits: u32) -> (u32, u32) {
+    let bits = radix_bits.max(1);
+    let bits1 = bits.min(MAX_BITS_PER_PASS);
+    (bits1, bits - bits1)
 }
 
 /// Partition index of a key for the given pass.
@@ -215,22 +228,6 @@ impl SharedOut {
         *(*self.buf.get()).as_mut_ptr().add(idx) = t;
     }
 
-    /// Bulk-copy `src` into consecutive slots starting at `idx` — the flush
-    /// primitive of the write-combining scatter; one `memcpy` per cache
-    /// line instead of [`SWWC_TUPLES_PER_LINE`](crate::swwc::SWWC_TUPLES_PER_LINE)
-    /// scalar stores.
-    ///
-    /// # Safety
-    /// Same contract as [`SharedOut::write`], extended to the whole range
-    /// `idx..idx + src.len()`: it must be in bounds, owned exclusively by
-    /// the caller, and free of concurrent readers.
-    #[inline]
-    pub unsafe fn write_slice(&self, idx: usize, src: &[Tuple]) {
-        let buf = &mut *self.buf.get();
-        debug_assert!(idx + src.len() <= buf.len());
-        std::ptr::copy_nonoverlapping(src.as_ptr(), buf.as_mut_ptr().add(idx), src.len());
-    }
-
     /// View the contents.
     ///
     /// # Safety
@@ -315,15 +312,8 @@ impl ScatterPlan {
         }
     }
 
-    /// Scatter `slot`'s input slice into the shared output: direct stores
-    /// when `staging` is `None`, Balkesen et al.'s software write-combining
-    /// when it carries buffers — tuples are staged in a cache-line-sized
-    /// buffer per partition and flushed a whole line at a time, so each
-    /// partition costs one TLB entry per flush instead of one per tuple.
-    /// The buffers delay writes, never reorder them, so both modes produce
-    /// identical output. `staging` must cover this
-    /// plan's fan-out and arrive empty; the trailing drain leaves it empty
-    /// again, so one allocation serves every slot a worker scatters.
+    /// Scatter `slot`'s input slice into the shared output with direct
+    /// stores (PRJ's passes are at most [`MAX_BITS_PER_PASS`] bits wide).
     ///
     /// # Safety
     /// `chunk` must be exactly the slice whose histogram was `hists[slot]`,
@@ -332,33 +322,15 @@ impl ScatterPlan {
     /// slots. Then `cursor[p]` walks `starts[slot*f+p] .. +hists[slot][p]`;
     /// the prefix sum makes those ranges disjoint across `(slot, p)` pairs
     /// and they tile `0..total()`, so no two writers alias.
-    unsafe fn scatter(
-        &self,
-        chunk: &[Tuple],
-        slot: usize,
-        out: &SharedOut,
-        staging: Option<&mut SwwcBuffers>,
-    ) {
+    unsafe fn scatter(&self, chunk: &[Tuple], slot: usize, out: &SharedOut) {
         let f = fanout(self.bits);
         let mut cursor = self.starts[slot * f..(slot + 1) * f].to_vec();
-        match staging {
-            None => for_each_partition(chunk, self.shift, self.bits, |t, p| {
-                // SAFETY: `cursor[p]` stays inside this (slot, p) range
-                // per the function contract.
-                unsafe { out.write(cursor[p], *t) };
-                cursor[p] += 1;
-            }),
-            Some(bufs) => {
-                assert_eq!(bufs.fanout(), f, "buffers sized for another plan");
-                for_each_partition(chunk, self.shift, self.bits, |t, p| {
-                    // SAFETY: the staged line flushes into
-                    // cursor[p]..cursor[p]+LINE, inside this (slot, p) range.
-                    unsafe { bufs.stage(p, *t, &mut cursor, out) };
-                });
-                // SAFETY: drains the partial tails within the same ranges.
-                unsafe { bufs.flush(&mut cursor, out) };
-            }
-        }
+        for_each_partition(chunk, self.shift, self.bits, |t, p| {
+            // SAFETY: `cursor[p]` stays inside this (slot, p) range per the
+            // function contract.
+            unsafe { out.write(cursor[p], *t) };
+            cursor[p] += 1;
+        });
     }
 }
 
@@ -381,8 +353,6 @@ pub enum SlotLayout {
 pub struct PassKnobs {
     /// Slot layout: static per-thread chunks or a stolen morsel grid.
     pub layout: SlotLayout,
-    /// Scatter path: direct stores or write-combining buffers.
-    pub scatter: ScatterMode,
     /// Allocate the output arena untouched and have each worker pre-fault
     /// exactly the ranges it scatters (NUMA first-touch; only useful when
     /// the workers are pinned). Page placement only, never an output change.
@@ -509,20 +479,14 @@ impl<'a> PartitionPass<'a> {
 
     /// Step 3 (every worker, after [`PartitionPass::plan`] returned):
     /// scatter this worker's slots, first-touching each slot's ranges just
-    /// before writing them when the knob is on. Returns the number of
-    /// write-combining buffer drains — one per slot in SWWC mode, 0 in
-    /// direct mode — so the caller can journal them off the hot loop.
+    /// before writing them when the knob is on.
     ///
     /// # Safety
     /// Each `tid` in `0..threads` may run this step at most once per pass,
     /// and nothing may read the output ([`PartitionPass::data`]) until
     /// every worker's step has returned and been ordered by a barrier.
-    pub unsafe fn scatter_step(&self, tid: usize, on_claim: impl FnMut(bool)) -> u64 {
+    pub unsafe fn scatter_step(&self, tid: usize, on_claim: impl FnMut(bool)) {
         let (plan, out) = self.planned();
-        // One buffer set per worker, reused across every slot it scatters
-        // (the scatter drains it at each slot boundary).
-        let mut bufs =
-            (self.knobs.scatter == ScatterMode::Swwc).then(|| SwwcBuffers::for_bits(self.bits));
         self.for_each_slot(1, tid, on_claim, |g| {
             // SAFETY: slot `g` belongs to this call alone — the caller runs
             // each tid once and the claim queue hands out each cell once —
@@ -532,10 +496,9 @@ impl<'a> PartitionPass<'a> {
                 if self.knobs.first_touch {
                     plan.touch(g, out);
                 }
-                plan.scatter(&self.input[self.slot_range(g)], g, out, bufs.as_mut());
+                plan.scatter(&self.input[self.slot_range(g)], g, out);
             }
         });
-        bufs.map_or(0, |b| b.drains())
     }
 
     /// Global partition boundaries (`fanout + 1` entries); available once
@@ -576,7 +539,7 @@ impl<'a> PartitionPass<'a> {
 }
 
 /// Parallel single-pass partitioning on an [`Executor`] with the default
-/// [`PassKnobs`] (per-thread slots, direct scatter): the
+/// [`PassKnobs`] (per-thread slots): the
 /// same [`PartitionPass`] PRJ runs. When the executor pins its workers the
 /// output arena is allocated untouched and each lane first-touches exactly
 /// its own scatter ranges. Output is bitwise-identical to [`partition_seq`].
@@ -676,8 +639,8 @@ mod tests {
         assert_eq!((single, bounds), (seq.data, seq.bounds));
     }
 
-    /// The knob product at one size: every slot layout × scatter mode ×
-    /// worker count is bitwise-identical to the sequential
+    /// The knob product at one size: every slot layout × worker count is
+    /// bitwise-identical to the sequential
     /// partitioner — bounds, data, and within-partition input order (slots
     /// are contiguous ascending slices and offsets are slot-major).
     #[test]
@@ -694,16 +657,13 @@ mod tests {
         for threads in [1usize, 4, 7] {
             let exec = Executor::new(PinPolicy::None, threads);
             for layout in layouts {
-                for scatter in ScatterMode::ALL {
-                    let knobs = PassKnobs {
-                        layout,
-                        scatter,
-                        first_touch: false,
-                    };
-                    let got = PartitionPass::new(&input, 0, 6, threads, knobs).run(&exec);
-                    assert_eq!(seq.bounds, got.bounds, "{knobs:?} threads={threads}");
-                    assert_eq!(seq.data, got.data, "{knobs:?} threads={threads}");
-                }
+                let knobs = PassKnobs {
+                    layout,
+                    first_touch: false,
+                };
+                let got = PartitionPass::new(&input, 0, 6, threads, knobs).run(&exec);
+                assert_eq!(seq.bounds, got.bounds, "{knobs:?} threads={threads}");
+                assert_eq!(seq.data, got.data, "{knobs:?} threads={threads}");
             }
         }
     }
@@ -719,7 +679,6 @@ mod tests {
             let input = random_tuples(n, 256, 7);
             let knobs = PassKnobs {
                 layout: SlotLayout::Grid(64),
-                scatter: ScatterMode::Swwc,
                 ..PassKnobs::default()
             };
             let got = PartitionPass::new(&input, 0, 5, 4, knobs).run(&exec);
@@ -742,47 +701,6 @@ mod tests {
         for q in 1..16 {
             assert!(p.partition(q).is_empty());
         }
-    }
-
-    /// Flush-boundary cases: partition counts that are not a multiple of
-    /// the line capacity, so every partial-drain path runs — a lone
-    /// under-filled line, exactly one line, one line plus a remainder, and
-    /// a chunk split mid-line across scatter slots.
-    #[test]
-    fn swwc_flushes_partial_lines_correctly() {
-        use crate::swwc::SWWC_TUPLES_PER_LINE;
-        let line = SWWC_TUPLES_PER_LINE as u32;
-        for per_part in [1u32, 3, line - 1, line, line + 1, 3 * line + 5] {
-            let input: Vec<Tuple> = (0..per_part)
-                .flat_map(|i| (0..4u32).map(move |k| Tuple::new(k, i)))
-                .collect();
-            let knobs = PassKnobs {
-                scatter: ScatterMode::Swwc,
-                ..PassKnobs::default()
-            };
-            let plain = partition_seq(&input, 0, 2);
-            assert_eq!(
-                pass(&input, 0, 2, 1, knobs).data,
-                plain.data,
-                "per_part={per_part}"
-            );
-        }
-        // Reusing one worker's buffers across several slots must leave no
-        // residue: drive two slots back-to-back through the same buffers.
-        let input = random_tuples(1000, 64, 13);
-        let (a, b) = input.split_at(437); // splits mid-line for most partitions
-        let hists = [histogram(a, 0, 4), histogram(b, 0, 4)];
-        let plan = ScatterPlan::from_histograms(&[&hists[0], &hists[1]], 0, 4);
-        let out = SharedOut::new(input.len());
-        let mut bufs = SwwcBuffers::for_bits(4);
-        // SAFETY: single-threaded; each slice is the one its slot counted.
-        unsafe {
-            plan.scatter(a, 0, &out, Some(&mut bufs));
-            plan.scatter(b, 1, &out, Some(&mut bufs));
-        }
-        assert!(bufs.line_flushes() > 0, "full lines must have flushed");
-        assert_eq!(bufs.drains(), 2, "one drain per slot");
-        assert_eq!(out.into_vec(), partition_seq(&input, 0, 4).data);
     }
 
     /// Pinning (and with it the first-touch arena) is a pure placement
@@ -822,54 +740,50 @@ mod tests {
             let knobs = PassKnobs {
                 layout,
                 first_touch: true,
-                ..PassKnobs::default()
             };
             assert_eq!(pass(&input, 0, 6, 4, knobs).data, expect, "{layout:?}");
         }
     }
 
     /// The step contract PRJ's journal relies on: `on_claim` fires once per
-    /// grid cell in each step (never in the per-thread layout), and the
-    /// scatter step reports one write-combining drain per slot.
+    /// grid cell in each step, never in the per-thread layout.
     #[test]
     fn steps_report_claims_and_drains_per_slot() {
         let input = random_tuples(1000, 128, 23);
         let exec = Executor::new(PinPolicy::None, 4);
         for (layout, slots) in [(SlotLayout::PerThread, 4u64), (SlotLayout::Grid(100), 10)] {
-            for scatter in ScatterMode::ALL {
-                let knobs = PassKnobs {
-                    layout,
-                    scatter,
-                    ..PassKnobs::default()
-                };
-                let pass = PartitionPass::new(&input, 0, 6, 4, knobs);
-                assert_eq!(pass.hists.len() as u64, slots);
-                let (claims, drains) = (AtomicU64::new(0), AtomicU64::new(0));
-                let count = |_stolen: bool| {
-                    claims.fetch_add(1, Ordering::Relaxed);
-                };
-                exec.run(4, |tid| pass.histogram_step(tid, count));
-                pass.plan();
-                exec.run(4, |tid| {
-                    // SAFETY: one call per tid; read only after the join.
-                    let d = unsafe { pass.scatter_step(tid, count) };
-                    drains.fetch_add(d, Ordering::Relaxed);
-                });
-                let grid_claims = if layout == SlotLayout::PerThread {
-                    0
-                } else {
-                    2 * slots
-                };
-                assert_eq!(claims.into_inner(), grid_claims, "{knobs:?}");
-                let expect_drains = if scatter == ScatterMode::Swwc {
-                    slots
-                } else {
-                    0
-                };
-                assert_eq!(drains.into_inner(), expect_drains, "{knobs:?}");
-                assert_eq!(pass.finish().data, partition_seq(&input, 0, 6).data);
-            }
+            let knobs = PassKnobs {
+                layout,
+                ..PassKnobs::default()
+            };
+            let pass = PartitionPass::new(&input, 0, 6, 4, knobs);
+            assert_eq!(pass.hists.len() as u64, slots);
+            let claims = AtomicU64::new(0);
+            let count = |_stolen: bool| {
+                claims.fetch_add(1, Ordering::Relaxed);
+            };
+            exec.run(4, |tid| pass.histogram_step(tid, count));
+            pass.plan();
+            // SAFETY: one call per tid; read only after the join.
+            exec.run(4, |tid| unsafe { pass.scatter_step(tid, count) });
+            let grid_claims = if layout == SlotLayout::PerThread {
+                0
+            } else {
+                2 * slots
+            };
+            assert_eq!(claims.into_inner(), grid_claims, "{knobs:?}");
+            assert_eq!(pass.finish().data, partition_seq(&input, 0, 6).data);
         }
+    }
+
+    #[test]
+    fn pass_bits_caps_the_first_pass() {
+        for b in 1..=MAX_BITS_PER_PASS {
+            assert_eq!(pass_bits(b), (b, 0));
+        }
+        assert_eq!(pass_bits(10), (8, 2));
+        // PRJ's widest accepted `#r` (`iawj_core::config::MAX_RADIX_BITS`).
+        assert_eq!(pass_bits(24), (8, 16));
     }
 
     #[test]

@@ -3,33 +3,18 @@
 //! sequential scalar partitioner — same bounds, same data, same
 //! within-partition tuple order.
 //!
-//! One proptest walks the whole knob product per case, so every behaviour
-//! the former per-variant tests pinned is a cell of it:
-//! - `swwc_partition_is_bitwise_identical_to_seq` — scatter = swwc on one
-//!   lane (the old sequential-buffered partitioner) and on several, at a
-//!   random `shift`/`bits`;
-//! - `swwc_morsel_partition_is_bitwise_identical_to_seq` and the `radix`
-//!   unit tests `morsel_partition_is_bitwise_identical_to_static` /
-//!   `swwc_parallel_is_bitwise_identical` — the grid layouts × both scatter
-//!   modes, with cells smaller than, unaligned to, and larger than the input;
-//! - `swwc_handles_skewed_single_partition_inputs` — the single-key
-//!   distribution, where one staging buffer absorbs the whole input as full
-//!   lines plus a partial tail;
-//! - `parallel_matches_sequential`, `buffered_scatter_equals_plain`,
-//!   `buffered_scatter_parallel_chunks_disjoint`,
-//!   `morsel_partition_small_input_falls_back_to_seq` and
-//!   `exec_variants_are_bitwise_identical_to_spawn` — per-thread slots ×
-//!   {direct, swwc} on a pooled executor at sizes on both sides of every
-//!   block, line and dispatch threshold (0, 1, 7, 1023, 1024, 4097);
-//! - `two_pass_partition_preserves_multiset` — the two-pass layout check,
-//!   now over the composition PRJ runs (parallel first pass, shifted
-//!   `partition_seq` refinement) instead of a test-only two-pass function.
+//! One proptest walks the whole knob product per case — slot layout
+//! (per-thread chunks, and grid cells smaller than, unaligned to and larger
+//! than the input) × worker count × key distribution, at sizes on both
+//! sides of every dispatch threshold (0, 1, 7, 1023, 1024, 4097) and a
+//! random `shift`/`bits`. A second checks the two-pass layout over the
+//! composition PRJ runs (parallel first pass, shifted `partition_seq`
+//! refinement).
 
 use iawj_common::{Rng, Tuple, Zipf};
 use iawj_exec::executor::Executor;
 use iawj_exec::radix::{partition_seq, PartitionPass, PassKnobs, SlotLayout};
 use iawj_exec::topology::PinPolicy;
-use iawj_exec::ScatterMode;
 use proptest::prelude::*;
 
 const SIZES: [usize; 6] = [0, 1, 7, 1023, 1024, 4097];
@@ -87,20 +72,18 @@ proptest! {
                 let input = tuples(n, keys, seed);
                 let expect = partition_seq(&input, shift, bits);
                 for layout in LAYOUTS {
-                    for scatter in ScatterMode::ALL {
-                        for (&threads, exec) in THREADS.iter().zip(&execs) {
-                            let knobs = PassKnobs { layout, scatter, first_touch: false };
-                            let got = PartitionPass::new(&input, shift, bits, threads, knobs)
-                                .run(exec);
-                            prop_assert_eq!(
-                                &expect.bounds, &got.bounds,
-                                "bounds n={} {:?} {:?} threads={}", n, keys, knobs, threads
-                            );
-                            prop_assert_eq!(
-                                &expect.data, &got.data,
-                                "data n={} {:?} {:?} threads={}", n, keys, knobs, threads
-                            );
-                        }
+                    for (&threads, exec) in THREADS.iter().zip(&execs) {
+                        let knobs = PassKnobs { layout, first_touch: false };
+                        let got = PartitionPass::new(&input, shift, bits, threads, knobs)
+                            .run(exec);
+                        prop_assert_eq!(
+                            &expect.bounds, &got.bounds,
+                            "bounds n={} {:?} {:?} threads={}", n, keys, knobs, threads
+                        );
+                        prop_assert_eq!(
+                            &expect.data, &got.data,
+                            "data n={} {:?} {:?} threads={}", n, keys, knobs, threads
+                        );
                     }
                 }
             }

@@ -1,7 +1,7 @@
 //! Snapshot comparison — the engine behind `iawj bench-diff`.
 //!
 //! Matches runs between two [`BenchSnapshot`]s by configuration key
-//! (workload, engine, threads, scheduler, scatter, NPJ-table mode) and
+//! (workload, engine, threads, scheduler) and
 //! classifies each pair: throughput regressions past
 //! [`DiffThresholds::max_tpt_drop`] and p99 latency regressions past
 //! [`DiffThresholds::max_p99_rise`] fail; everything else (including
@@ -266,7 +266,6 @@ mod tests {
             engine: engine.into(),
             threads: 4,
             scheduler: "static".into(),
-            scatter: "direct".into(),
             throughput_tpms: tpt,
             latency_p99_ms: p99,
             latency_max_ms: None,
@@ -358,8 +357,8 @@ mod tests {
         );
         let report = diff(&old, &new, DiffThresholds::default());
         assert!(!report.regressed());
-        assert_eq!(report.only_old, vec!["Rovio|PRJ|t4|static|direct"]);
-        assert_eq!(report.only_new, vec!["Rovio|MWAY|t4|static|direct"]);
+        assert_eq!(report.only_old, vec!["Rovio|PRJ|t4|static"]);
+        assert_eq!(report.only_new, vec!["Rovio|MWAY|t4|static"]);
         let rendered = report.render();
         assert!(rendered.contains("only in old snapshot"));
         assert!(rendered.contains("only in new snapshot"));

@@ -1,8 +1,8 @@
 //! Machine-readable benchmark snapshots — the repo's perf trajectory.
 //!
 //! Each harness target can emit a `BENCH_<fig>.json` file: a versioned
-//! record of what ran (git SHA, workload, engine, threads, scheduler,
-//! scatter mode), what it measured (throughput, exact p99/max
+//! record of what ran (git SHA, workload, engine, threads, scheduler),
+//! what it measured (throughput, exact p99/max
 //! latency) and where the time went (per-phase nanoseconds with hardware
 //! counters when [`perf`](crate::perf) could open them). Two snapshots of
 //! the same figure taken at different commits are comparable row-by-row,
@@ -60,8 +60,6 @@ pub struct RunSnapshot {
     pub threads: u64,
     /// Scheduler mode (`"static"` / `"steal"`).
     pub scheduler: String,
-    /// PRJ scatter mode (`"direct"` / `"swwc"`).
-    pub scatter: String,
     /// Throughput in input tuples per stream-millisecond.
     pub throughput_tpms: f64,
     /// Exact 99th-percentile latency (stream-ms) from the histogram.
@@ -83,8 +81,8 @@ impl RunSnapshot {
     /// The identity two snapshots are matched on by `bench-diff`.
     pub fn key(&self) -> String {
         format!(
-            "{}|{}|t{}|{}|{}",
-            self.workload, self.engine, self.threads, self.scheduler, self.scatter
+            "{}|{}|t{}|{}",
+            self.workload, self.engine, self.threads, self.scheduler
         )
     }
 }
@@ -224,7 +222,6 @@ fn push_run(out: &mut String, r: &RunSnapshot) {
     out.push_str(&format!("\"engine\": {}, ", quote(&r.engine)));
     out.push_str(&format!("\"threads\": {}, ", r.threads));
     out.push_str(&format!("\"scheduler\": {}, ", quote(&r.scheduler)));
-    out.push_str(&format!("\"scatter\": {}, ", quote(&r.scatter)));
     out.push_str(&format!(
         "\"throughput_tpms\": {}, ",
         num(r.throughput_tpms)
@@ -320,7 +317,6 @@ fn parse_run(r: &Json) -> Result<RunSnapshot, String> {
             .and_then(Json::as_u64)
             .ok_or("missing \"threads\"")?,
         scheduler: str_field("scheduler")?,
-        scatter: str_field("scatter")?,
         throughput_tpms: r
             .get("throughput_tpms")
             .and_then(Json::as_f64)
@@ -359,7 +355,6 @@ mod tests {
                     engine: "NPJ".into(),
                     threads: 4,
                     scheduler: "static".into(),
-                    scatter: "direct".into(),
                     throughput_tpms: 812.5,
                     latency_p99_ms: Some(3.25),
                     latency_max_ms: Some(7.5),
@@ -377,7 +372,6 @@ mod tests {
                     engine: "PRJ".into(),
                     threads: 4,
                     scheduler: "steal".into(),
-                    scatter: "swwc".into(),
                     throughput_tpms: 1000.0,
                     latency_p99_ms: None,
                     latency_max_ms: None,
@@ -405,8 +399,8 @@ mod tests {
     #[test]
     fn keys_separate_configurations() {
         let snap = sample_snapshot();
-        assert_eq!(snap.runs[0].key(), "Rovio|NPJ|t4|static|direct");
-        assert_eq!(snap.runs[1].key(), "Rovio|PRJ|t4|steal|swwc");
+        assert_eq!(snap.runs[0].key(), "Rovio|NPJ|t4|static");
+        assert_eq!(snap.runs[1].key(), "Rovio|PRJ|t4|steal");
         assert_ne!(snap.runs[0].key(), snap.runs[1].key());
     }
 
@@ -434,8 +428,9 @@ mod tests {
     }
 
     /// Every committed baseline still parses — including the ones written
-    /// with `npj_table`/`kernel` columns — and dropping those two key
-    /// components merges no rows within a file.
+    /// with `npj_table`/`kernel`/`scatter` columns, which the reader
+    /// ignores — and dropping those key components merges no rows within a
+    /// file: every key is `workload|engine|tN|scheduler`.
     #[test]
     fn committed_baselines_parse_with_unique_keys() {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines");
@@ -449,6 +444,9 @@ mod tests {
             let text = std::fs::read_to_string(&path).expect("readable baseline");
             let snap = BenchSnapshot::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
             let mut keys: Vec<String> = snap.runs.iter().map(RunSnapshot::key).collect();
+            for key in &keys {
+                assert_eq!(key.split('|').count(), 4, "{name}: key {key}");
+            }
             keys.sort_unstable();
             for pair in keys.windows(2) {
                 assert_ne!(pair[0], pair[1], "{name}: two rows share a key");
