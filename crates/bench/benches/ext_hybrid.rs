@@ -4,7 +4,7 @@
 //! close the throughput gap toward the lazy side.
 
 use iawj_bench::{banner, fmt, fmt_opt, print_curve, print_table, run, BenchEnv};
-use iawj_core::metrics::{latency_quantile_ms, progressiveness, time_to_fraction_ms};
+use iawj_core::metrics::{latency_quantile_exact_ms, progressiveness, time_to_fraction_ms};
 use iawj_core::Algorithm;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
             rows.push(vec![
                 algo.name().to_string(),
                 fmt(res.throughput_tpms()),
-                fmt_opt(latency_quantile_ms(&res, 0.95)),
+                fmt_opt(latency_quantile_exact_ms(&res, 0.95)),
                 fmt_opt(time_to_fraction_ms(&res, 0.5)),
             ]);
             print_curve(algo.name(), &progressiveness(&res), 6);

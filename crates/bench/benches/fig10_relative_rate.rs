@@ -2,7 +2,7 @@
 //! tuples/ms while v_S sweeps up to 25600.
 
 use iawj_bench::{banner, fmt, fmt_opt, print_curve, print_table, run, BenchEnv};
-use iawj_core::metrics::{latency_quantile_ms, progressiveness};
+use iawj_core::metrics::{latency_quantile_exact_ms, progressiveness};
 use iawj_core::Algorithm;
 
 const S_RATES: [f64; 5] = [1600.0, 3200.0, 6400.0, 12800.0, 25600.0];
@@ -21,7 +21,7 @@ fn main() {
         for algo in Algorithm::STUDIED {
             let res = run(algo, &ds, &cfg);
             tpt.push(fmt(res.throughput_tpms()));
-            lat.push(fmt_opt(latency_quantile_ms(&res, 0.95)));
+            lat.push(fmt_opt(latency_quantile_exact_ms(&res, 0.95)));
             if vs == S_RATES[S_RATES.len() - 1] {
                 top_results.push(res);
             }

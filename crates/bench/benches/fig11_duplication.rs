@@ -2,7 +2,7 @@
 //! it). Sort-based algorithms overtake hash-based ones past dupe ≈ 10.
 
 use iawj_bench::{banner, fmt, fmt_opt, print_curve, print_table, run, BenchEnv};
-use iawj_core::metrics::{latency_quantile_ms, progressiveness};
+use iawj_core::metrics::{latency_quantile_exact_ms, progressiveness};
 use iawj_core::Algorithm;
 
 const DUPES: [usize; 4] = [1, 10, 50, 100];
@@ -24,7 +24,7 @@ fn main() {
         for algo in Algorithm::STUDIED {
             let res = run(algo, &ds, &cfg);
             tpt.push(fmt(res.throughput_tpms()));
-            lat.push(fmt_opt(latency_quantile_ms(&res, 0.95)));
+            lat.push(fmt_opt(latency_quantile_exact_ms(&res, 0.95)));
             if dupe == DUPES[DUPES.len() - 1] {
                 top.push(res);
             }

@@ -5,7 +5,7 @@
 //! the thread starvation the paper blames for PRJ's drop.
 
 use iawj_bench::{banner, fmt, fmt_opt, print_table, run, BenchEnv};
-use iawj_core::metrics::latency_quantile_ms;
+use iawj_core::metrics::latency_quantile_exact_ms;
 use iawj_core::{Algorithm, Scheduler};
 
 const SKEWS: [f64; 6] = [0.0, 0.4, 0.8, 1.2, 1.6, 2.0];
@@ -23,7 +23,7 @@ fn main() {
         for algo in Algorithm::STUDIED {
             let res = run(algo, &ds, &cfg);
             tpt.push(fmt(res.throughput_tpms()));
-            lat.push(fmt_opt(latency_quantile_ms(&res, 0.95)));
+            lat.push(fmt_opt(latency_quantile_exact_ms(&res, 0.95)));
         }
         tpt_rows.push(tpt);
         lat_rows.push(lat);

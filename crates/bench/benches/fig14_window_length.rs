@@ -2,7 +2,7 @@
 //! per tuple stays flat; latency grows as more tuples queue up.
 
 use iawj_bench::{banner, fmt, fmt_opt, print_table, run, BenchEnv};
-use iawj_core::metrics::latency_quantile_ms;
+use iawj_core::metrics::latency_quantile_exact_ms;
 use iawj_core::Algorithm;
 
 const WINDOWS: [u32; 5] = [500, 750, 1000, 1250, 1500];
@@ -20,7 +20,7 @@ fn main() {
         for algo in Algorithm::STUDIED {
             let res = run(algo, &ds, &cfg);
             tpt.push(fmt(res.throughput_tpms()));
-            lat.push(fmt_opt(latency_quantile_ms(&res, 0.95)));
+            lat.push(fmt_opt(latency_quantile_exact_ms(&res, 0.95)));
         }
         tpt_rows.push(tpt);
         lat_rows.push(lat);

@@ -2,7 +2,7 @@
 //! algorithms over the four real-world workloads.
 
 use iawj_bench::{banner, fmt, fmt_opt, print_table, run, BenchEnv, SnapshotWriter};
-use iawj_core::metrics::latency_quantile_ms;
+use iawj_core::metrics::latency_quantile_exact_ms;
 use iawj_core::Algorithm;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
         for algo in Algorithm::STUDIED {
             let res = run(algo, ds, &cfg);
             tpt.push(fmt(res.throughput_tpms()));
-            lat.push(fmt_opt(latency_quantile_ms(&res, 0.95)));
+            lat.push(fmt_opt(latency_quantile_exact_ms(&res, 0.95)));
             snap.record(&ds.name, &cfg, &res);
         }
         tpt_rows.push(tpt);

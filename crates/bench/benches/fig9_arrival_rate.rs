@@ -2,7 +2,7 @@
 //! together) on throughput, 95th latency, and progressiveness.
 
 use iawj_bench::{banner, fmt, fmt_opt, print_curve, print_table, run, BenchEnv};
-use iawj_core::metrics::{latency_quantile_ms, progressiveness};
+use iawj_core::metrics::{latency_quantile_exact_ms, progressiveness};
 use iawj_core::Algorithm;
 
 const RATES: [f64; 5] = [1600.0, 3200.0, 6400.0, 12800.0, 25600.0];
@@ -24,7 +24,7 @@ fn main() {
         for algo in Algorithm::STUDIED {
             let res = run(algo, &ds, &cfg);
             tpt.push(fmt(res.throughput_tpms()));
-            lat.push(fmt_opt(latency_quantile_ms(&res, 0.95)));
+            lat.push(fmt_opt(latency_quantile_exact_ms(&res, 0.95)));
             if ri == 0 {
                 lowest_rate_results.push(res);
             }

@@ -3,9 +3,7 @@
 //! [`iawj_obs::json`] so the workspace stays dependency-free.
 
 use iawj_common::{PhaseCounters, PHASES};
-use iawj_core::metrics::{
-    latency_max_ms, latency_quantile_exact_ms, latency_quantile_ms, progressiveness, thin_curve,
-};
+use iawj_core::metrics::{latency_max_ms, latency_quantile_exact_ms, progressiveness, thin_curve};
 use iawj_core::RunResult;
 use iawj_exec::{cpu_clock, ns_to_cycles};
 use iawj_obs::json::{array, quote, write_f64};
@@ -27,13 +25,12 @@ pub struct RunSummary {
     pub matches: u64,
     /// Throughput in tuples per stream-ms.
     pub throughput_tpms: f64,
-    /// 95th-percentile latency in stream-ms over the sampled matches
-    /// (absent when no matches).
+    /// 95th-percentile latency in stream-ms (absent when no matches).
+    /// Every quantile here comes from the histogram over all matches.
     pub latency_p95_ms: Option<f64>,
-    /// Median latency in stream-ms over the sampled matches.
+    /// Median latency in stream-ms.
     pub latency_p50_ms: Option<f64>,
-    /// 99th-percentile latency from the full-population histogram —
-    /// covers every match, not just the sampled subset.
+    /// 99th-percentile latency in stream-ms.
     pub latency_p99_ms: Option<f64>,
     /// Exact worst-case latency from the histogram.
     pub latency_max_ms: Option<f64>,
@@ -93,8 +90,8 @@ impl RunSummary {
             total_inputs: r.total_inputs,
             matches: r.matches,
             throughput_tpms: r.throughput_tpms(),
-            latency_p95_ms: latency_quantile_ms(r, 0.95),
-            latency_p50_ms: latency_quantile_ms(r, 0.50),
+            latency_p95_ms: latency_quantile_exact_ms(r, 0.95),
+            latency_p50_ms: latency_quantile_exact_ms(r, 0.50),
             latency_p99_ms: latency_quantile_exact_ms(r, 0.99),
             latency_max_ms: latency_max_ms(r),
             last_emit_ms: r.last_emit_ms,
@@ -471,14 +468,10 @@ mod tests {
             let v = Json::parse(line).expect("every JSONL line parses");
             assert!(v.get("type").and_then(Json::as_str).is_some());
         }
-        // With sample_every = 1 the histogram p95 agrees with the
-        // sample-based quantile within the 1/128 bucket error.
-        let p95_hist = result.hist.quantile_ms(0.95).unwrap();
-        let p95_samples = latency_quantile_ms(&result, 0.95).unwrap();
-        assert!(
-            (p95_hist - p95_samples).abs() <= p95_samples * 0.02 + 0.01,
-            "hist={p95_hist} samples={p95_samples}"
-        );
+        // The summary and the histogram line read one source.
+        assert_eq!(summary.latency_p50_ms, result.hist.quantile_ms(0.50));
+        assert_eq!(summary.latency_p95_ms, result.hist.quantile_ms(0.95));
+        assert_eq!(summary.latency_p99_ms, result.hist.quantile_ms(0.99));
     }
 
     #[test]

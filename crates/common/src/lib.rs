@@ -31,7 +31,7 @@ pub use phase::{Phase, PhaseBreakdown, PhaseCounters, PHASES};
 pub use quantile::P2Quantile;
 pub use rate::Rate;
 pub use rng::Rng;
-pub use sink::{CollectingSink, CountingSink, MatchRecord, Sink};
+pub use sink::{CountingSink, MatchRecord, MatchTally};
 pub use spsc::{stream_channel, RecvError, StreamReceiver, StreamSender};
 pub use tuple::{Key, Ts, Tuple};
 pub use window::Window;

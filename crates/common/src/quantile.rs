@@ -1,9 +1,9 @@
 //! Streaming quantile estimation (the P² algorithm of Jain & Chlamtac).
 //!
 //! The paper reports 95th-percentile worst-case latency (§4.1). The
-//! default harness computes quantiles exactly over sampled matches; this
-//! estimator is the constant-memory alternative for deployments where even
-//! sampling is too much state — five markers track the target quantile of
+//! default harness reads quantiles from a log-bucketed histogram over every
+//! match; this estimator is the constant-memory alternative for deployments
+//! where even a 58 KiB histogram per worker is too much state — five markers track the target quantile of
 //! an unbounded stream with no buffering, which is how production stream
 //! processors expose their latency percentiles.
 

@@ -19,7 +19,7 @@ use crate::clock::EventClock;
 use crate::config::RunConfig;
 use crate::lazy::EmitClock;
 use crate::output::WorkerOut;
-use iawj_common::{Key, Phase, Sink, Ts, Tuple};
+use iawj_common::{Key, Phase, Ts, Tuple};
 
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -176,7 +176,7 @@ mod tests {
     fn canonical(outs: &[WorkerOut]) -> Vec<(u32, u32, u32)> {
         let mut got: Vec<_> = outs
             .iter()
-            .flat_map(|w| w.sink.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)))
+            .flat_map(|w| w.sink.samples().iter().map(|m| (m.key, m.r_ts, m.s_ts)))
             .collect();
         got.sort_unstable();
         got

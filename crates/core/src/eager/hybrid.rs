@@ -31,7 +31,7 @@ use crate::eager::shj::ShjEngine;
 use crate::eager::Engine;
 use crate::lazy::EmitClock;
 use crate::output::WorkerOut;
-use iawj_common::{Phase, Sink, Tuple};
+use iawj_common::{Phase, Tuple};
 use iawj_exec::mergejoin::merge_join;
 use iawj_exec::sort::{sort_packed, SortBackend};
 use iawj_exec::PhaseTimer;
@@ -203,7 +203,7 @@ mod tests {
         );
         let mut got: Vec<_> = out
             .sink
-            .samples
+            .samples()
             .iter()
             .map(|m| (m.key, m.r_ts, m.s_ts))
             .collect();

@@ -144,7 +144,6 @@ pub fn drive_worker<E: Engine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iawj_common::Sink;
 
     /// A counting engine for loop-behaviour tests.
     struct CountEngine {

@@ -12,7 +12,7 @@
 use crate::eager::Engine;
 use crate::lazy::EmitClock;
 use crate::output::WorkerOut;
-use iawj_common::{Phase, Sink, Tuple};
+use iawj_common::{Phase, Tuple};
 use iawj_exec::merge::kway_merge_tagged;
 use iawj_exec::mergejoin::{merge_join, merge_join_cross_runs};
 use iawj_exec::sort::{sort_packed, SortBackend};
@@ -217,7 +217,7 @@ mod tests {
         );
         let mut got: Vec<_> = out
             .sink
-            .samples
+            .samples()
             .iter()
             .map(|m| (m.key, m.r_ts, m.s_ts))
             .collect();
@@ -282,7 +282,7 @@ mod tests {
             );
             let mut got: Vec<_> = out
                 .sink
-                .samples
+                .samples()
                 .iter()
                 .map(|m| (m.key, m.r_ts, m.s_ts))
                 .collect();

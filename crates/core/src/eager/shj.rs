@@ -16,7 +16,7 @@
 use crate::eager::Engine;
 use crate::lazy::EmitClock;
 use crate::output::WorkerOut;
-use iawj_common::{Phase, Sink, Tuple};
+use iawj_common::{Phase, Tuple};
 use iawj_exec::{BucketTable, PhaseTimer};
 
 /// Per-worker SHJ state.
@@ -151,7 +151,7 @@ mod tests {
         );
         let mut got: Vec<_> = out
             .sink
-            .samples
+            .samples()
             .iter()
             .map(|m| (m.key, m.r_ts, m.s_ts))
             .collect();
@@ -181,7 +181,7 @@ mod tests {
         );
         let mut got: Vec<_> = out
             .sink
-            .samples
+            .samples()
             .iter()
             .map(|m| (m.key, m.r_ts, m.s_ts))
             .collect();

@@ -33,7 +33,7 @@ use crate::lazy::{EmitClock, Scan};
 use crate::output::WorkerOut;
 use iawj_common::hash::hash_key;
 use iawj_common::kernel::tuple_buckets_into;
-use iawj_common::{KernelBackend, Phase, Sink, Ts, Tuple, DEFAULT_PREFETCH_DIST};
+use iawj_common::{KernelBackend, Phase, Ts, Tuple, DEFAULT_PREFETCH_DIST};
 use iawj_exec::{Executor, PhaseTimer, WindowIndex};
 use iawj_obs::{MARK_INDEX_EVICT, MARK_INDEX_INSERT, MARK_INDEX_REPART};
 use std::sync::{Barrier, Mutex};
@@ -488,7 +488,7 @@ mod tests {
     fn canonical(out: &WorkerOut) -> Vec<(u32, u32, u32)> {
         let mut v: Vec<_> = out
             .sink
-            .samples
+            .samples()
             .iter()
             .map(|m| (m.key, m.r_ts, m.s_ts))
             .collect();

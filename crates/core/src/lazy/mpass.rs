@@ -12,7 +12,7 @@ use crate::config::RunConfig;
 use crate::lazy::mway::{key_aligned_splitters, segment, STEAL_OVERSPLIT};
 use crate::lazy::{EmitClock, Scan, Slots};
 use crate::output::WorkerOut;
-use iawj_common::{Phase, Sink, Ts, Tuple};
+use iawj_common::{Phase, Ts, Tuple};
 use iawj_exec::merge::{
     choose_splitters, merge_two_into, merge_two_into_branchless, splitter_bounds,
 };
@@ -160,7 +160,7 @@ mod tests {
     fn canonical(outs: &[WorkerOut]) -> Vec<(u32, u32, u32)> {
         let mut got: Vec<_> = outs
             .iter()
-            .flat_map(|w| w.sink.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)))
+            .flat_map(|w| w.sink.samples().iter().map(|m| (m.key, m.r_ts, m.s_ts)))
             .collect();
         got.sort_unstable();
         got

@@ -10,7 +10,7 @@ use crate::clock::EventClock;
 use crate::config::RunConfig;
 use crate::lazy::{EmitClock, Scan, Slots};
 use crate::output::WorkerOut;
-use iawj_common::{Phase, Sink, Ts, Tuple};
+use iawj_common::{Phase, Ts, Tuple};
 use iawj_exec::merge::{choose_splitters, kway_merge_loser, splitter_bounds};
 use iawj_exec::pool::{barrier, chunk_range};
 use iawj_exec::sort::{pack_tuples, sort_packed};
@@ -156,7 +156,7 @@ mod tests {
     fn canonical(outs: &[WorkerOut]) -> Vec<(u32, u32, u32)> {
         let mut got: Vec<_> = outs
             .iter()
-            .flat_map(|w| w.sink.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)))
+            .flat_map(|w| w.sink.samples().iter().map(|m| (m.key, m.r_ts, m.s_ts)))
             .collect();
         got.sort_unstable();
         got

@@ -12,7 +12,7 @@ use crate::config::RunConfig;
 use crate::lazy::{EmitClock, Scan};
 use crate::output::WorkerOut;
 use iawj_common::kernel::tuple_buckets_into;
-use iawj_common::{KernelBackend, Phase, Sink, Ts, Tuple, DEFAULT_PREFETCH_DIST};
+use iawj_common::{KernelBackend, Phase, Ts, Tuple, DEFAULT_PREFETCH_DIST};
 use iawj_exec::pool::barrier;
 use iawj_exec::{Executor, SharedTable};
 use iawj_obs::MARK_LATCH_WAIT;
@@ -134,7 +134,7 @@ mod tests {
         let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let mut got: Vec<_> = outs
             .iter()
-            .flat_map(|w| w.sink.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)))
+            .flat_map(|w| w.sink.samples().iter().map(|m| (m.key, m.r_ts, m.s_ts)))
             .collect();
         got.sort_unstable();
         assert_eq!(got, nested_loop_join(&r, &s, Window::of_len(64)));
@@ -178,7 +178,7 @@ mod tests {
         let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
         let mut got: Vec<_> = outs
             .iter()
-            .flat_map(|w| w.sink.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)))
+            .flat_map(|w| w.sink.samples().iter().map(|m| (m.key, m.r_ts, m.s_ts)))
             .collect();
         got.sort_unstable();
         assert_eq!(got, expect);

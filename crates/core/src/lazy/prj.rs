@@ -13,7 +13,7 @@ use crate::clock::EventClock;
 use crate::config::RunConfig;
 use crate::lazy::{claim_mark, EmitClock};
 use crate::output::WorkerOut;
-use iawj_common::{Phase, Sink, Ts, Tuple};
+use iawj_common::{Phase, Ts, Tuple};
 use iawj_exec::morsel::{for_each_morsel, MorselQueue};
 use iawj_exec::pool::barrier;
 use iawj_exec::radix::{partition_seq, pass_bits, PartitionPass, PassKnobs, SlotLayout};
@@ -180,7 +180,7 @@ mod tests {
     fn canonical(outs: &[WorkerOut]) -> Vec<(u32, u32, u32)> {
         let mut got: Vec<_> = outs
             .iter()
-            .flat_map(|w| w.sink.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)))
+            .flat_map(|w| w.sink.samples().iter().map(|m| (m.key, m.r_ts, m.s_ts)))
             .collect();
         got.sort_unstable();
         got

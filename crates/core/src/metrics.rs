@@ -1,26 +1,8 @@
-//! The three §4.1 performance metrics, computed from a [`RunResult`]'s
-//! match samples.
+//! The three §4.1 performance metrics, computed from a [`RunResult`]:
+//! latency quantiles from its every-match histogram, progressiveness from
+//! its match samples, throughput from its match count and last emission.
 
 use crate::output::RunResult;
-
-/// Quantile processing latency in stream ms (the paper reports the 95th
-/// percentile worst-case latency, after Karimov et al.). Computed over the
-/// sampled matches; `None` when no matches were sampled.
-///
-/// Uses the nearest-rank convention — the value at rank `⌈q·n⌉` (1-based,
-/// clamped to `[1, n]`) — matching [`latency_quantile_exact_ms`]'s
-/// histogram so the two paths answer the same question and differ only by
-/// the histogram's bucket error. An O(n) selection, no full sort.
-pub fn latency_quantile_ms(result: &RunResult, q: f64) -> Option<f64> {
-    assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-    if result.samples.is_empty() {
-        return None;
-    }
-    let mut lat: Vec<f64> = result.samples.iter().map(|m| m.latency_ms()).collect();
-    let rank = ((q * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-    let (_, v, _) = lat.select_nth_unstable_by(rank - 1, |a, b| a.total_cmp(b));
-    Some(*v)
-}
 
 /// Progressiveness curve: cumulative fraction of matches delivered as a
 /// function of elapsed stream time (§4.1). Returns `(elapsed_ms, fraction)`
@@ -49,10 +31,11 @@ pub fn progressiveness(result: &RunResult) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Quantile latency from the full-population histogram: covers *every*
-/// match, not just the sampled subset, at ≤ 1/128 relative bucket error.
-/// Prefer this over [`latency_quantile_ms`] for tail quantiles (p99, max),
-/// where sampling bias is worst. `None` when the run had no matches.
+/// Quantile processing latency in stream ms (the paper reports the 95th
+/// percentile worst-case latency, after Karimov et al.), from the
+/// histogram over *every* match: nearest rank `⌈q·n⌉`, read at its
+/// bucket's midpoint (≤ 1/128 relative error). `None` when the run had no
+/// matches.
 pub fn latency_quantile_exact_ms(result: &RunResult, q: f64) -> Option<f64> {
     result.hist.quantile_ms(q)
 }
@@ -110,7 +93,6 @@ mod tests {
     use super::*;
     use crate::algo::Algorithm;
     use crate::output::WorkerOut;
-    use iawj_common::Sink;
 
     fn run_with(samples: &[(f64, u32)], sample_every: u64, matches: u64) -> RunResult {
         let mut w = WorkerOut::new(1); // record all pushes
@@ -122,26 +104,31 @@ mod tests {
         r
     }
 
+    /// Within one histogram bucket (≤ 1/128 relative) of `expect`.
+    fn near(got: f64, expect: f64) -> bool {
+        (got - expect).abs() <= expect / 128.0 + 1e-9
+    }
+
     #[test]
     fn latency_quantiles() {
         // Latencies 1..=100.
         let samples: Vec<(f64, u32)> = (1..=100).map(|i| (i as f64, 0u32)).collect();
         let r = run_with(&samples, 1, 100);
-        assert!((latency_quantile_ms(&r, 0.95).unwrap() - 95.0).abs() <= 1.0);
-        assert!((latency_quantile_ms(&r, 0.0).unwrap() - 1.0).abs() < 1e-9);
-        assert!((latency_quantile_ms(&r, 1.0).unwrap() - 100.0).abs() < 1e-9);
+        assert!(near(latency_quantile_exact_ms(&r, 0.95).unwrap(), 95.0));
+        assert!(near(latency_quantile_exact_ms(&r, 0.0).unwrap(), 1.0));
+        assert!(near(latency_quantile_exact_ms(&r, 1.0).unwrap(), 100.0));
     }
 
     #[test]
     fn latency_none_without_samples() {
         let r = run_with(&[], 1, 0);
-        assert!(latency_quantile_ms(&r, 0.95).is_none());
+        assert!(latency_quantile_exact_ms(&r, 0.95).is_none());
     }
 
     #[test]
     fn latency_quantile_is_nearest_rank() {
-        // 4 samples: nearest rank ⌈q·4⌉ picks an actual sample, never an
-        // interpolated or rounded-up index.
+        // 4 matches: nearest rank ⌈q·4⌉ picks an actual observation's
+        // bucket, never an interpolated or rounded-up index.
         let samples: Vec<(f64, u32)> = [10.0, 20.0, 30.0, 40.0]
             .iter()
             .map(|&l| (l, 0u32))
@@ -149,29 +136,35 @@ mod tests {
         let r = run_with(&samples, 1, 4);
         // q=0.5 → rank 2 → 20.0 (the `.round()` convention gave 30.0 via
         // index round(1.5)=2).
-        assert_eq!(latency_quantile_ms(&r, 0.5).unwrap(), 20.0);
-        assert_eq!(latency_quantile_ms(&r, 0.25).unwrap(), 10.0);
-        assert_eq!(latency_quantile_ms(&r, 0.26).unwrap(), 20.0);
-        assert_eq!(latency_quantile_ms(&r, 0.75).unwrap(), 30.0);
-        assert_eq!(latency_quantile_ms(&r, 1.0).unwrap(), 40.0);
-        assert_eq!(latency_quantile_ms(&r, 0.0).unwrap(), 10.0);
+        for (q, expect) in [
+            (0.5, 20.0),
+            (0.25, 10.0),
+            (0.26, 20.0),
+            (0.75, 30.0),
+            (1.0, 40.0),
+            (0.0, 10.0),
+        ] {
+            let got = latency_quantile_exact_ms(&r, q).unwrap();
+            assert!(near(got, expect), "q={q}: got {got}, expected {expect}");
+        }
     }
 
     #[test]
     fn sampled_and_exact_quantiles_agree() {
-        // Regression for the convention mismatch: with every match sampled,
-        // the sampled path and the histogram path must answer within one
-        // histogram bucket width (≤ 1/128 relative) of each other at every
-        // quantile.
+        // With every match sampled, the histogram's quantile stays within
+        // one bucket width of the nearest-rank pick over the sorted
+        // sampled latencies, at every quantile.
         let samples: Vec<(f64, u32)> = (1..=500).map(|i| (i as f64, 0u32)).collect();
         let r = run_with(&samples, 1, 500);
+        let mut lat: Vec<f64> = r.samples.iter().map(|m| m.latency_ms()).collect();
+        lat.sort_by(f64::total_cmp);
         for q in [0.0, 0.1, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            let sampled = latency_quantile_ms(&r, q).unwrap();
+            let rank = ((q * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
+            let sampled = lat[rank - 1];
             let exact = latency_quantile_exact_ms(&r, q).unwrap();
-            let tol = exact / 128.0 + 1e-9;
             assert!(
-                (sampled - exact).abs() <= tol,
-                "q={q}: sampled={sampled} exact={exact} tol={tol}"
+                near(exact, sampled),
+                "q={q}: sampled={sampled} exact={exact}"
             );
         }
     }

@@ -1,7 +1,7 @@
 //! Per-worker and per-run outputs.
 
 use crate::algo::Algorithm;
-use iawj_common::{CountingSink, MatchRecord, PhaseBreakdown, PhaseCounters, Sink};
+use iawj_common::{CountingSink, MatchRecord, PhaseBreakdown, PhaseCounters};
 use iawj_exec::TimerParts;
 use iawj_obs::perf::CounterSource;
 use iawj_obs::{chrome_trace_with_cores, LogHistogram, SpanJournal};
@@ -138,10 +138,11 @@ impl RunResult {
         let mut core_ids = Vec::with_capacity(threads);
         for (wid, w) in workers.into_iter().enumerate() {
             core_ids.push(w.core_id);
-            matches += w.sink.count();
-            last_emit_ms = last_emit_ms.max(w.sink.last_emit_ms);
-            hist.merge(&w.sink.hist);
-            samples.extend(w.sink.samples);
+            let tally = w.sink.finish();
+            matches += tally.count;
+            last_emit_ms = last_emit_ms.max(tally.last_emit_ms);
+            hist.merge(&tally.hist);
+            samples.extend(tally.samples);
             breakdown += w.breakdown;
             counters += w.counters;
             if w.counter_source.is_perf() {
@@ -260,6 +261,32 @@ mod tests {
         assert_eq!(r.breakdown[Phase::Probe], 10);
         // Samples sorted by emission.
         assert!(r.samples.windows(2).all(|w| w[0].emit_ms <= w[1].emit_ms));
+    }
+
+    #[test]
+    fn merge_flushes_a_run_a_worker_ended_in() {
+        // Each worker's last matches share one stamp and result ts, so
+        // they are still a pending run when the worker hands its sink on.
+        let mut a = WorkerOut::new(64);
+        a.sink.push(1, 0, 0, 1.0);
+        for _ in 0..3 {
+            a.sink.push(1, 2, 5, 7.5);
+        }
+        let mut b = WorkerOut::new(64);
+        for _ in 0..4 {
+            b.sink.push(2, 9, 1, 12.0);
+        }
+        let r = RunResult::merge(Algorithm::Npj, 100, 64, 20.0, vec![a, b]);
+        assert_eq!(r.matches, 8);
+        assert_eq!(r.hist.count(), 8);
+        assert_eq!(r.last_emit_ms, 12.0);
+        let mut expect = LogHistogram::new();
+        expect.record_ms(1.0);
+        expect.record_n(2_500_000, 3);
+        expect.record_n(3_000_000, 4);
+        assert_eq!(r.hist, expect);
+        // The first match of each worker is sampled.
+        assert_eq!(r.samples.len(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example ad_campaign_dashboard`
 
-use iawj_study::core::metrics::{latency_quantile_ms, time_to_fraction_ms};
+use iawj_study::core::metrics::{latency_quantile_exact_ms, time_to_fraction_ms};
 use iawj_study::core::{execute, Algorithm, RunConfig};
 use iawj_study::datagen::ysb;
 
@@ -34,7 +34,7 @@ fn main() {
             "{:<8} {:>12.0} {:>14.1} {:>16.1}",
             algo.name(),
             result.throughput_tpms(),
-            latency_quantile_ms(&result, 0.95).unwrap_or(f64::NAN),
+            latency_quantile_exact_ms(&result, 0.95).unwrap_or(f64::NAN),
             time_to_fraction_ms(&result, 0.5).unwrap_or(f64::NAN),
         );
     }

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use iawj_study::core::decision::{recommend_default, Objective, Workload};
-use iawj_study::core::metrics::{latency_quantile_ms, progressiveness};
+use iawj_study::core::metrics::{latency_quantile_exact_ms, progressiveness};
 use iawj_study::core::{execute, RunConfig};
 use iawj_study::datagen::MicroSpec;
 
@@ -42,7 +42,7 @@ fn main() {
 
     println!("matches:      {}", result.matches);
     println!("throughput:   {:.0} tuples/ms", result.throughput_tpms());
-    if let Some(p95) = latency_quantile_ms(&result, 0.95) {
+    if let Some(p95) = latency_quantile_exact_ms(&result, 0.95) {
         println!("p95 latency:  {p95:.1} ms");
     }
     let curve = progressiveness(&result);

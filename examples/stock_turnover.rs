@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example stock_turnover`
 
 use iawj_study::core::decision::{recommend_default, Objective, Workload};
-use iawj_study::core::metrics::latency_quantile_ms;
+use iawj_study::core::metrics::latency_quantile_exact_ms;
 use iawj_study::core::{execute, Algorithm, RunConfig};
 use iawj_study::datagen::stats::WorkloadStats;
 use iawj_study::datagen::stock;
@@ -47,7 +47,7 @@ fn main() {
     let cfg = RunConfig::with_threads(4).speedup(50.0).record_all();
     let result = execute(pick, &dataset, &cfg);
     println!("trade-quote matches: {}", result.matches);
-    if let Some(p95) = latency_quantile_ms(&result, 0.95) {
+    if let Some(p95) = latency_quantile_exact_ms(&result, 0.95) {
         println!("p95 match latency: {p95:.2} ms (stream time)");
     }
 

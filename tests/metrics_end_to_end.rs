@@ -3,7 +3,7 @@
 //! and static inputs.
 
 use iawj_study::common::{Phase, PHASES};
-use iawj_study::core::metrics::{latency_quantile_ms, progressiveness, time_to_fraction_ms};
+use iawj_study::core::metrics::{latency_quantile_exact_ms, progressiveness, time_to_fraction_ms};
 use iawj_study::core::output::aggregate_mem_curve;
 use iawj_study::core::{execute, Algorithm, RunConfig};
 use iawj_study::datagen::MicroSpec;
@@ -40,9 +40,9 @@ fn latency_quantiles_are_ordered() {
     let cfg = RunConfig::with_threads(2).record_all().speedup(300.0);
     for algo in [Algorithm::Npj, Algorithm::ShjJm, Algorithm::PmjJb] {
         let res = execute(algo, &ds, &cfg);
-        let p50 = latency_quantile_ms(&res, 0.5).unwrap();
-        let p95 = latency_quantile_ms(&res, 0.95).unwrap();
-        let p100 = latency_quantile_ms(&res, 1.0).unwrap();
+        let p50 = latency_quantile_exact_ms(&res, 0.5).unwrap();
+        let p95 = latency_quantile_exact_ms(&res, 0.95).unwrap();
+        let p100 = latency_quantile_exact_ms(&res, 1.0).unwrap();
         assert!(p50 <= p95 && p95 <= p100, "{algo}: {p50} {p95} {p100}");
         assert!(p50 >= 0.0);
     }
@@ -57,8 +57,8 @@ fn eager_beats_lazy_on_latency_for_slow_streams() {
     let cfg = RunConfig::with_threads(2).record_all().speedup(100.0);
     let eager = execute(Algorithm::ShjJm, &ds, &cfg);
     let lazy = execute(Algorithm::Npj, &ds, &cfg);
-    let eager_p50 = latency_quantile_ms(&eager, 0.5).unwrap();
-    let lazy_p50 = latency_quantile_ms(&lazy, 0.5).unwrap();
+    let eager_p50 = latency_quantile_exact_ms(&eager, 0.5).unwrap();
+    let lazy_p50 = latency_quantile_exact_ms(&lazy, 0.5).unwrap();
     assert!(
         eager_p50 < lazy_p50 / 2.0,
         "eager median latency {eager_p50} must be far below lazy {lazy_p50}"
