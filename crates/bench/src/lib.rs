@@ -153,7 +153,6 @@ impl SnapshotWriter {
             workload: workload.into(),
             engine: res.algorithm.name().into(),
             threads: cfg.threads as u64,
-            scheduler: cfg.sched.scheduler.to_string(),
             throughput_tpms: res.throughput_tpms(),
             latency_p99_ms: res.hist.quantile_ms(0.99),
             latency_max_ms: res.hist.max_ms(),
@@ -183,7 +182,6 @@ impl SnapshotWriter {
             workload: workload.into(),
             engine: engine.into(),
             threads: self.snap.threads,
-            scheduler: "static".into(),
             throughput_tpms: report.wall_tpms(),
             latency_p99_ms: report.close_hist.quantile_ms(0.99),
             latency_max_ms: report.close_hist.max_ms(),
@@ -201,7 +199,6 @@ impl SnapshotWriter {
             workload: workload.into(),
             engine: engine.into(),
             threads: self.snap.threads,
-            scheduler: "static".into(),
             throughput_tpms: 0.0,
             latency_p99_ms: None,
             latency_max_ms: None,

@@ -80,23 +80,18 @@ WORKLOAD OPTIONS (all subcommands):
 RUN OPTIONS (run, sweep, trace):
   --algo NAME        NPJ|PRJ|MWAY|MPASS|SHJ_JM|SHJ_JB|PMJ_JM|PMJ_JB|HANDSHAKE
                      |IBWJ|IBWJ_PART (dashes accepted: ibwj-part)
-  --threads N        worker threads (default 4, capped to the affinity mask;
-                     oversubscribing the mask warns)
+  --threads N        worker threads, > 0 (default 4, capped to the affinity
+                     mask; oversubscribing the mask warns)
   --pin POLICY       pool worker placement: none|compact|scatter (default
                      none; compact packs SMT siblings and NUMA nodes,
                      scatter round-robins across nodes)
-  --speedup F        stream-time compression (default 25)
+  --speedup F        stream-time compression, finite and > 0 (default 25)
   --sample-every N   match sampling rate (default 64)
   --delta F          PMJ sorting step size (default 0.2)
   --eager-merge      PMJ: progressive per-run merging instead of a final merge
   --radix-bits N     PRJ radix bits (default 10, must be in 1..=24)
   --group-size N     JB group size (default 2)
   --scalar-sort      disable the vectorizable sort backend
-  --scheduler MODE   work distribution of the lazy engines and IBWJ_PART:
-                     static|steal (default static; no effect on the engines
-                     of the eager pull loop — SHJ, PMJ, IBWJ — which never
-                     steal)
-  --morsel-size N    steal-mode morsel size in tuples (default 1024, must be >0)
   --index-partitions N  IBWJ_PART sub-index partitions (default 4*threads,
                      rounded up to a power of two)
   --index-epochs N   IBWJ_PART repartition epochs per run (default 8, must be >0)
@@ -778,17 +773,47 @@ mod tests {
         let err = run_cli_str(&["run", "--algo", "NPJ", "--bogus", "1"]).unwrap_err();
         assert!(err.contains("bogus"), "{err}");
         // Flags of deleted knobs are unknown options now: the spawn
-        // executor, the lock-free NPJ table, the global kernel switch and
-        // PRJ's write-combining scatter.
+        // executor, the lock-free NPJ table, the global kernel switch,
+        // PRJ's write-combining scatter and the morsel-stealing scheduler.
         for (flag, value) in [
             ("--executor", "spawn"),
             ("--npj-table", "lockfree"),
             ("--kernel", "scalar"),
             ("--prefetch-dist", "4"),
             ("--scatter", "direct"),
+            ("--scheduler", "steal"),
+            ("--morsel-size", "1024"),
         ] {
             let err = run_cli_str(&["run", "--algo", "NPJ", flag, value]).unwrap_err();
             assert!(err.contains(&format!("unknown option {flag}")), "{err}");
+        }
+    }
+
+    /// Zero workers and a zero, negative or NaN speedup used to reach a
+    /// `RunConfig` or clock assertion; now each is a flag-level error.
+    #[test]
+    fn zero_threads_and_bad_speedup_are_errors_not_panics() {
+        let run = [
+            "run",
+            "--algo",
+            "PRJ",
+            "--static",
+            "--count-r",
+            "100",
+            "--count-s",
+            "100",
+        ];
+        let serve = ["serve", "--algo", "NPJ", "--duration-ms", "100"];
+        for (base, flag, value) in [
+            (&run[..], "--threads", "0"),
+            (&serve[..], "--threads", "0"),
+            (&run[..], "--speedup", "0"),
+            (&run[..], "--speedup", "nan"),
+            (&run[..], "--speedup", "-1"),
+        ] {
+            let argv: Vec<&str> = base.iter().copied().chain([flag, value]).collect();
+            let err = run_cli_str(&argv).unwrap_err();
+            assert!(err.starts_with(&format!("{flag} ")), "{argv:?}: {err}");
         }
     }
 
@@ -850,7 +875,6 @@ mod tests {
                 workload: "Micro".into(),
                 engine: "NPJ".into(),
                 threads: 4,
-                scheduler: "static".into(),
                 throughput_tpms: tpt,
                 latency_p99_ms: Some(p99),
                 latency_max_ms: Some(p99 * 2.0),

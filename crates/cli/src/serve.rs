@@ -9,7 +9,7 @@
 //! a `{"type":"stream",...}` JSONL line followed by a summary line.
 
 use crate::args::{ArgError, Args};
-use crate::workload::{apply_exec_opts, parse_algorithm, warn_if_oversubscribed};
+use crate::workload::{apply_exec_opts, parse_algorithm, parse_threads, require_positive_finite};
 use iawj_common::spsc::{stream_channel, MAX_QUEUE_CAP};
 use iawj_core::streaming::{spawn_source, StreamConfig, StreamReport, StreamingJoin};
 use iawj_core::windowing::WindowSpec;
@@ -60,21 +60,6 @@ pub const SERVE_OPTS: &[&str] = &[
 const QUEUE_CAP_RANGE: &str = "a queue capacity in 1..=16777216";
 const _: () = assert!(MAX_QUEUE_CAP == 16_777_216, "update QUEUE_CAP_RANGE");
 
-/// Reject non-finite, zero, or negative values for rates and pacing knobs:
-/// a NaN or ≤0 speedup stalls the paced sources forever, a ≤0 tick never
-/// fires, and ≤0 ingest rates generate nothing while claiming a duration.
-fn require_positive_finite(key: &'static str, value: f64) -> Result<f64, ArgError> {
-    if value.is_finite() && value > 0.0 {
-        Ok(value)
-    } else {
-        Err(ArgError::Invalid {
-            key: key.into(),
-            value: format!("{value}"),
-            expected: "a finite value > 0",
-        })
-    }
-}
-
 /// Run the service and render its report.
 pub fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     let algo = parse_algorithm(args)?;
@@ -86,8 +71,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     let tick_ms = require_positive_finite("tick-ms", args.get_or("tick-ms", 250.0)?)?;
     let rate_r = require_positive_finite("rate-r", args.get_or("rate-r", 100.0)?)?;
     let rate_s = require_positive_finite("rate-s", args.get_or("rate-s", 100.0)?)?;
-    let threads: usize = args.get_or("threads", 2.min(iawj_exec::affinity_core_count().max(1)))?;
-    warn_if_oversubscribed(threads);
+    let threads = parse_threads(args, 2.min(iawj_exec::affinity_core_count().max(1)))?;
     if duration_ms == 0 {
         return Err(ArgError::Invalid {
             key: "duration-ms".into(),

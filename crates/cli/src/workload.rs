@@ -2,7 +2,7 @@
 
 use crate::args::{ArgError, Args};
 use iawj_core::config::MAX_RADIX_BITS;
-use iawj_core::{Algorithm, PinPolicy, RunConfig, Scheduler};
+use iawj_core::{Algorithm, PinPolicy, RunConfig};
 use iawj_datagen::{debs, rovio, stock, ysb, Dataset, MicroSpec};
 use iawj_exec::{affinity_core_count, SortBackend};
 
@@ -22,8 +22,6 @@ pub const RUN_OPTS: &[&str] = &[
     "group-size",
     "scalar-sort",
     "eager-merge",
-    "scheduler",
-    "morsel-size",
     "pin",
     "index-partitions",
     "index-epochs",
@@ -182,11 +180,43 @@ pub fn apply_exec_opts(args: &Args, cfg: &mut RunConfig) -> Result<(), ArgError>
     Ok(())
 }
 
+/// Reject non-finite, zero, or negative values for rates and pacing knobs:
+/// a NaN or ≤0 speedup stalls the paced sources forever (and trips the
+/// event clock's assertion), a ≤0 tick never fires, and ≤0 ingest rates
+/// generate nothing while claiming a duration.
+pub fn require_positive_finite(key: &'static str, value: f64) -> Result<f64, ArgError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        Err(ArgError::Invalid {
+            key: key.into(),
+            value: format!("{value}"),
+            expected: "a finite value > 0",
+        })
+    }
+}
+
+/// `--threads`, or `default` when absent, warning on oversubscription. A
+/// run needs at least one worker, so 0 is a flag-level error rather than a
+/// rejected `RunConfig` later.
+pub fn parse_threads(args: &Args, default: usize) -> Result<usize, ArgError> {
+    let threads: usize = args.get_or("threads", default)?;
+    if threads == 0 {
+        return Err(ArgError::Invalid {
+            key: "threads".into(),
+            value: "0".into(),
+            expected: "a positive worker count",
+        });
+    }
+    warn_if_oversubscribed(threads);
+    Ok(threads)
+}
+
 /// Build a run configuration from CLI options.
 pub fn build_config(args: &Args) -> Result<RunConfig, ArgError> {
-    let mut cfg = RunConfig::with_threads(args.get_or("threads", default_threads())?)
-        .speedup(args.get_or("speedup", 25.0)?);
-    warn_if_oversubscribed(cfg.threads);
+    let mut cfg = RunConfig::with_threads(parse_threads(args, default_threads())?).speedup(
+        require_positive_finite("speedup", args.get_or("speedup", 25.0)?)?,
+    );
     apply_exec_opts(args, &mut cfg)?;
     cfg.sample_every = args.get_or("sample-every", 64)?;
     cfg.pmj.delta = args.get_or("delta", cfg.pmj.delta)?;
@@ -203,21 +233,6 @@ pub fn build_config(args: &Args) -> Result<RunConfig, ArgError> {
         cfg.sort = SortBackend::Scalar;
     }
     cfg.pmj.eager_merge = args.flag("eager-merge");
-    if let Some(v) = args.get("scheduler") {
-        cfg.sched.scheduler = v.parse::<Scheduler>().map_err(|_| ArgError::Invalid {
-            key: "scheduler".into(),
-            value: v.into(),
-            expected: "static|steal",
-        })?;
-    }
-    cfg.sched.morsel_size = args.get_or("morsel-size", cfg.sched.morsel_size)?;
-    if cfg.sched.morsel_size == 0 {
-        return Err(ArgError::Invalid {
-            key: "morsel-size".into(),
-            value: "0".into(),
-            expected: "a positive tuple count",
-        });
-    }
     cfg.index.partitions = args.get_or("index-partitions", cfg.index.partitions)?;
     cfg.index.epochs = args.get_or("index-epochs", cfg.index.epochs)?;
     if cfg.index.epochs == 0 {
@@ -323,19 +338,37 @@ mod tests {
         assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.sort, SortBackend::Scalar);
         assert!((cfg.pmj.delta - 0.3).abs() < 1e-9);
-        assert_eq!(cfg.sched.scheduler, Scheduler::Static);
+        assert!((cfg.speedup - 50.0).abs() < 1e-9);
+    }
+
+    /// Values the engines cannot run with are flag-level errors naming
+    /// the flag, never a panic further down.
+    #[test]
+    fn zero_threads_and_bad_speedups_are_rejected() {
+        for (flag, bad) in [
+            ("threads", "0"),
+            ("speedup", "0"),
+            ("speedup", "-1"),
+            ("speedup", "nan"),
+            ("speedup", "inf"),
+        ] {
+            let err = build_config(&parse(&format!("--{flag} {bad}"))).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("--{flag}")),
+                "--{flag} {bad}: {err}"
+            );
+        }
     }
 
     #[test]
     fn scheduler_knobs() {
-        let cfg = build_config(&parse("--scheduler steal --morsel-size 256")).unwrap();
-        assert_eq!(cfg.sched.scheduler, Scheduler::Steal);
-        assert_eq!(cfg.sched.morsel_size, 256);
-        assert!(build_config(&parse("--scheduler adaptive")).is_err());
-        assert!(
-            build_config(&parse("--morsel-size 0")).is_err(),
-            "a zero morsel size must be rejected at the flag level"
-        );
+        // Work distribution is fixed per engine; the steal flags are gone.
+        for (flag, value) in [("--scheduler", "steal"), ("--morsel-size", "256")] {
+            let err = parse(&format!("{flag} {value}"))
+                .check_known(RUN_OPTS)
+                .unwrap_err();
+            assert_eq!(err.to_string(), format!("unknown option {flag}"));
+        }
     }
 
     #[test]

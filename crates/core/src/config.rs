@@ -1,8 +1,7 @@
 //! Run configuration: thread count, sort backend, the per-algorithm tuning
 //! knobs of §5.5, and harness controls (time compression, match sampling).
 
-use iawj_exec::morsel::DEFAULT_MORSEL;
-use iawj_exec::{Executor, PinPolicy, Scheduler, SortBackend};
+use iawj_exec::{Executor, PinPolicy, SortBackend};
 
 /// Executor knobs: how the pool's worker threads are placed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -125,35 +124,6 @@ impl Default for IndexConfig {
     }
 }
 
-/// Work-distribution knobs shared by every engine (the Fig. 10 skew
-/// ablation: static `chunk_range` splits vs morsel-driven stealing).
-#[derive(Clone, Copy, Debug)]
-pub struct SchedConfig {
-    /// Which scheduler drives the parallel scan/probe loops of the lazy
-    /// engines and IBWJ_PART; engines on the eager pull loop (SHJ, PMJ,
-    /// hybrid, IBWJ) never steal and ignore it.
-    pub scheduler: Scheduler,
-    /// Morsel size in tuples (steal mode only; clamped to ≥ 1).
-    pub morsel_size: usize,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        SchedConfig {
-            scheduler: Scheduler::Static,
-            morsel_size: DEFAULT_MORSEL,
-        }
-    }
-}
-
-impl SchedConfig {
-    /// Is morsel-driven stealing enabled?
-    #[inline]
-    pub fn stealing(&self) -> bool {
-        self.scheduler == Scheduler::Steal
-    }
-}
-
 /// Complete configuration of one run.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
@@ -181,8 +151,6 @@ pub struct RunConfig {
     pub perf: bool,
     /// Executor knobs (core placement).
     pub exec: ExecConfig,
-    /// Work-distribution knobs (scheduler + morsel size).
-    pub sched: SchedConfig,
     /// PRJ knobs.
     pub prj: PrjConfig,
     /// PMJ knobs.
@@ -209,7 +177,6 @@ impl Default for RunConfig {
             journal_capacity: 1 << 14,
             perf: false,
             exec: ExecConfig::default(),
-            sched: SchedConfig::default(),
             prj: PrjConfig::default(),
             pmj: PmjConfig::default(),
             jb: JbConfig::default(),
@@ -265,31 +232,15 @@ impl RunConfig {
         self
     }
 
-    /// Builder: select the work-distribution scheduler.
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.sched.scheduler = scheduler;
-        self
-    }
-
-    /// Builder: set the morsel size for steal mode.
-    pub fn morsel_size(mut self, morsel_size: usize) -> Self {
-        self.sched.morsel_size = morsel_size;
-        self
-    }
-
     /// Check the knobs that would otherwise fail far from their cause —
-    /// a zero morsel size would spin the morsel driver (or divide by zero
-    /// in grid-cell arithmetic), a zero thread count has no workers to run,
-    /// and radix bits beyond the key width allocate `2^bits` histogram
-    /// slots per scatter slot (or overflow the shift outright).
+    /// a zero thread count has no workers to run, and radix bits beyond
+    /// the key width allocate `2^bits` histogram slots per scatter slot
+    /// (or overflow the shift outright).
     /// The runner calls this before dispatch; CLI parsing rejects the same
     /// values with a flag-level error message.
     pub fn validate(&self) -> Result<(), String> {
         if self.threads == 0 {
             return Err("thread count must be at least 1".into());
-        }
-        if self.sched.morsel_size == 0 {
-            return Err("morsel size must be at least 1 tuple".into());
         }
         if !(1..=MAX_RADIX_BITS).contains(&self.prj.radix_bits) {
             return Err(format!(
@@ -420,23 +371,16 @@ mod tests {
         let c = RunConfig::with_threads(2)
             .sort(SortBackend::Scalar)
             .speedup(10.0)
-            .record_all()
-            .scheduler(Scheduler::Steal)
-            .morsel_size(256);
+            .record_all();
         assert_eq!(c.threads, 2);
         assert_eq!(c.sort, SortBackend::Scalar);
         assert_eq!(c.sample_every, 1);
         assert!((c.speedup - 10.0).abs() < 1e-9);
-        assert!(c.sched.stealing());
-        assert_eq!(c.sched.morsel_size, 256);
     }
 
     #[test]
-    fn validate_rejects_zero_morsel_and_threads() {
+    fn validate_rejects_zero_threads() {
         assert!(RunConfig::default().validate().is_ok());
-        let zero_morsel = RunConfig::default().morsel_size(0);
-        let err = zero_morsel.validate().unwrap_err();
-        assert!(err.contains("morsel"), "unexpected message: {err}");
         let zero_threads = RunConfig::with_threads(0);
         assert!(zero_threads.validate().is_err());
     }
@@ -476,14 +420,6 @@ mod tests {
         // The widest accepted `#r` splits into a full first pass and a
         // 16-bit refinement.
         assert_eq!(iawj_exec::radix::pass_bits(MAX_RADIX_BITS), (8, 16));
-    }
-
-    #[test]
-    fn sched_defaults_to_static_chunks() {
-        let c = RunConfig::default();
-        assert_eq!(c.sched.scheduler, Scheduler::Static);
-        assert!(!c.sched.stealing());
-        assert_eq!(c.sched.morsel_size, iawj_exec::DEFAULT_MORSEL);
     }
 
     #[test]

@@ -209,25 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_scheduler_flag_is_inert_but_exact() {
-        // The handshake pipeline is dataflow-scheduled (tuples flow
-        // core-to-core), so there is no claimable index space to steal;
-        // the flag must be accepted and change nothing.
-        use iawj_exec::Scheduler;
-        let r = random_stream(200, 16, 1);
-        let s = random_stream(250, 16, 2);
-        let cfg = RunConfig::with_threads(4)
-            .record_all()
-            .scheduler(Scheduler::Steal);
-        let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
-        assert_eq!(
-            canonical(&outs),
-            nested_loop_join(&r, &s, Window::of_len(32))
-        );
-    }
-
-    #[test]
     fn empty_inputs() {
         let cfg = RunConfig::with_threads(2).record_all();
         let clock = EventClock::ungated();

@@ -7,15 +7,13 @@
 //! has nothing available the worker reads from the other, and when neither
 //! does it stalls (the Wait phase), exactly the behaviour §4.2.2 describes.
 //!
-//! Scheduler note: `--scheduler` has no effect on engines driven by this
-//! loop (SHJ, PMJ, hybrid, and IBWJ's key-ownership workers). They never
-//! steal: the distribution schemes are ownership contracts — a JB worker's
-//! state only joins tuples of its key classes, a JM worker covers a fixed
-//! matrix cell — so migrating a pulled tuple to another worker would
-//! silently drop its matches. Dynamic rebalancing for eager engines means
-//! re-partitioning (PanJoin-style), which is out of scope here; both
-//! scheduler flags are nevertheless accepted on every engine and checked
-//! by the differential harness.
+//! Work distribution note: engines driven by this loop (SHJ, PMJ, hybrid,
+//! and IBWJ's key-ownership workers) never hand work between workers. The
+//! distribution schemes are ownership contracts — a JB worker's state only
+//! joins tuples of its key classes, a JM worker covers a fixed matrix cell
+//! — so migrating a pulled tuple to another worker would silently drop its
+//! matches. Dynamic rebalancing for eager engines means re-partitioning
+//! (PanJoin-style, as IBWJ_PART does between epochs).
 
 pub mod handshake;
 pub mod hybrid;

@@ -160,41 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_scheduler_leaves_eager_pulls_whole() {
-        use iawj_exec::morsel::{MARK_CLAIM, MARK_STEAL};
-        use iawj_exec::Scheduler;
-        let r = random_stream(400, 32, 1);
-        let s = random_stream(500, 32, 2);
-        let clock = EventClock::ungated();
-        // morsel 7 < BATCH: a sub-chunking loop would journal claims.
-        let cfg = RunConfig::with_threads(1)
-            .record_all()
-            .scheduler(Scheduler::Steal)
-            .morsel_size(7)
-            .with_journal();
-        let out = drive_worker(
-            ShjEngine::new(r.len(), s.len()),
-            View::strided(&r, 0, 1),
-            View::strided(&s, 0, 1),
-            &cfg,
-            &clock,
-        );
-        let mut got: Vec<_> = out
-            .sink
-            .samples()
-            .iter()
-            .map(|m| (m.key, m.r_ts, m.s_ts))
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, nested_loop_join(&r, &s, Window::of_len(64)));
-        let journal = out.journal.as_ref().expect("journaled");
-        assert_eq!(
-            journal.count_marks(MARK_CLAIM) + journal.count_marks(MARK_STEAL),
-            0
-        );
-    }
-
-    #[test]
     fn direct_interleaving_is_exactly_once() {
         // Drive the engine by hand with interleaved singleton batches.
         let mut e = ShjEngine::new(4, 4);

@@ -17,7 +17,7 @@
 //! when the heaviest worker's share exceeds the ideal share by
 //! `IndexConfig::repart_factor`. The histogram and therefore every
 //! assignment is a pure function of tuple timestamps, so the match set is
-//! deterministic across schedulers, executors, and thread interleavings.
+//! deterministic across executors and thread interleavings.
 //!
 //! Memory ordering: sub-indexes live in `Mutex`es and epochs are separated
 //! by a [`std::sync::Barrier`], so an epoch's inserts happen-before the
@@ -27,9 +27,9 @@
 //! single-writer/multi-reader contract the streaming service uses).
 
 use crate::clock::EventClock;
-use crate::config::{RunConfig, SchedConfig};
+use crate::config::RunConfig;
 use crate::eager::Engine;
-use crate::lazy::{EmitClock, Scan};
+use crate::lazy::EmitClock;
 use crate::output::WorkerOut;
 use iawj_common::hash::hash_key;
 use iawj_common::kernel::tuple_buckets_into;
@@ -321,39 +321,30 @@ fn join_partition(
     timer: &mut PhaseTimer,
     emit: &mut EmitClock<'_>,
     out: &mut WorkerOut,
-    sched: &SchedConfig,
 ) {
-    // One owner per partition, so the scan is single-worker: steal mode
-    // only changes the claim granularity (and journals each morsel).
     if !r_batch.is_empty() {
-        Scan::new(sched, r_batch.len(), 1).run(0, timer, |range, timer| {
-            let chunk = &r_batch[range];
-            timer.switch_to(Phase::BuildSort);
-            for t in chunk {
-                st.r.insert(t.key, t.ts);
-            }
-            timer.instant(MARK_INDEX_INSERT);
-            timer.switch_to(Phase::Probe);
-            for t in chunk {
-                let now = emit.now();
-                st.s.probe(t.key, |s_ts| out.sink.push(t.key, t.ts, s_ts, now));
-            }
-        });
+        timer.switch_to(Phase::BuildSort);
+        for t in r_batch {
+            st.r.insert(t.key, t.ts);
+        }
+        timer.instant(MARK_INDEX_INSERT);
+        timer.switch_to(Phase::Probe);
+        for t in r_batch {
+            let now = emit.now();
+            st.s.probe(t.key, |s_ts| out.sink.push(t.key, t.ts, s_ts, now));
+        }
     }
     if !s_batch.is_empty() {
-        Scan::new(sched, s_batch.len(), 1).run(0, timer, |range, timer| {
-            let chunk = &s_batch[range];
-            timer.switch_to(Phase::BuildSort);
-            for t in chunk {
-                st.s.insert(t.key, t.ts);
-            }
-            timer.instant(MARK_INDEX_INSERT);
-            timer.switch_to(Phase::Probe);
-            for t in chunk {
-                let now = emit.now();
-                st.r.probe(t.key, |r_ts| out.sink.push(t.key, r_ts, t.ts, now));
-            }
-        });
+        timer.switch_to(Phase::BuildSort);
+        for t in s_batch {
+            st.s.insert(t.key, t.ts);
+        }
+        timer.instant(MARK_INDEX_INSERT);
+        timer.switch_to(Phase::Probe);
+        for t in s_batch {
+            let now = emit.now();
+            st.r.probe(t.key, |r_ts| out.sink.push(t.key, r_ts, t.ts, now));
+        }
     }
 }
 
@@ -445,7 +436,6 @@ pub fn run_part_on(
                     &mut timer,
                     &mut emit,
                     &mut out,
-                    &cfg.sched,
                 );
                 if let Some(h) = cfg.index.evict_horizon_ms {
                     let horizon = ep.wait_ts.saturating_sub(h);

@@ -9,8 +9,8 @@
 
 use crate::clock::EventClock;
 use crate::config::RunConfig;
-use crate::lazy::mway::{key_aligned_splitters, segment, STEAL_OVERSPLIT};
-use crate::lazy::{EmitClock, Scan, Slots};
+use crate::lazy::mway::{key_aligned_splitters, segment};
+use crate::lazy::{EmitClock, Slots};
 use crate::output::WorkerOut;
 use iawj_common::{Phase, Ts, Tuple};
 use iawj_exec::merge::{
@@ -30,12 +30,6 @@ pub fn run_on(
     exec: &Executor,
 ) -> Vec<WorkerOut> {
     let threads = cfg.threads;
-    let parts = if cfg.sched.stealing() {
-        threads * STEAL_OVERSPLIT
-    } else {
-        threads
-    };
-    let ranges = Scan::items(&cfg.sched, parts, threads);
     // Mutable run storage for the merge passes: slot i holds the run that
     // started as thread i's sorted chunk and absorbs its merge partners.
     let r_store: Vec<Latch<Option<Vec<u64>>>> = (0..threads).map(|_| Latch::new(None)).collect();
@@ -117,7 +111,7 @@ pub fn run_on(
                 0,
                 key_aligned_splitters(choose_splitters(
                     &[r_all.as_slice(), s_all.as_slice()],
-                    parts,
+                    threads,
                 )),
             );
         }
@@ -125,20 +119,16 @@ pub fn run_on(
         split_done.wait();
         timer.instant("barrier:splitters_done");
         let bounds = splitter_bounds(splitters.get(0));
-        let mut emit = EmitClock::new(clock);
-        ranges.run(tid, &mut timer, |claimed, timer| {
-            for i in claimed {
-                if i >= bounds.len() {
-                    continue; // key alignment merged this range away
-                }
-                timer.switch_to(Phase::Probe);
-                iawj_exec::mergejoin::merge_join(
-                    segment(r_all, &bounds, i),
-                    segment(s_all, &bounds, i),
-                    |k, rts, sts| out.sink.push(k, rts, sts, emit.now()),
-                );
-            }
-        });
+        // Key alignment may have merged range `tid` away.
+        if tid < bounds.len() {
+            let mut emit = EmitClock::new(clock);
+            timer.switch_to(Phase::Probe);
+            iawj_exec::mergejoin::merge_join(
+                segment(r_all, &bounds, tid),
+                segment(s_all, &bounds, tid),
+                |k, rts, sts| out.sink.push(k, rts, sts, emit.now()),
+            );
+        }
         out.set_timing(timer.finish_parts());
         out
     })
@@ -210,22 +200,6 @@ mod tests {
             canonical(&outs),
             nested_loop_join(&r, &s, Window::of_len(64))
         );
-    }
-
-    #[test]
-    fn steal_scheduler_matches_reference() {
-        use iawj_exec::Scheduler;
-        let r = random_stream(1200, 150, 9);
-        let s = random_stream(1000, 150, 10);
-        let expect = nested_loop_join(&r, &s, Window::of_len(64));
-        for threads in [1usize, 2, 4] {
-            let cfg = RunConfig::with_threads(threads)
-                .record_all()
-                .scheduler(Scheduler::Steal);
-            let clock = EventClock::ungated();
-            let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
-            assert_eq!(canonical(&outs), expect, "threads={threads}");
-        }
     }
 
     #[test]

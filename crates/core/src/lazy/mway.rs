@@ -8,18 +8,13 @@
 
 use crate::clock::EventClock;
 use crate::config::RunConfig;
-use crate::lazy::{EmitClock, Scan, Slots};
+use crate::lazy::{EmitClock, Slots};
 use crate::output::WorkerOut;
 use iawj_common::{Phase, Ts, Tuple};
 use iawj_exec::merge::{choose_splitters, kway_merge_loser, splitter_bounds};
 use iawj_exec::pool::{barrier, chunk_range};
 use iawj_exec::sort::{pack_tuples, sort_packed};
-use iawj_exec::{Executor, PhaseTimer};
-
-/// How many splitter ranges steal mode requests per worker: over-splitting
-/// the key space is what gives thieves something to take when one range
-/// carries a hot Zipf key group.
-pub(crate) const STEAL_OVERSPLIT: usize = 4;
+use iawj_exec::Executor;
 
 /// Mask keeping only the key half of a packed tuple: splitters are snapped
 /// to key boundaries so an equal-key group never straddles two ranges.
@@ -56,12 +51,6 @@ pub fn run_on(
     exec: &Executor,
 ) -> Vec<WorkerOut> {
     let threads = cfg.threads;
-    let parts = if cfg.sched.stealing() {
-        threads * STEAL_OVERSPLIT
-    } else {
-        threads
-    };
-    let ranges = Scan::items(&cfg.sched, parts, threads);
     let r_runs: Slots<Vec<u64>> = Slots::new(threads);
     let s_runs: Slots<Vec<u64>> = Slots::new(threads);
     let splitters: Slots<Vec<u64>> = Slots::new(1);
@@ -91,7 +80,7 @@ pub fn run_on(
             let all: Vec<&[u64]> = (0..threads)
                 .flat_map(|i| [r_runs.get(i).as_slice(), s_runs.get(i).as_slice()])
                 .collect();
-            splitters.set(0, key_aligned_splitters(choose_splitters(&all, parts)));
+            splitters.set(0, key_aligned_splitters(choose_splitters(&all, threads)));
         }
         timer.switch_to(Phase::Other);
         split_done.wait();
@@ -106,35 +95,25 @@ pub fn run_on(
             ));
         }
 
-        // Multi-way merge output ranges from all runs: one fixed range per
-        // worker in static mode, dynamically claimed (and over-split)
-        // ranges in steal mode.
-        let mut emit = EmitClock::new(clock);
-        let merge_range =
-            |range_i: usize, timer: &mut PhaseTimer, emit: &mut EmitClock, out: &mut WorkerOut| {
-                timer.switch_to(Phase::Merge);
-                let r_segs: Vec<&[u64]> = (0..threads)
-                    .map(|i| segment(r_runs.get(i), &bounds, range_i))
-                    .collect();
-                let s_segs: Vec<&[u64]> = (0..threads)
-                    .map(|i| segment(s_runs.get(i), &bounds, range_i))
-                    .collect();
-                let r_sorted = kway_merge_loser(&r_segs);
-                let s_sorted = kway_merge_loser(&s_segs);
+        // Multi-way merge output range `tid` from all runs; key alignment
+        // may have merged it away.
+        if tid < bounds.len() {
+            let mut emit = EmitClock::new(clock);
+            timer.switch_to(Phase::Merge);
+            let r_segs: Vec<&[u64]> = (0..threads)
+                .map(|i| segment(r_runs.get(i), &bounds, tid))
+                .collect();
+            let s_segs: Vec<&[u64]> = (0..threads)
+                .map(|i| segment(s_runs.get(i), &bounds, tid))
+                .collect();
+            let r_sorted = kway_merge_loser(&r_segs);
+            let s_sorted = kway_merge_loser(&s_segs);
 
-                timer.switch_to(Phase::Probe);
-                iawj_exec::mergejoin::merge_join(&r_sorted, &s_sorted, |k, rts, sts| {
-                    out.sink.push(k, rts, sts, emit.now());
-                });
-            };
-        ranges.run(tid, &mut timer, |claimed, timer| {
-            for i in claimed {
-                // Key alignment may merge ranges away; skip the excess.
-                if i < bounds.len() {
-                    merge_range(i, timer, &mut emit, &mut out);
-                }
-            }
-        });
+            timer.switch_to(Phase::Probe);
+            iawj_exec::mergejoin::merge_join(&r_sorted, &s_sorted, |k, rts, sts| {
+                out.sink.push(k, rts, sts, emit.now());
+            });
+        }
         out.set_timing(timer.finish_parts());
         out
     })
@@ -200,22 +179,6 @@ mod tests {
             canonical(&outs),
             nested_loop_join(&r, &s, Window::of_len(64))
         );
-    }
-
-    #[test]
-    fn steal_scheduler_matches_reference() {
-        use iawj_exec::Scheduler;
-        let r = random_stream(1500, 250, 9);
-        let s = random_stream(1500, 250, 10);
-        let expect = nested_loop_join(&r, &s, Window::of_len(64));
-        for threads in [1usize, 2, 4] {
-            let cfg = RunConfig::with_threads(threads)
-                .record_all()
-                .scheduler(Scheduler::Steal);
-            let clock = EventClock::ungated();
-            let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
-            assert_eq!(canonical(&outs), expect, "threads={threads}");
-        }
     }
 
     #[test]

@@ -9,11 +9,11 @@
 
 use crate::clock::EventClock;
 use crate::config::RunConfig;
-use crate::lazy::{EmitClock, Scan};
+use crate::lazy::EmitClock;
 use crate::output::WorkerOut;
 use iawj_common::kernel::tuple_buckets_into;
 use iawj_common::{KernelBackend, Phase, Ts, Tuple, DEFAULT_PREFETCH_DIST};
-use iawj_exec::pool::barrier;
+use iawj_exec::pool::{barrier, chunk_range};
 use iawj_exec::{Executor, SharedTable};
 use iawj_obs::MARK_LATCH_WAIT;
 
@@ -65,25 +65,22 @@ pub fn run_on(
     let table = SharedTable::with_capacity(r.len());
     let threads = cfg.threads;
     let build_done = barrier(threads);
-    let build = Scan::new(&cfg.sched, r.len(), threads);
-    let probe = Scan::new(&cfg.sched, s.len(), threads);
     exec.run(threads, |tid| {
         let mut out = WorkerOut::new(cfg.sample_every);
         let mut timer = cfg.timer_for(Phase::Wait, clock.epoch());
         clock.wait_until(arrive_by);
 
-        // Per-worker scratch for the batched pipelines, reused across
-        // morsel ranges so each worker allocates once.
+        // Per-worker scratch for the batched pipelines, reused by build
+        // and probe so each worker allocates once.
         let mut buckets: Vec<usize> = Vec::new();
         timer.switch_to(Phase::BuildSort);
         // Contention events accumulate in a counter and flush to the
         // journal when the phase ends (their count is exact; only their
         // timestamps cluster).
         let mut events = 0u32;
-        build.run(tid, &mut timer, |range, _| {
-            for_each_bucket(&table, &r[range], &mut buckets, |b, t| {
-                events += table.insert_at(b, t.key, t.ts);
-            });
+        let build = &r[chunk_range(r.len(), threads, tid)];
+        for_each_bucket(&table, build, &mut buckets, |b, t| {
+            events += table.insert_at(b, t.key, t.ts);
         });
         for _ in 0..events {
             timer.instant(MARK_LATCH_WAIT);
@@ -98,11 +95,10 @@ pub fn run_on(
         timer.switch_to(Phase::Probe);
         let mut emit = EmitClock::new(clock);
         let mut events = 0u32;
-        probe.run(tid, &mut timer, |range, _| {
-            for_each_bucket(&table, &s[range], &mut buckets, |b, t| {
-                let now = emit.now();
-                events += table.probe_at(b, t.key, |r_ts| out.sink.push(t.key, r_ts, t.ts, now));
-            });
+        let probe = &s[chunk_range(s.len(), threads, tid)];
+        for_each_bucket(&table, probe, &mut buckets, |b, t| {
+            let now = emit.now();
+            events += table.probe_at(b, t.key, |r_ts| out.sink.push(t.key, r_ts, t.ts, now));
         });
         for _ in 0..events {
             timer.instant(MARK_LATCH_WAIT);
@@ -160,39 +156,6 @@ mod tests {
         let clock = EventClock::ungated();
         let outs = run_on(&[], &[], &cfg, &clock, 0, &cfg.make_executor());
         assert_eq!(outs.iter().map(|w| w.sink.count()).sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn steal_scheduler_matches_static() {
-        use iawj_exec::morsel::MARK_CLAIM;
-        use iawj_exec::Scheduler;
-        let r = random_stream(900, 16, 11);
-        let s = random_stream(1100, 16, 12);
-        let expect = nested_loop_join(&r, &s, Window::of_len(64));
-        let cfg = RunConfig::with_threads(4)
-            .record_all()
-            .scheduler(Scheduler::Steal)
-            .morsel_size(64)
-            .with_journal();
-        let clock = EventClock::ungated();
-        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
-        let mut got: Vec<_> = outs
-            .iter()
-            .flat_map(|w| w.sink.samples().iter().map(|m| (m.key, m.r_ts, m.s_ts)))
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, expect);
-        let marks = |name: &str| -> usize {
-            outs.iter()
-                .filter_map(|w| w.journal.as_ref())
-                .map(|j| j.count_marks(name))
-                .sum()
-        };
-        // Morsels align per deque: 4 deques of 225 (build) and 275 (probe)
-        // tuples at morsel 64 yield 4*ceil(225/64) + 4*ceil(275/64) marks,
-        // each claimed exactly once whether owned or stolen.
-        use iawj_exec::morsel::MARK_STEAL;
-        assert_eq!(marks(MARK_CLAIM) + marks(MARK_STEAL), 16 + 20);
     }
 
     #[test]

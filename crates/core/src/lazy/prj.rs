@@ -2,21 +2,20 @@
 //!
 //! Both inputs are radix-partitioned on the low `#r` key bits so each
 //! R-partition fits in cache; partitions then get joined independently with
-//! a cache-resident build+probe, pulled from a shared work queue. The first
+//! a cache-resident build+probe, pulled from a shared counter. The first
 //! pass is a cooperative parallel partition (per-thread histograms → prefix
 //! sums → contention-free scatter) on at most
 //! [`MAX_BITS_PER_PASS`](iawj_exec::radix::MAX_BITS_PER_PASS) bits; when `#r`
-//! is wider, a second, thread-local refinement pass runs inside the work
-//! queue, exactly like the original's two-pass scheme.
+//! is wider, a second, thread-local refinement pass runs on each pulled
+//! partition, exactly like the original's two-pass scheme.
 
 use crate::clock::EventClock;
 use crate::config::RunConfig;
-use crate::lazy::{claim_mark, EmitClock};
+use crate::lazy::EmitClock;
 use crate::output::WorkerOut;
 use iawj_common::{Phase, Ts, Tuple};
-use iawj_exec::morsel::{for_each_morsel, MorselQueue};
 use iawj_exec::pool::barrier;
-use iawj_exec::radix::{partition_seq, pass_bits, PartitionPass, PassKnobs, SlotLayout};
+use iawj_exec::radix::{partition_seq, pass_bits, PartitionPass};
 use iawj_exec::{Executor, LocalTable, PhaseTimer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -32,28 +31,17 @@ pub fn run_on(
     let threads = cfg.threads;
     let (bits1, bits2) = pass_bits(cfg.prj.radix_bits);
 
-    let stealing = cfg.sched.stealing();
-    let knobs = PassKnobs {
-        // Steal mode partitions over a fixed morsel grid instead of one
-        // chunk per thread, so any worker can claim any cell.
-        layout: if stealing {
-            SlotLayout::Grid(cfg.sched.morsel_size)
-        } else {
-            SlotLayout::PerThread
-        },
-        // With pinned workers the partition arenas use first-touch
-        // allocation: each scattering worker faults the slots it scatters
-        // onto its own NUMA node.
-        first_touch: exec.pinned(),
-    };
-    let r_pass = PartitionPass::new(r, 0, bits1, threads, knobs);
-    let s_pass = PartitionPass::new(s, 0, bits1, threads, knobs);
+    // With pinned workers the partition arenas use first-touch
+    // allocation: each scattering worker faults the slots it scatters
+    // onto its own NUMA node.
+    let first_touch = exec.pinned();
+    let r_pass = PartitionPass::new(r, 0, bits1, threads, first_touch);
+    let s_pass = PartitionPass::new(s, 0, bits1, threads, first_touch);
     let hist_done = barrier(threads);
     let plan_done = barrier(threads);
     let scatter_done = barrier(threads);
     let next_partition = AtomicUsize::new(0);
     let fanout1 = 1usize << bits1;
-    let join_q = MorselQueue::new(fanout1, threads, 1);
 
     exec.run(threads, |tid| {
         let mut out = WorkerOut::new(cfg.sample_every);
@@ -62,8 +50,8 @@ pub fn run_on(
 
         // --- Pass 1: cooperative parallel partition of R and S ---
         timer.switch_to(Phase::Partition);
-        r_pass.histogram_step(tid, claim_mark(&mut timer));
-        s_pass.histogram_step(tid, claim_mark(&mut timer));
+        r_pass.histogram_step(tid);
+        s_pass.histogram_step(tid);
         hist_done.wait();
         timer.instant("barrier:histograms_done");
         if tid == 0 {
@@ -75,8 +63,8 @@ pub fn run_on(
         // the partitioned data is read only after the `scatter_done`
         // barrier below.
         unsafe {
-            r_pass.scatter_step(tid, claim_mark(&mut timer));
-            s_pass.scatter_step(tid, claim_mark(&mut timer));
+            r_pass.scatter_step(tid);
+            s_pass.scatter_step(tid);
         }
         timer.switch_to(Phase::Other);
         scatter_done.wait();
@@ -93,43 +81,34 @@ pub fn run_on(
             ));
         }
 
-        // --- Per-partition cache-resident joins from a shared queue ---
+        // --- Per-partition cache-resident joins from a shared counter ---
         let mut emit = EmitClock::new(clock);
-        let do_partition =
-            |p: usize, timer: &mut PhaseTimer, emit: &mut EmitClock, out: &mut WorkerOut| {
-                let rp = &r_part[r_bounds[p]..r_bounds[p + 1]];
-                let sp = &s_part[s_bounds[p]..s_bounds[p + 1]];
-                if rp.is_empty() || sp.is_empty() {
-                    return;
+        loop {
+            let p = next_partition.fetch_add(1, Ordering::Relaxed);
+            if p >= fanout1 {
+                break;
+            }
+            let rp = &r_part[r_bounds[p]..r_bounds[p + 1]];
+            let sp = &s_part[s_bounds[p]..s_bounds[p + 1]];
+            if rp.is_empty() || sp.is_empty() {
+                continue;
+            }
+            if bits2 > 0 {
+                // --- Pass 2: thread-local refinement ---
+                timer.switch_to(Phase::Partition);
+                let rr = partition_seq(rp, bits1, bits2);
+                let ss = partition_seq(sp, bits1, bits2);
+                for q in 0..rr.fanout() {
+                    join_partition(
+                        rr.partition(q),
+                        ss.partition(q),
+                        &mut timer,
+                        &mut emit,
+                        &mut out,
+                    );
                 }
-                if bits2 > 0 {
-                    // --- Pass 2: thread-local refinement ---
-                    timer.switch_to(Phase::Partition);
-                    let rr = partition_seq(rp, bits1, bits2);
-                    let ss = partition_seq(sp, bits1, bits2);
-                    for q in 0..rr.fanout() {
-                        join_partition(rr.partition(q), ss.partition(q), timer, emit, out);
-                    }
-                } else {
-                    join_partition(rp, sp, timer, emit, out);
-                }
-            };
-        if stealing {
-            // Per-worker deques of partition ids with steal-half: a worker
-            // stuck on a heavy Zipf partition sheds the rest of its deque.
-            for_each_morsel(&join_q, tid, |range, stolen| {
-                claim_mark(&mut timer)(stolen);
-                for p in range {
-                    do_partition(p, &mut timer, &mut emit, &mut out);
-                }
-            });
-        } else {
-            loop {
-                let p = next_partition.fetch_add(1, Ordering::Relaxed);
-                if p >= fanout1 {
-                    break;
-                }
-                do_partition(p, &mut timer, &mut emit, &mut out);
+            } else {
+                join_partition(rp, sp, &mut timer, &mut emit, &mut out);
             }
         }
         out.set_timing(timer.finish_parts());
@@ -226,89 +205,21 @@ mod tests {
         assert_eq!(total, 200 * 100);
     }
 
-    /// Both pass shapes produce the identical match set under both
-    /// schedulers.
-    #[test]
-    fn scatter_modes_agree_across_schedulers() {
-        use iawj_exec::Scheduler;
-        let r = random_stream(2500, 1 << 10, 31);
-        let s = random_stream(2500, 1 << 10, 32);
-        let expect = nested_loop_join(&r, &s, Window::of_len(64));
-        for sched in Scheduler::ALL {
-            for bits in [6u32, 10] {
-                let mut cfg = RunConfig::with_threads(4)
-                    .record_all()
-                    .scheduler(sched)
-                    .morsel_size(128);
-                cfg.prj.radix_bits = bits;
-                let clock = EventClock::ungated();
-                let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
-                assert_eq!(canonical(&outs), expect, "scheduler={sched} bits={bits}");
-            }
-        }
-    }
-
-    #[test]
-    fn steal_scheduler_matches_reference_both_pass_shapes() {
-        use iawj_exec::Scheduler;
-        let r = random_stream(2500, 1 << 10, 21);
-        let s = random_stream(2500, 1 << 10, 22);
-        let expect = nested_loop_join(&r, &s, Window::of_len(64));
-        for bits in [6, 10] {
-            let mut cfg = RunConfig::with_threads(4)
-                .record_all()
-                .scheduler(Scheduler::Steal)
-                .morsel_size(128);
-            cfg.prj.radix_bits = bits;
-            let clock = EventClock::ungated();
-            let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
-            assert_eq!(canonical(&outs), expect, "bits={bits}");
-        }
-    }
-
-    #[test]
-    fn steal_scheduler_journals_grid_claims() {
-        use iawj_exec::morsel::{MARK_CLAIM, MARK_STEAL};
-        use iawj_exec::Scheduler;
-        let r = random_stream(1000, 128, 23);
-        let s = random_stream(1000, 128, 24);
-        let mut cfg = RunConfig::with_threads(4)
-            .record_all()
-            .scheduler(Scheduler::Steal)
-            .morsel_size(100)
-            .with_journal();
-        cfg.prj.radix_bits = 6;
-        let clock = EventClock::ungated();
-        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
-        let marks: usize = outs
-            .iter()
-            .filter_map(|w| w.journal.as_ref())
-            .map(|j| j.count_marks(MARK_CLAIM) + j.count_marks(MARK_STEAL))
-            .sum();
-        // 10 histogram cells + 10 scatter cells per side, plus 64 join
-        // partitions: every unit of claimable work shows up in the journal.
-        assert_eq!(marks, 10 + 10 + 10 + 10 + 64);
-    }
-
     /// PRJ is one parallel section: partition pass, barriers and joins all
-    /// run inside a single `Executor::run` dispatch, whatever the knobs.
+    /// run inside a single `Executor::run` dispatch, in both pass shapes.
     #[test]
     fn whole_join_is_one_executor_dispatch() {
-        use iawj_exec::Scheduler;
         let r = random_stream(3000, 1 << 10, 81);
         let s = random_stream(3000, 1 << 10, 82);
         let expect = nested_loop_join(&r, &s, Window::of_len(64));
-        for sched in Scheduler::ALL {
-            let mut cfg = RunConfig::with_threads(4)
-                .record_all()
-                .scheduler(sched)
-                .morsel_size(128);
-            cfg.prj.radix_bits = 10;
+        for bits in [6u32, 10] {
+            let mut cfg = RunConfig::with_threads(4).record_all();
+            cfg.prj.radix_bits = bits;
             let exec = cfg.make_executor();
             let clock = EventClock::ungated();
             let outs = run_on(&r, &s, &cfg, &clock, 0, &exec);
-            assert_eq!(canonical(&outs), expect, "scheduler={sched}");
-            assert_eq!(exec.generations(), 1, "scheduler={sched}");
+            assert_eq!(canonical(&outs), expect, "bits={bits}");
+            assert_eq!(exec.generations(), 1, "bits={bits}");
         }
     }
 

@@ -476,8 +476,8 @@ const PARTITION_CLAIM: usize = 16;
 /// pane `p`, one table is built on `R_p[x]` and probed with `S_q[x]` for
 /// `q ∈ [a, p]`, and one on `S_p[x]`, probed with `R_q[x]` for `q ∈ [a, p)`;
 /// matches are counted straight into the cells, with one reused
-/// [`LocalTable`] per lane and no sink. `--scheduler` does not apply: the
-/// panes are small and each side is partitioned by one lane.
+/// [`LocalTable`] per lane and no sink. Each fresh side is partitioned by
+/// one lane: the panes are small.
 pub(crate) struct PartitionedPanes {
     bits1: u32,
     bits2: u32,

@@ -46,8 +46,8 @@ pub mod windowing;
 
 pub use algo::Algorithm;
 pub use clock::EventClock;
-pub use config::{ExecConfig, IndexConfig, RunConfig, SchedConfig};
-pub use iawj_exec::{Executor, PinPolicy, Scheduler};
+pub use config::{ExecConfig, IndexConfig, RunConfig};
+pub use iawj_exec::{Executor, PinPolicy};
 pub use output::RunResult;
 pub use runner::{execute, execute_on};
 pub use streaming::{run_replay, ClosedWindow, StreamConfig, StreamReport, StreamingJoin};

@@ -99,8 +99,7 @@ pub struct RunResult {
 
 impl RunResult {
     /// Total journal marks with the given name across all workers, e.g.
-    /// `"morsel:steal"` events from the work-stealing scheduler. Zero when
-    /// the run did not journal.
+    /// NPJ's `"latch:wait"` events. Zero when the run did not journal.
     pub fn count_marks(&self, name: &str) -> usize {
         self.journals.iter().map(|(_, j)| j.count_marks(name)).sum()
     }

@@ -24,8 +24,7 @@ use iawj_exec::Executor;
 /// of two, the constraint §5 imposes for fair comparison.
 ///
 /// # Panics
-/// Panics when [`RunConfig::validate`] rejects the configuration (zero
-/// threads or a zero morsel size).
+/// Panics when [`RunConfig::validate`] rejects the configuration.
 ///
 /// ```
 /// use iawj_core::{execute, Algorithm, RunConfig};
@@ -223,14 +222,6 @@ mod tests {
             .dupe(4)
             .seed(11)
             .generate()
-    }
-
-    #[test]
-    #[should_panic(expected = "morsel size must be at least 1")]
-    fn zero_morsel_size_is_rejected_before_dispatch() {
-        let ds = small_static();
-        let cfg = RunConfig::with_threads(2).morsel_size(0);
-        let _ = execute(Algorithm::Prj, &ds, &cfg);
     }
 
     #[test]

@@ -132,7 +132,7 @@ pub struct StreamConfig {
     /// The engine joining each closed window's panes (see the module docs
     /// for how each engine closes a window).
     pub engine: Algorithm,
-    /// Per-engine-run configuration (threads, scheduler, ...).
+    /// Per-engine-run configuration (threads, pinning, ...).
     pub run: RunConfig,
     /// Bounded out-of-orderness tolerated before a tuple is late.
     pub allowed_lateness_ms: u32,

@@ -13,8 +13,6 @@
 //! - [`topology`] — affinity-mask and CPU-topology discovery (SMT
 //!   siblings, NUMA nodes) plus the `compact`/`scatter` placement plans
 //!   and raw `sched_setaffinity` pinning, all dependency-free.
-//! - [`morsel`] — morsel-driven work-stealing scheduler: the dynamic
-//!   alternative to `pool::chunk_range` for skew-robust scans (Fig. 10).
 //! - [`timer`] — per-thread phase timers; wall time stands in for RDTSC and
 //!   is converted to cycles at the nominal 2.6 GHz of the paper's machine.
 //! - [`radix`] — histogram-based radix partitioning, sequential and
@@ -36,7 +34,6 @@ pub mod hashtable;
 pub mod latch;
 pub mod merge;
 pub mod mergejoin;
-pub mod morsel;
 pub mod pool;
 pub mod radix;
 pub mod sort;
@@ -47,7 +44,6 @@ pub mod window_index;
 pub use executor::Executor;
 pub use hashtable::{BucketTable, LocalTable, SharedTable};
 pub use latch::Latch;
-pub use morsel::{for_each_morsel, MorselQueue, Scheduler, DEFAULT_MORSEL};
 pub use pool::run_workers;
 pub use sort::SortBackend;
 pub use timer::{

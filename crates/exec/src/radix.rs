@@ -10,10 +10,8 @@
 //! [`partition_parallel_exec`] drives one on an [`Executor`].
 
 use crate::executor::Executor;
-use crate::morsel::{for_each_morsel, MorselQueue};
 use crate::pool::chunk_range;
 use iawj_common::{Key, Tuple};
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Number of partitions produced by `bits` radix bits.
@@ -85,7 +83,7 @@ impl Partitioned {
 }
 
 /// Sequential single-pass partitioning — the reference every parallel
-/// layout is bitwise-compared against, and PRJ's thread-local second pass.
+/// pass is bitwise-compared against, and PRJ's thread-local second pass.
 pub fn partition_seq(tuples: &[Tuple], shift: u32, bits: u32) -> Partitioned {
     let hist = histogram(tuples, shift, bits);
     let mut bounds = Vec::with_capacity(hist.len() + 1);
@@ -183,7 +181,7 @@ impl SharedOut {
     /// thread does **not** touch: the memory comes from `alloc_zeroed`,
     /// so the kernel maps copy-on-write zero pages and physical placement
     /// is deferred to whichever thread writes each page first. Combined
-    /// with [`PassKnobs::first_touch`] this gives NUMA first-touch
+    /// with [`PartitionPass`]'s `first_touch` this gives NUMA first-touch
     /// locality for the scatter arenas: each pinned worker faults in
     /// exactly the ranges it will scatter into.
     ///
@@ -334,31 +332,6 @@ impl ScatterPlan {
     }
 }
 
-/// How a [`PartitionPass`] cuts its input into scatter slots.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SlotLayout {
-    /// One contiguous [`chunk_range`] slot per worker (static scheduling).
-    #[default]
-    PerThread,
-    /// A fixed grid of cells of this many tuples (clamped to ≥ 1), claimed
-    /// from a [`MorselQueue`] with work stealing. The grid, not the worker
-    /// count, defines the slots, so a cell's histogram and its scatter use
-    /// the same slice no matter which worker claims it.
-    Grid(usize),
-}
-
-/// The knobs of one partitioning pass. Every combination produces output
-/// bitwise-identical to [`partition_seq`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PassKnobs {
-    /// Slot layout: static per-thread chunks or a stolen morsel grid.
-    pub layout: SlotLayout,
-    /// Allocate the output arena untouched and have each worker pre-fault
-    /// exactly the ranges it scatters (NUMA first-touch; only useful when
-    /// the workers are pinned). Page placement only, never an output change.
-    pub first_touch: bool,
-}
-
 /// One cooperative partitioning pass over `input`, driven by `threads`
 /// workers in three steps: every worker calls
 /// [`PartitionPass::histogram_step`]; after a barrier exactly one calls
@@ -367,16 +340,21 @@ pub struct PassKnobs {
 /// ([`PartitionPass::data`], [`PartitionPass::finish`]). The caller owns
 /// the barriers, so several passes can share them (PRJ partitions R and S
 /// between the same three). [`PartitionPass::run`] is the standalone driver.
+///
+/// Worker `tid` owns one scatter slot, its contiguous
+/// [`chunk_range`] of the input. Output is bitwise-identical to
+/// [`partition_seq`] whatever the worker count and `first_touch`.
 pub struct PartitionPass<'a> {
     input: &'a [Tuple],
     shift: u32,
     bits: u32,
     threads: usize,
-    knobs: PassKnobs,
-    /// One histogram per slot, published by whichever worker counted it.
+    /// Allocate the output arena untouched and have each worker pre-fault
+    /// exactly the ranges it scatters (NUMA first-touch; only useful when
+    /// the workers are pinned). Page placement only, never an output change.
+    first_touch: bool,
+    /// One histogram per worker slot, published by that worker.
     hists: Vec<OnceLock<Vec<u32>>>,
-    /// Grid layout only: the histogram-step and scatter-step claim queues.
-    queues: Option<[MorselQueue; 2]>,
     plan: OnceLock<(ScatterPlan, SharedOut)>,
 }
 
@@ -387,68 +365,32 @@ impl<'a> PartitionPass<'a> {
         shift: u32,
         bits: u32,
         threads: usize,
-        mut knobs: PassKnobs,
+        first_touch: bool,
     ) -> Self {
         assert!(threads > 0);
-        let (slots, queues) = match &mut knobs.layout {
-            SlotLayout::PerThread => (threads, None),
-            SlotLayout::Grid(m) => {
-                *m = (*m).max(1);
-                // At least one cell, so an empty input still plans.
-                let cells = input.len().div_ceil(*m).max(1);
-                let q = || MorselQueue::new(cells, threads, 1);
-                (cells, Some([q(), q()]))
-            }
-        };
         PartitionPass {
             input,
             shift,
             bits,
             threads,
-            knobs,
-            hists: (0..slots).map(|_| OnceLock::new()).collect(),
-            queues,
+            first_touch,
+            hists: (0..threads).map(|_| OnceLock::new()).collect(),
             plan: OnceLock::new(),
         }
     }
 
-    fn slot_range(&self, slot: usize) -> Range<usize> {
-        match self.knobs.layout {
-            SlotLayout::PerThread => chunk_range(self.input.len(), self.threads, slot),
-            SlotLayout::Grid(m) => {
-                (slot * m).min(self.input.len())..((slot + 1) * m).min(self.input.len())
-            }
-        }
+    /// Worker `tid`'s slice of the input.
+    fn slot(&self, tid: usize) -> &'a [Tuple] {
+        &self.input[chunk_range(self.input.len(), self.threads, tid)]
     }
 
-    /// Apply `f` to every slot worker `tid` owns in step `step`: its own
-    /// chunk in the per-thread layout, or whatever cells it claims from the
-    /// step's queue — `on_claim(stolen)` fires once per claim, which is how
-    /// PRJ journals `morsel:claim` / `morsel:steal`.
-    fn for_each_slot(
-        &self,
-        step: usize,
-        tid: usize,
-        mut on_claim: impl FnMut(bool),
-        mut f: impl FnMut(usize),
-    ) {
-        match &self.queues {
-            None => f(tid),
-            Some(qs) => {
-                for_each_morsel(&qs[step], tid, |cells, stolen| {
-                    on_claim(stolen);
-                    cells.for_each(&mut f);
-                });
-            }
-        }
-    }
-
-    /// Step 1 (every worker): count this worker's slots.
-    pub fn histogram_step(&self, tid: usize, on_claim: impl FnMut(bool)) {
-        self.for_each_slot(0, tid, on_claim, |g| {
-            let hist = histogram(&self.input[self.slot_range(g)], self.shift, self.bits);
-            assert!(self.hists[g].set(hist).is_ok(), "slot {g} counted twice");
-        });
+    /// Step 1 (every worker): count this worker's slot.
+    pub fn histogram_step(&self, tid: usize) {
+        let hist = histogram(self.slot(tid), self.shift, self.bits);
+        assert!(
+            self.hists[tid].set(hist).is_ok(),
+            "slot {tid} counted twice"
+        );
     }
 
     /// Step 2 (one worker, after every histogram step returned): prefix-sum
@@ -465,7 +407,7 @@ impl<'a> PartitionPass<'a> {
             .collect();
         let plan = ScatterPlan::from_histograms(&hists, self.shift, self.bits);
         debug_assert_eq!(plan.total(), self.input.len());
-        let out = if self.knobs.first_touch {
+        let out = if self.first_touch {
             SharedOut::new_first_touch(self.input.len())
         } else {
             SharedOut::new(self.input.len())
@@ -478,27 +420,24 @@ impl<'a> PartitionPass<'a> {
     }
 
     /// Step 3 (every worker, after [`PartitionPass::plan`] returned):
-    /// scatter this worker's slots, first-touching each slot's ranges just
-    /// before writing them when the knob is on.
+    /// scatter this worker's slot, first-touching its ranges just before
+    /// writing them when `first_touch` is on.
     ///
     /// # Safety
     /// Each `tid` in `0..threads` may run this step at most once per pass,
     /// and nothing may read the output ([`PartitionPass::data`]) until
     /// every worker's step has returned and been ordered by a barrier.
-    pub unsafe fn scatter_step(&self, tid: usize, on_claim: impl FnMut(bool)) {
+    pub unsafe fn scatter_step(&self, tid: usize) {
         let (plan, out) = self.planned();
-        self.for_each_slot(1, tid, on_claim, |g| {
-            // SAFETY: slot `g` belongs to this call alone — the caller runs
-            // each tid once and the claim queue hands out each cell once —
-            // and its slice is the one `histogram_step` counted; readers
-            // wait for the caller's barrier.
-            unsafe {
-                if self.knobs.first_touch {
-                    plan.touch(g, out);
-                }
-                plan.scatter(&self.input[self.slot_range(g)], g, out);
+        // SAFETY: slot `tid` belongs to this call alone — the caller runs
+        // each tid once — and its slice is the one `histogram_step`
+        // counted; readers wait for the caller's barrier.
+        unsafe {
+            if self.first_touch {
+                plan.touch(tid, out);
             }
-        });
+            plan.scatter(self.slot(tid), tid, out);
+        }
     }
 
     /// Global partition boundaries (`fanout + 1` entries); available once
@@ -527,20 +466,19 @@ impl<'a> PartitionPass<'a> {
     /// Drive the whole pass on `exec`: the three steps as three sections
     /// (the section boundaries are the barriers).
     pub fn run(self, exec: &Executor) -> Partitioned {
-        exec.run(self.threads, |tid| self.histogram_step(tid, |_| ()));
+        exec.run(self.threads, |tid| self.histogram_step(tid));
         self.plan();
         exec.run(self.threads, |tid| {
             // SAFETY: `Executor::run` hands each tid to exactly one lane,
             // and the output is only read after the section has joined.
-            unsafe { self.scatter_step(tid, |_| ()) };
+            unsafe { self.scatter_step(tid) };
         });
         self.finish()
     }
 }
 
-/// Parallel single-pass partitioning on an [`Executor`] with the default
-/// [`PassKnobs`] (per-thread slots): the
-/// same [`PartitionPass`] PRJ runs. When the executor pins its workers the
+/// Parallel single-pass partitioning on an [`Executor`]: the same
+/// [`PartitionPass`] PRJ runs. When the executor pins its workers the
 /// output arena is allocated untouched and each lane first-touches exactly
 /// its own scatter ranges. Output is bitwise-identical to [`partition_seq`].
 pub fn partition_parallel_exec(
@@ -552,11 +490,7 @@ pub fn partition_parallel_exec(
 ) -> Partitioned {
     // Below 1024 tuples a dispatch costs more than it buys: one inline lane.
     let lanes = if tuples.len() < 1024 { 1 } else { threads };
-    let knobs = PassKnobs {
-        first_touch: exec.pinned(),
-        ..PassKnobs::default()
-    };
-    PartitionPass::new(tuples, shift, bits, lanes, knobs).run(exec)
+    PartitionPass::new(tuples, shift, bits, lanes, exec.pinned()).run(exec)
 }
 
 #[cfg(test)]
@@ -564,7 +498,6 @@ mod tests {
     use super::*;
     use crate::topology::PinPolicy;
     use iawj_common::Rng;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn random_tuples(n: usize, key_space: u32, seed: u64) -> Vec<Tuple> {
         let mut rng = Rng::new(seed);
@@ -587,18 +520,6 @@ mod tests {
             }
         }
         assert_eq!(*p.bounds.last().unwrap(), input.len());
-    }
-
-    /// One pass under `knobs` on a fresh unpinned executor.
-    fn pass(
-        input: &[Tuple],
-        shift: u32,
-        bits: u32,
-        threads: usize,
-        knobs: PassKnobs,
-    ) -> Partitioned {
-        let exec = Executor::new(PinPolicy::None, threads);
-        PartitionPass::new(input, shift, bits, threads, knobs).run(&exec)
     }
 
     #[test]
@@ -639,31 +560,21 @@ mod tests {
         assert_eq!((single, bounds), (seq.data, seq.bounds));
     }
 
-    /// The knob product at one size: every slot layout × worker count is
-    /// bitwise-identical to the sequential
-    /// partitioner — bounds, data, and within-partition input order (slots
-    /// are contiguous ascending slices and offsets are slot-major).
+    /// The knob product at one size: every worker count × first-touch
+    /// setting is bitwise-identical to the sequential partitioner — bounds,
+    /// data, and within-partition input order (slots are contiguous
+    /// ascending slices and offsets are slot-major).
     #[test]
     fn every_knob_combination_matches_sequential() {
         let input = random_tuples(6000, 1 << 14, 2);
         let seq = partition_seq(&input, 0, 6);
         check_partitioned(&seq, &input, 0, 6);
-        let layouts = [
-            SlotLayout::PerThread,
-            SlotLayout::Grid(128),
-            SlotLayout::Grid(500),
-            SlotLayout::Grid(1 << 20),
-        ];
         for threads in [1usize, 4, 7] {
             let exec = Executor::new(PinPolicy::None, threads);
-            for layout in layouts {
-                let knobs = PassKnobs {
-                    layout,
-                    first_touch: false,
-                };
-                let got = PartitionPass::new(&input, 0, 6, threads, knobs).run(&exec);
-                assert_eq!(seq.bounds, got.bounds, "{knobs:?} threads={threads}");
-                assert_eq!(seq.data, got.data, "{knobs:?} threads={threads}");
+            for first_touch in [false, true] {
+                let got = PartitionPass::new(&input, 0, 6, threads, first_touch).run(&exec);
+                assert_eq!(seq.bounds, got.bounds, "{first_touch} threads={threads}");
+                assert_eq!(seq.data, got.data, "{first_touch} threads={threads}");
             }
         }
     }
@@ -677,11 +588,8 @@ mod tests {
         assert!(p.bounds.iter().all(|&b| b == 0));
         for n in [0usize, 1, 7, 500] {
             let input = random_tuples(n, 256, 7);
-            let knobs = PassKnobs {
-                layout: SlotLayout::Grid(64),
-                ..PassKnobs::default()
-            };
-            let got = PartitionPass::new(&input, 0, 5, 4, knobs).run(&exec);
+            // Four slots over fewer than four tuples: some slots are empty.
+            let got = PartitionPass::new(&input, 0, 5, 4, false).run(&exec);
             assert_eq!(got.data, partition_seq(&input, 0, 5).data, "n={n}");
             check_partitioned(
                 &partition_parallel_exec(&input, 0, 5, 4, &exec),
@@ -721,7 +629,7 @@ mod tests {
     /// The first-touch arena and per-slot touch pass are observationally
     /// invisible: untouched slots are zero (like `SharedOut::new`), touched
     /// slots stay zero, and a touched-then-scattered arena matches the
-    /// sequential partitioner exactly under both layouts.
+    /// sequential partitioner exactly.
     #[test]
     fn first_touch_arena_matches_eager_arena() {
         let eager = SharedOut::new(1000);
@@ -735,45 +643,9 @@ mod tests {
         assert_eq!(eager.into_vec(), lazy.into_vec());
 
         let input = random_tuples(4096, 1 << 10, 77);
-        let expect = partition_seq(&input, 0, 6).data;
-        for layout in [SlotLayout::PerThread, SlotLayout::Grid(300)] {
-            let knobs = PassKnobs {
-                layout,
-                first_touch: true,
-            };
-            assert_eq!(pass(&input, 0, 6, 4, knobs).data, expect, "{layout:?}");
-        }
-    }
-
-    /// The step contract PRJ's journal relies on: `on_claim` fires once per
-    /// grid cell in each step, never in the per-thread layout.
-    #[test]
-    fn steps_report_claims_and_drains_per_slot() {
-        let input = random_tuples(1000, 128, 23);
         let exec = Executor::new(PinPolicy::None, 4);
-        for (layout, slots) in [(SlotLayout::PerThread, 4u64), (SlotLayout::Grid(100), 10)] {
-            let knobs = PassKnobs {
-                layout,
-                ..PassKnobs::default()
-            };
-            let pass = PartitionPass::new(&input, 0, 6, 4, knobs);
-            assert_eq!(pass.hists.len() as u64, slots);
-            let claims = AtomicU64::new(0);
-            let count = |_stolen: bool| {
-                claims.fetch_add(1, Ordering::Relaxed);
-            };
-            exec.run(4, |tid| pass.histogram_step(tid, count));
-            pass.plan();
-            // SAFETY: one call per tid; read only after the join.
-            exec.run(4, |tid| unsafe { pass.scatter_step(tid, count) });
-            let grid_claims = if layout == SlotLayout::PerThread {
-                0
-            } else {
-                2 * slots
-            };
-            assert_eq!(claims.into_inner(), grid_claims, "{knobs:?}");
-            assert_eq!(pass.finish().data, partition_seq(&input, 0, 6).data);
-        }
+        let got = PartitionPass::new(&input, 0, 6, 4, true).run(&exec);
+        assert_eq!(got.data, partition_seq(&input, 0, 6).data);
     }
 
     #[test]

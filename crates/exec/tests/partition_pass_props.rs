@@ -3,28 +3,21 @@
 //! sequential scalar partitioner — same bounds, same data, same
 //! within-partition tuple order.
 //!
-//! One proptest walks the whole knob product per case — slot layout
-//! (per-thread chunks, and grid cells smaller than, unaligned to and larger
-//! than the input) × worker count × key distribution, at sizes on both
-//! sides of every dispatch threshold (0, 1, 7, 1023, 1024, 4097) and a
-//! random `shift`/`bits`. A second checks the two-pass layout over the
+//! One proptest walks the whole knob product per case — first-touch arena
+//! on and off × worker count × key distribution, at sizes on both sides of
+//! every dispatch threshold (0, 1, 7, 1023, 1024, 4097) and a random
+//! `shift`/`bits`. A second checks the two-pass layout over the
 //! composition PRJ runs (parallel first pass, shifted `partition_seq`
 //! refinement).
 
 use iawj_common::{Rng, Tuple, Zipf};
 use iawj_exec::executor::Executor;
-use iawj_exec::radix::{partition_seq, PartitionPass, PassKnobs, SlotLayout};
+use iawj_exec::radix::{partition_seq, PartitionPass};
 use iawj_exec::topology::PinPolicy;
 use proptest::prelude::*;
 
 const SIZES: [usize; 6] = [0, 1, 7, 1023, 1024, 4097];
 const THREADS: [usize; 3] = [1, 2, 4];
-const LAYOUTS: [SlotLayout; 4] = [
-    SlotLayout::PerThread,
-    SlotLayout::Grid(1),
-    SlotLayout::Grid(7),
-    SlotLayout::Grid(1024),
-];
 
 /// Key distributions: uniform (θ = 0), heavily skewed (θ = 0.99), and the
 /// degenerate single key that piles everything into one partition.
@@ -71,18 +64,19 @@ proptest! {
             for keys in [Keys::Zipf(0.0), Keys::Zipf(0.99), Keys::Single] {
                 let input = tuples(n, keys, seed);
                 let expect = partition_seq(&input, shift, bits);
-                for layout in LAYOUTS {
+                for first_touch in [false, true] {
                     for (&threads, exec) in THREADS.iter().zip(&execs) {
-                        let knobs = PassKnobs { layout, first_touch: false };
-                        let got = PartitionPass::new(&input, shift, bits, threads, knobs)
+                        let got = PartitionPass::new(&input, shift, bits, threads, first_touch)
                             .run(exec);
                         prop_assert_eq!(
                             &expect.bounds, &got.bounds,
-                            "bounds n={} {:?} {:?} threads={}", n, keys, knobs, threads
+                            "bounds n={} {:?} first_touch={} threads={}",
+                            n, keys, first_touch, threads
                         );
                         prop_assert_eq!(
                             &expect.data, &got.data,
-                            "data n={} {:?} {:?} threads={}", n, keys, knobs, threads
+                            "data n={} {:?} first_touch={} threads={}",
+                            n, keys, first_touch, threads
                         );
                     }
                 }
@@ -105,7 +99,7 @@ proptest! {
         let input: Vec<Tuple> =
             keys.iter().enumerate().map(|(i, &k)| Tuple::new(k, i as u32)).collect();
         let exec = Executor::new(PinPolicy::None, threads);
-        let first = PartitionPass::new(&input, 0, bits1, threads, PassKnobs::default()).run(&exec);
+        let first = PartitionPass::new(&input, 0, bits1, threads, false).run(&exec);
         prop_assert_eq!(first.fanout(), 1usize << bits1);
         let mut refined = Vec::with_capacity(input.len());
         for p1 in 0..first.fanout() {

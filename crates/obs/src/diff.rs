@@ -1,7 +1,7 @@
 //! Snapshot comparison — the engine behind `iawj bench-diff`.
 //!
 //! Matches runs between two [`BenchSnapshot`]s by configuration key
-//! (workload, engine, threads, scheduler) and
+//! (workload, engine, threads) and
 //! classifies each pair: throughput regressions past
 //! [`DiffThresholds::max_tpt_drop`] and p99 latency regressions past
 //! [`DiffThresholds::max_p99_rise`] fail; everything else (including
@@ -265,7 +265,6 @@ mod tests {
             workload: "Rovio".into(),
             engine: engine.into(),
             threads: 4,
-            scheduler: "static".into(),
             throughput_tpms: tpt,
             latency_p99_ms: p99,
             latency_max_ms: None,
@@ -357,8 +356,8 @@ mod tests {
         );
         let report = diff(&old, &new, DiffThresholds::default());
         assert!(!report.regressed());
-        assert_eq!(report.only_old, vec!["Rovio|PRJ|t4|static"]);
-        assert_eq!(report.only_new, vec!["Rovio|MWAY|t4|static"]);
+        assert_eq!(report.only_old, vec!["Rovio|PRJ|t4"]);
+        assert_eq!(report.only_new, vec!["Rovio|MWAY|t4"]);
         let rendered = report.render();
         assert!(rendered.contains("only in old snapshot"));
         assert!(rendered.contains("only in new snapshot"));

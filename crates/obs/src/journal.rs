@@ -216,8 +216,8 @@ impl SpanJournal {
         self.marks.len()
     }
 
-    /// Number of retained marks with the given name (e.g. scheduler
-    /// `"morsel:steal"` events). Counts only what the ring retained;
+    /// Number of retained marks with the given name (e.g. NPJ's
+    /// `"latch:wait"` events). Counts only what the ring retained;
     /// overwritten marks are gone.
     pub fn count_marks(&self, name: &str) -> usize {
         self.marks.iter().filter(|m| m.name == name).count()
@@ -298,11 +298,11 @@ mod tests {
     fn count_marks_filters_by_name() {
         let epoch = Instant::now();
         let mut j = SpanJournal::with_capacity(epoch, 8);
-        j.mark("morsel:claim", at(epoch, 1));
-        j.mark("morsel:steal", at(epoch, 2));
-        j.mark("morsel:claim", at(epoch, 3));
-        assert_eq!(j.count_marks("morsel:claim"), 2);
-        assert_eq!(j.count_marks("morsel:steal"), 1);
+        j.mark(MARK_LATCH_WAIT, at(epoch, 1));
+        j.mark(MARK_INDEX_INSERT, at(epoch, 2));
+        j.mark(MARK_LATCH_WAIT, at(epoch, 3));
+        assert_eq!(j.count_marks(MARK_LATCH_WAIT), 2);
+        assert_eq!(j.count_marks(MARK_INDEX_INSERT), 1);
         assert_eq!(j.count_marks("absent"), 0);
     }
 

@@ -1,7 +1,7 @@
 //! Machine-readable benchmark snapshots — the repo's perf trajectory.
 //!
 //! Each harness target can emit a `BENCH_<fig>.json` file: a versioned
-//! record of what ran (git SHA, workload, engine, threads, scheduler),
+//! record of what ran (git SHA, workload, engine, threads),
 //! what it measured (throughput, exact p99/max
 //! latency) and where the time went (per-phase nanoseconds with hardware
 //! counters when [`perf`](crate::perf) could open them). Two snapshots of
@@ -58,8 +58,6 @@ pub struct RunSnapshot {
     pub engine: String,
     /// Worker threads.
     pub threads: u64,
-    /// Scheduler mode (`"static"` / `"steal"`).
-    pub scheduler: String,
     /// Throughput in input tuples per stream-millisecond.
     pub throughput_tpms: f64,
     /// Exact 99th-percentile latency (stream-ms) from the histogram.
@@ -80,10 +78,7 @@ pub struct RunSnapshot {
 impl RunSnapshot {
     /// The identity two snapshots are matched on by `bench-diff`.
     pub fn key(&self) -> String {
-        format!(
-            "{}|{}|t{}|{}",
-            self.workload, self.engine, self.threads, self.scheduler
-        )
+        format!("{}|{}|t{}", self.workload, self.engine, self.threads)
     }
 }
 
@@ -221,7 +216,6 @@ fn push_run(out: &mut String, r: &RunSnapshot) {
     out.push_str(&format!("\"workload\": {}, ", quote(&r.workload)));
     out.push_str(&format!("\"engine\": {}, ", quote(&r.engine)));
     out.push_str(&format!("\"threads\": {}, ", r.threads));
-    out.push_str(&format!("\"scheduler\": {}, ", quote(&r.scheduler)));
     out.push_str(&format!(
         "\"throughput_tpms\": {}, ",
         num(r.throughput_tpms)
@@ -262,8 +256,8 @@ fn push_run(out: &mut String, r: &RunSnapshot) {
 }
 
 /// Parse one run row. Unknown fields are ignored — among them the
-/// `npj_table`/`kernel` columns of snapshots written while those knobs
-/// existed.
+/// `npj_table`/`kernel`/`scatter`/`scheduler` columns of snapshots written
+/// while those knobs existed.
 fn parse_run(r: &Json) -> Result<RunSnapshot, String> {
     let str_field = |k: &str| -> Result<String, String> {
         r.get(k)
@@ -316,7 +310,6 @@ fn parse_run(r: &Json) -> Result<RunSnapshot, String> {
             .get("threads")
             .and_then(Json::as_u64)
             .ok_or("missing \"threads\"")?,
-        scheduler: str_field("scheduler")?,
         throughput_tpms: r
             .get("throughput_tpms")
             .and_then(Json::as_f64)
@@ -354,7 +347,6 @@ mod tests {
                     workload: "Rovio".into(),
                     engine: "NPJ".into(),
                     threads: 4,
-                    scheduler: "static".into(),
                     throughput_tpms: 812.5,
                     latency_p99_ms: Some(3.25),
                     latency_max_ms: Some(7.5),
@@ -371,7 +363,6 @@ mod tests {
                     workload: "Rovio".into(),
                     engine: "PRJ".into(),
                     threads: 4,
-                    scheduler: "steal".into(),
                     throughput_tpms: 1000.0,
                     latency_p99_ms: None,
                     latency_max_ms: None,
@@ -399,8 +390,8 @@ mod tests {
     #[test]
     fn keys_separate_configurations() {
         let snap = sample_snapshot();
-        assert_eq!(snap.runs[0].key(), "Rovio|NPJ|t4|static");
-        assert_eq!(snap.runs[1].key(), "Rovio|PRJ|t4|steal");
+        assert_eq!(snap.runs[0].key(), "Rovio|NPJ|t4");
+        assert_eq!(snap.runs[1].key(), "Rovio|PRJ|t4");
         assert_ne!(snap.runs[0].key(), snap.runs[1].key());
     }
 
@@ -428,9 +419,9 @@ mod tests {
     }
 
     /// Every committed baseline still parses — including the ones written
-    /// with `npj_table`/`kernel`/`scatter` columns, which the reader
-    /// ignores — and dropping those key components merges no rows within a
-    /// file: every key is `workload|engine|tN|scheduler`.
+    /// with `npj_table`/`kernel`/`scatter`/`scheduler` columns, which the
+    /// reader ignores — and dropping those key components merges no rows
+    /// within a file: every key is `workload|engine|tN`.
     #[test]
     fn committed_baselines_parse_with_unique_keys() {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines");
@@ -445,7 +436,7 @@ mod tests {
             let snap = BenchSnapshot::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
             let mut keys: Vec<String> = snap.runs.iter().map(RunSnapshot::key).collect();
             for key in &keys {
-                assert_eq!(key.split('|').count(), 4, "{name}: key {key}");
+                assert_eq!(key.split('|').count(), 3, "{name}: key {key}");
             }
             keys.sort_unstable();
             for pair in keys.windows(2) {

@@ -4,7 +4,7 @@
 //! skewed and uniform, symmetric and asymmetric.
 
 use iawj_study::core::reference::{match_count, nested_loop_join};
-use iawj_study::core::{execute, Algorithm, RunConfig, Scheduler};
+use iawj_study::core::{execute, Algorithm, RunConfig};
 use iawj_study::datagen::{Dataset, MicroSpec};
 
 fn canonical(result: &iawj_study::core::RunResult) -> Vec<(u32, u32, u32)> {
@@ -96,13 +96,13 @@ fn single_and_many_threads() {
     }
 }
 
-/// The cross-engine differential harness guarding the morsel scheduler:
-/// every studied engine, against the nested-loop oracle, over a randomized
-/// grid of seed × Zipf key skew × thread count × scheduler — asserting the
-/// *exact sorted match set*, not just the count. Skew θ=0.99 at small
-/// morsel sizes is what actually forces steals through the new code paths.
+/// The cross-engine differential harness: every studied engine, against
+/// the nested-loop oracle, over a randomized grid of seed × Zipf key skew ×
+/// thread count — asserting the *exact sorted match set*, not just the
+/// count. Skew θ=0.99 piles the join work onto a few radix partitions and
+/// key ranges, the shape that starves static work splits.
 #[test]
-fn differential_all_engines_across_skew_threads_schedulers() {
+fn differential_all_engines_across_skew_threads() {
     for seed in [11u64, 12] {
         for theta in [0.0f64, 0.4, 0.99] {
             let ds = MicroSpec::static_counts(600, 600)
@@ -112,21 +112,14 @@ fn differential_all_engines_across_skew_threads_schedulers() {
                 .generate();
             let expect = nested_loop_join(&ds.r, &ds.s, ds.window);
             for threads in [1usize, 2, 4] {
-                for sched in Scheduler::ALL {
-                    for algo in Algorithm::STUDIED {
-                        let cfg = RunConfig::with_threads(threads)
-                            .record_all()
-                            .speedup(500.0)
-                            .scheduler(sched)
-                            .morsel_size(64);
-                        let result = execute(algo, &ds, &cfg);
-                        assert_eq!(
-                            canonical(&result),
-                            expect,
-                            "{algo} diverged (seed={seed} θ={theta} \
-                             threads={threads} scheduler={sched})"
-                        );
-                    }
+                for algo in Algorithm::STUDIED {
+                    let cfg = RunConfig::with_threads(threads).record_all().speedup(500.0);
+                    let result = execute(algo, &ds, &cfg);
+                    assert_eq!(
+                        canonical(&result),
+                        expect,
+                        "{algo} diverged (seed={seed} θ={theta} threads={threads})"
+                    );
                 }
             }
         }
@@ -135,13 +128,13 @@ fn differential_all_engines_across_skew_threads_schedulers() {
 
 /// The index-engine differential harness guarding engines 9+: IBWJ and
 /// IBWJ_PART against the nested-loop oracle over seed × Zipf key skew ×
-/// thread count × scheduler, asserting the exact sorted match set. θ=0.99
+/// thread count, asserting the exact sorted match set. θ=0.99
 /// concentrates one key-hash partition, which is what actually forces
 /// IBWJ_PART's histogram-driven LPT repartition between
 /// epochs; the eager drive interleaves R/S batches, exercising the
 /// insert-then-probe exactly-once argument on both engines.
 #[test]
-fn differential_index_engines_across_skew_threads_schedulers() {
+fn differential_index_engines_across_skew_threads() {
     for seed in [91u64, 92] {
         for theta in [0.0f64, 0.99] {
             let ds = MicroSpec::static_counts(600, 600)
@@ -151,21 +144,14 @@ fn differential_index_engines_across_skew_threads_schedulers() {
                 .generate();
             let expect = nested_loop_join(&ds.r, &ds.s, ds.window);
             for threads in [1usize, 4] {
-                for sched in Scheduler::ALL {
-                    for algo in Algorithm::INDEX {
-                        let cfg = RunConfig::with_threads(threads)
-                            .record_all()
-                            .speedup(500.0)
-                            .scheduler(sched)
-                            .morsel_size(64);
-                        let result = execute(algo, &ds, &cfg);
-                        assert_eq!(
-                            canonical(&result),
-                            expect,
-                            "{algo} diverged (seed={seed} θ={theta} \
-                             threads={threads} scheduler={sched})"
-                        );
-                    }
+                for algo in Algorithm::INDEX {
+                    let cfg = RunConfig::with_threads(threads).record_all().speedup(500.0);
+                    let result = execute(algo, &ds, &cfg);
+                    assert_eq!(
+                        canonical(&result),
+                        expect,
+                        "{algo} diverged (seed={seed} θ={theta} threads={threads})"
+                    );
                 }
             }
         }
@@ -174,12 +160,12 @@ fn differential_index_engines_across_skew_threads_schedulers() {
 
 /// The differential harness guarding NPJ's latched shared table: NPJ
 /// against the nested-loop oracle over seed × Zipf key skew × thread count
-/// (up to 8, past the engine grid above) × scheduler, asserting the exact
+/// (up to 8, past the engine grid above), asserting the exact
 /// sorted match set. θ=0.99 concentrates the build and probe on a handful
 /// of hot buckets, which is what actually forces contended latch
 /// acquisitions and overflow-bucket claims.
 #[test]
-fn differential_npj_across_skew_threads_schedulers() {
+fn differential_npj_across_skew_threads() {
     for seed in [51u64, 52] {
         for theta in [0.0f64, 0.4, 0.99] {
             let ds = MicroSpec::static_counts(700, 700)
@@ -189,20 +175,13 @@ fn differential_npj_across_skew_threads_schedulers() {
                 .generate();
             let expect = nested_loop_join(&ds.r, &ds.s, ds.window);
             for threads in [1usize, 2, 4, 8] {
-                for sched in Scheduler::ALL {
-                    let cfg = RunConfig::with_threads(threads)
-                        .record_all()
-                        .speedup(500.0)
-                        .scheduler(sched)
-                        .morsel_size(64);
-                    let result = execute(Algorithm::Npj, &ds, &cfg);
-                    assert_eq!(
-                        canonical(&result),
-                        expect,
-                        "NPJ diverged (seed={seed} θ={theta} \
-                         threads={threads} scheduler={sched})"
-                    );
-                }
+                let cfg = RunConfig::with_threads(threads).record_all().speedup(500.0);
+                let result = execute(Algorithm::Npj, &ds, &cfg);
+                assert_eq!(
+                    canonical(&result),
+                    expect,
+                    "NPJ diverged (seed={seed} θ={theta} threads={threads})"
+                );
             }
         }
     }
@@ -214,7 +193,7 @@ fn differential_npj_across_skew_threads_schedulers() {
 /// invisible to the join: same tid→work mapping, same merge order,
 /// bitwise-identical output — pinning may only move threads, never tuples.
 #[test]
-fn differential_pin_policies_across_engines_and_schedulers() {
+fn differential_pin_policies_across_engines() {
     use iawj_study::core::PinPolicy;
     for seed in [91u64, 92] {
         let ds = MicroSpec::static_counts(600, 600)
@@ -224,23 +203,18 @@ fn differential_pin_policies_across_engines_and_schedulers() {
             .generate();
         let expect = nested_loop_join(&ds.r, &ds.s, ds.window);
         for threads in [1usize, 4] {
-            for sched in Scheduler::ALL {
-                for algo in Algorithm::STUDIED {
-                    for pin in PinPolicy::ALL {
-                        let cfg = RunConfig::with_threads(threads)
-                            .record_all()
-                            .speedup(500.0)
-                            .scheduler(sched)
-                            .morsel_size(64)
-                            .pin(pin);
-                        let result = execute(algo, &ds, &cfg);
-                        assert_eq!(
-                            canonical(&result),
-                            expect,
-                            "{algo} diverged (seed={seed} threads={threads} \
-                             scheduler={sched} pin={pin:?})"
-                        );
-                    }
+            for algo in Algorithm::STUDIED {
+                for pin in PinPolicy::ALL {
+                    let cfg = RunConfig::with_threads(threads)
+                        .record_all()
+                        .speedup(500.0)
+                        .pin(pin);
+                    let result = execute(algo, &ds, &cfg);
+                    assert_eq!(
+                        canonical(&result),
+                        expect,
+                        "{algo} diverged (seed={seed} threads={threads} pin={pin:?})"
+                    );
                 }
             }
         }

@@ -36,32 +36,26 @@ proptest! {
     }
 
     #[test]
-    fn npj_matches_oracle_under_both_schedulers(
+    fn npj_matches_oracle(
         n_r in 1usize..400,
         n_s in 1usize..400,
         dupe in 1usize..20,
         skew in 0u8..3,
         threads in 1usize..6,
-        steal in any::<bool>(),
         seed in 0u64..1000,
     ) {
-        use iawj_study::core::Scheduler;
         let ds = MicroSpec::static_counts(n_r, n_s)
             .dupe(dupe)
             .skew_key(skew as f64 * 0.7)
             .seed(seed)
             .generate();
         let expect = nested_loop_join(&ds.r, &ds.s, ds.window);
-        let sched = if steal { Scheduler::Steal } else { Scheduler::Static };
-        let cfg = RunConfig::with_threads(threads)
-            .record_all()
-            .scheduler(sched)
-            .morsel_size(64);
+        let cfg = RunConfig::with_threads(threads).record_all();
         let result = execute(Algorithm::Npj, &ds, &cfg);
         let mut got: Vec<_> = result.samples.iter().map(|m| (m.key, m.r_ts, m.s_ts)).collect();
         got.sort_unstable();
-        prop_assert_eq!(&got, &expect, "NPJ n_r={} n_s={} dupe={} threads={} sched={}",
-            n_r, n_s, dupe, threads, sched);
+        prop_assert_eq!(&got, &expect, "NPJ n_r={} n_s={} dupe={} threads={}",
+            n_r, n_s, dupe, threads);
     }
 
     #[test]

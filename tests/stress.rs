@@ -1,9 +1,9 @@
-//! Stress tests. The skew-scheduler tests below run everywhere (CI runs
+//! Stress tests. The skew tests below run everywhere (CI runs
 //! them in release via the `stress` job); the `#[ignore]`d ones are opt-in
 //! at larger-than-CI scales: `cargo test --release --test stress -- --ignored`
 
 use iawj_study::core::reference::match_count;
-use iawj_study::core::{execute, Algorithm, RunConfig, Scheduler};
+use iawj_study::core::{execute, Algorithm, RunConfig};
 use iawj_study::datagen::{rovio, MicroSpec};
 
 /// A θ=0.99 Zipf window: the Fig. 10 workload shape that collapses static
@@ -18,48 +18,14 @@ fn zipf_window() -> iawj_study::datagen::Dataset {
 }
 
 #[test]
-fn zipf_window_completes_under_both_schedulers_with_equal_counts() {
+fn zipf_window_completes_with_equal_counts() {
     let ds = zipf_window();
     let expect = match_count(&ds.r, &ds.s, ds.window);
     for algo in Algorithm::STUDIED {
-        for sched in Scheduler::ALL {
-            let cfg = RunConfig::with_threads(8)
-                .speedup(500.0)
-                .scheduler(sched)
-                .morsel_size(256);
-            let result = execute(algo, &ds, &cfg);
-            assert_eq!(result.matches, expect, "{algo} under {sched}");
-        }
+        let cfg = RunConfig::with_threads(8).speedup(500.0);
+        let result = execute(algo, &ds, &cfg);
+        assert_eq!(result.matches, expect, "{algo}");
     }
-}
-
-#[test]
-fn prj_steal_mode_records_steal_events_and_matches_static() {
-    use iawj_study::exec::morsel::MARK_STEAL;
-    let ds = zipf_window();
-    let run = |sched: Scheduler| {
-        let cfg = RunConfig::with_threads(8)
-            .speedup(500.0)
-            .scheduler(sched)
-            .morsel_size(256)
-            .with_journal();
-        execute(Algorithm::Prj, &ds, &cfg)
-    };
-    let fixed = run(Scheduler::Static);
-    let stolen = run(Scheduler::Steal);
-    assert_eq!(
-        stolen.matches, fixed.matches,
-        "steal mode must not change the match count"
-    );
-    assert!(
-        stolen.count_marks(MARK_STEAL) >= 1,
-        "θ=0.99 at 8 threads must trigger at least one steal"
-    );
-    assert_eq!(
-        fixed.count_marks(MARK_STEAL),
-        0,
-        "static mode must never steal"
-    );
 }
 
 /// The Fig-8-style contention cell: under θ=0.99 at 8 threads NPJ's latched
