@@ -420,6 +420,37 @@ fn cmd_generate(args: &Args) -> Result<String, ArgError> {
     ))
 }
 
+/// Write the outcome of [`run_cli`] — its output on `out`, or the error
+/// (followed by [`USAGE`] when it asks for it) on `err` — and pick the exit
+/// code: success exactly when the run succeeded. A closed pipe on either
+/// stream (`iawj run ... | head -1`) ends the writing early without
+/// changing the code; any other failure to write the output is a failure.
+pub fn emit(
+    outcome: Result<String, CliError>,
+    mut out: impl std::io::Write,
+    mut err: impl std::io::Write,
+) -> std::process::ExitCode {
+    use std::process::ExitCode;
+    let (written, code) = match outcome {
+        Ok(output) => (
+            writeln!(out, "{output}").and_then(|()| out.flush()),
+            ExitCode::SUCCESS,
+        ),
+        Err(e) => {
+            let written = if e.show_usage {
+                writeln!(err, "error: {e}\n\n{USAGE}")
+            } else {
+                writeln!(err, "{e}")
+            };
+            (written.and_then(|()| err.flush()), ExitCode::FAILURE)
+        }
+    };
+    match written {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => ExitCode::FAILURE,
+        _ => code,
+    }
+}
+
 /// Convenience for tests: run with &str arguments, errors as plain text.
 pub fn run_cli_str(argv: &[&str]) -> Result<String, String> {
     let owned: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
@@ -429,6 +460,73 @@ pub fn run_cli_str(argv: &[&str]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A writer that fails every call with one error kind: `BrokenPipe`
+    /// when its reader has gone away, like stdout piped into `head`.
+    struct Failing(std::io::ErrorKind);
+
+    impl std::io::Write for Failing {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn emit_writes_each_outcome_to_its_stream() {
+        use std::process::ExitCode;
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        assert_eq!(
+            emit(Ok("done".into()), &mut out, &mut err),
+            ExitCode::SUCCESS
+        );
+        assert_eq!((out.as_slice(), err.as_slice()), (&b"done\n"[..], &b""[..]));
+
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let usage_error = CliError::from("unknown option --bogus");
+        assert_eq!(
+            emit(Err(usage_error), &mut out, &mut err),
+            ExitCode::FAILURE
+        );
+        let text = String::from_utf8(err).unwrap();
+        assert!(out.is_empty());
+        assert!(
+            text.starts_with("error: unknown option --bogus\n\n"),
+            "{text}"
+        );
+        assert!(text.ends_with(&format!("{USAGE}\n")));
+
+        let mut err = Vec::new();
+        let report = CliError {
+            message: "regressed".into(),
+            show_usage: false,
+        };
+        assert_eq!(emit(Err(report), Vec::new(), &mut err), ExitCode::FAILURE);
+        assert_eq!(err, b"regressed\n");
+    }
+
+    /// A closed pipe is the reader's choice, not an error: the exit code
+    /// stays the run's own, and nothing panics.
+    #[test]
+    fn emit_treats_a_closed_pipe_as_done() {
+        use std::io::ErrorKind::BrokenPipe;
+        use std::process::ExitCode;
+        let done = emit(Ok("done".into()), Failing(BrokenPipe), Failing(BrokenPipe));
+        assert_eq!(done, ExitCode::SUCCESS);
+        let usage_error = CliError::from("unknown option --bogus");
+        let failed = emit(Err(usage_error), Failing(BrokenPipe), Failing(BrokenPipe));
+        assert_eq!(failed, ExitCode::FAILURE);
+    }
+
+    /// Any other write failure loses the output, so the run fails.
+    #[test]
+    fn emit_fails_when_the_output_is_lost() {
+        let full = Failing(std::io::ErrorKind::StorageFull);
+        let code = emit(Ok("done".into()), full, Vec::new());
+        assert_eq!(code, std::process::ExitCode::FAILURE);
+    }
 
     #[test]
     fn help_works() {

@@ -4,20 +4,9 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match iawj_cli::run_cli(&args) {
-        Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            if e.show_usage {
-                eprintln!("error: {e}");
-                eprintln!();
-                eprintln!("{}", iawj_cli::USAGE);
-            } else {
-                eprintln!("{e}");
-            }
-            ExitCode::FAILURE
-        }
-    }
+    iawj_cli::emit(
+        iawj_cli::run_cli(&args),
+        std::io::stdout().lock(),
+        std::io::stderr().lock(),
+    )
 }

@@ -12,9 +12,8 @@
 use crate::algo::Algorithm;
 use crate::config::RunConfig;
 use crate::output::RunResult;
-use crate::runner::execute;
-use iawj_common::{Rate, Ts, Tuple, Window};
-use iawj_datagen::Dataset;
+use crate::runner::execute_slices;
+use iawj_common::{Ts, Tuple, Window};
 
 /// How to carve a stream's time axis into windows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,11 +218,14 @@ pub struct WindowedResult {
 /// assert_eq!(matches, vec![1, 1], "one match per window, no cross-window pairs");
 /// ```
 ///
-/// Each window's sub-streams are re-based to the window start (the IaWJ of
-/// the paper always sees a window starting at 0) and joined at full speed
-/// — the per-window join runs once the window has closed, which is the
-/// natural batch deployment of an IaWJ building block. Windows with an
-/// empty side still run (and produce zero matches).
+/// Each window's tuples are joined at rest, every timestamp set to 0 (the
+/// IaWJ of the paper sees one window's contents, not their arrival), at
+/// full speed — the per-window join runs once the window has closed, which
+/// is the natural batch deployment of an IaWJ building block. So the
+/// timestamps of the result's [`iawj_common::MatchRecord`] samples are 0
+/// too: a sampled pair is named by its window and key. Windows with an
+/// empty side still run (and produce zero matches). Every window runs on
+/// one worker pool, provisioned once.
 pub fn execute_windowed(
     algorithm: Algorithm,
     r: &[Tuple],
@@ -231,23 +233,16 @@ pub fn execute_windowed(
     spec: WindowSpec,
     cfg: &RunConfig,
 ) -> Vec<WindowedResult> {
+    let exec = cfg.make_executor();
     windows_for(spec, r, s)
         .into_iter()
         .map(|w| {
-            let rebase = |t: &Tuple| Tuple::new(t.key, 0);
-            let r_win: Vec<Tuple> = r[window_slice(r, w)].iter().map(rebase).collect();
-            let s_win: Vec<Tuple> = s[window_slice(s, w)].iter().map(rebase).collect();
-            let ds = Dataset {
-                name: format!("window@{}", w.start),
-                r: r_win,
-                s: s_win,
-                window: Window::of_len(0),
-                rate_r: Rate::Infinite,
-                rate_s: Rate::Infinite,
-            };
+            let at_rest = |t: &Tuple| Tuple::new(t.key, 0);
+            let r_win: Vec<Tuple> = r[window_slice(r, w)].iter().map(at_rest).collect();
+            let s_win: Vec<Tuple> = s[window_slice(s, w)].iter().map(at_rest).collect();
             WindowedResult {
                 window: w,
-                result: execute(algorithm, &ds, cfg),
+                result: execute_slices(algorithm, &r_win, &s_win, cfg, &exec),
             }
         })
         .collect()

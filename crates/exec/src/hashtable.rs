@@ -17,6 +17,7 @@
 //! so hash quality never differs across algorithms.
 
 use crate::latch::RawLatch;
+use crate::topology::advise_huge_pages;
 use iawj_common::hash::{bucket_of, next_pow2_at_least};
 use iawj_common::{prefetch_read, Key, Ts, Tuple};
 use std::cell::UnsafeCell;
@@ -307,10 +308,15 @@ impl Arena {
     /// as `malloc` + `memset`, which faults every page in on the caller; an
     /// 8-aligned request stays a `calloc` (fresh zero pages, mapped on
     /// first touch), so ask for one line more and align by hand.
+    ///
+    /// Random head accesses over an arena of tens of MiB miss the TLB on
+    /// nearly every access at 4 KiB pages, so the still-untouched arena
+    /// asks for huge pages; arenas under 4 MiB keep base pages.
     fn zeroed(len: usize) -> Arena {
         const WORDS: usize = BUCKET_BYTES / std::mem::size_of::<u64>();
         // SAFETY: zero is a valid `u64`.
         let mut words = unsafe { alloc_zeroed_vec::<u64>((len + 1) * WORDS) };
+        advise_huge_pages(words.as_ptr().cast(), std::mem::size_of_val(&words[..]));
         let start = words.as_mut_ptr();
         let pad = start.align_offset(BUCKET_BYTES);
         assert!(pad < WORDS, "cannot line-align the bucket arena");
@@ -718,6 +724,48 @@ mod tests {
             table.probe(k, |ts| seen.push(ts));
             assert_eq!(seen, [k % 1000], "key {k}");
         }
+    }
+
+    /// A 32 MiB arena asks for huge pages: the mapping that holds a head
+    /// bucket carries the `hg` (MADV_HUGEPAGE) flag in `/proc/self/smaps`.
+    /// Skipped where the kernel refuses the advice.
+    #[test]
+    #[cfg(target_os = "linux")]
+    #[cfg_attr(miri, ignore = "no madvise under Miri")]
+    fn large_shared_arena_is_advised_huge_pages() {
+        use crate::topology::HUGE_PAGE;
+        let probe = vec![0u8; 3 * HUGE_PAGE];
+        if advise_huge_pages(probe.as_ptr(), probe.len()) == 0 {
+            eprintln!("skipped: the kernel refuses MADV_HUGEPAGE");
+            return;
+        }
+        let table = SharedTable::with_capacity(1 << 20);
+        assert_eq!(table.arena.len * BUCKET_BYTES, 32 << 20);
+        // A head in the middle: the arena's unaligned ends stay unadvised.
+        let addr = table.arena.get(table.heads() / 2) as *const Bucket as usize;
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("smaps is readable");
+        // A mapping is a header line `lo-hi perms ...` followed by its
+        // fields, `VmFlags:` among them.
+        let mut holds = false;
+        let mut flags = None;
+        for line in smaps.lines() {
+            let header = line
+                .split_whitespace()
+                .next()
+                .and_then(|r| r.split_once('-'));
+            if let Some((Ok(lo), Ok(hi))) = header
+                .map(|(lo, hi)| (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16)))
+            {
+                holds = (lo..hi).contains(&addr);
+            } else if let Some(f) = line.strip_prefix("VmFlags:").filter(|_| holds) {
+                flags = Some(f);
+            }
+        }
+        let flags = flags.expect("a mapping holds the head bucket");
+        assert!(
+            flags.split_whitespace().any(|f| f == "hg"),
+            "VmFlags without hg: {flags}"
+        );
     }
 
     #[test]

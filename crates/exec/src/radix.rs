@@ -170,25 +170,13 @@ unsafe impl Sync for SharedOut {}
 unsafe impl Send for SharedOut {}
 
 impl SharedOut {
-    /// Zero-filled buffer of `len` tuples.
-    pub fn new(len: usize) -> Self {
-        SharedOut {
-            buf: std::cell::UnsafeCell::new(vec![Tuple::default(); len]),
-        }
-    }
-
     /// Zero-filled buffer of `len` tuples whose pages the allocating
-    /// thread does **not** touch: the memory comes from `alloc_zeroed`,
-    /// so the kernel maps copy-on-write zero pages and physical placement
-    /// is deferred to whichever thread writes each page first. Combined
-    /// with [`PartitionPass`]'s `first_touch` this gives NUMA first-touch
-    /// locality for the scatter arenas: each pinned worker faults in
-    /// exactly the ranges it will scatter into.
-    ///
-    /// `Tuple` is `#[repr(C)]` over two `u32`s, so the zeroed contents
-    /// are bitwise-identical to [`SharedOut::new`] — this is purely a
-    /// page-placement knob, never an output change.
-    pub fn new_first_touch(len: usize) -> Self {
+    /// thread does **not** touch: the memory comes from `alloc_zeroed`, so
+    /// the kernel maps zero pages on demand and physical placement is
+    /// deferred to whichever thread writes each page first — the scatter
+    /// itself, or [`SharedOut::touch`] when [`PartitionPass`] runs with
+    /// `first_touch` (NUMA first-touch for pinned workers).
+    pub fn new(len: usize) -> Self {
         // SAFETY: zeroed bytes are a valid `Tuple` (two plain u32s).
         let buf = unsafe { crate::hashtable::alloc_zeroed_vec(len) };
         SharedOut {
@@ -349,9 +337,10 @@ pub struct PartitionPass<'a> {
     shift: u32,
     bits: u32,
     threads: usize,
-    /// Allocate the output arena untouched and have each worker pre-fault
-    /// exactly the ranges it scatters (NUMA first-touch; only useful when
-    /// the workers are pinned). Page placement only, never an output change.
+    /// Have each worker pre-fault exactly the ranges it scatters into the
+    /// (untouched) output arena before scattering (NUMA first-touch; only
+    /// useful when the workers are pinned). Page placement only, never an
+    /// output change.
     first_touch: bool,
     /// One histogram per worker slot, published by that worker.
     hists: Vec<OnceLock<Vec<u32>>>,
@@ -407,11 +396,7 @@ impl<'a> PartitionPass<'a> {
             .collect();
         let plan = ScatterPlan::from_histograms(&hists, self.shift, self.bits);
         debug_assert_eq!(plan.total(), self.input.len());
-        let out = if self.first_touch {
-            SharedOut::new_first_touch(self.input.len())
-        } else {
-            SharedOut::new(self.input.len())
-        };
+        let out = SharedOut::new(self.input.len());
         assert!(self.plan.set((plan, out)).is_ok(), "pass planned twice");
     }
 
@@ -626,21 +611,20 @@ mod tests {
         }
     }
 
-    /// The first-touch arena and per-slot touch pass are observationally
-    /// invisible: untouched slots are zero (like `SharedOut::new`), touched
-    /// slots stay zero, and a touched-then-scattered arena matches the
+    /// The lazily zeroed arena and the per-slot touch pass are
+    /// observationally invisible: untouched slots are zero, touched slots
+    /// stay zero, and a touched-then-scattered arena matches the
     /// sequential partitioner exactly.
     #[test]
     fn first_touch_arena_matches_eager_arena() {
-        let eager = SharedOut::new(1000);
-        let lazy = SharedOut::new_first_touch(1000);
-        assert!(SharedOut::new_first_touch(0).into_vec().is_empty());
+        let lazy = SharedOut::new(1000);
+        assert!(SharedOut::new(0).into_vec().is_empty());
         // SAFETY: no concurrent writers exist in this test.
         unsafe {
+            assert!(lazy.as_slice().iter().all(|t| *t == Tuple::default()));
             lazy.touch(0..500);
-            assert_eq!(eager.as_slice(), lazy.as_slice());
         }
-        assert_eq!(eager.into_vec(), lazy.into_vec());
+        assert_eq!(lazy.into_vec(), vec![Tuple::default(); 1000]);
 
         let input = random_tuples(4096, 1 << 10, 77);
         let exec = Executor::new(PinPolicy::None, 4);

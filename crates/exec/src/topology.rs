@@ -17,6 +17,10 @@
 //! - **Where should worker `i` go?** [`Topology::plan`] turns a
 //!   [`PinPolicy`] into a per-worker CPU assignment; [`pin_to_cpu`]
 //!   applies one via raw `sched_setaffinity`.
+//! - **Which page size backs a large table?** `advise_huge_pages` asks
+//!   the kernel, through a raw `madvise`, for transparent huge pages on
+//!   the 2 MiB-aligned interior of an untouched allocation, so that
+//!   random accesses over tens of MiB stay within TLB reach.
 //!
 //! Design constraint, inherited from the perf module: **never panic,
 //! never fail a run**. Topology is a host property (masked cpusets,
@@ -73,11 +77,12 @@ impl CpuSet {
 }
 
 // ---------------------------------------------------------------------------
-// Raw syscalls (sched_getaffinity / sched_setaffinity / getcpu)
+// Raw syscalls (sched_getaffinity / sched_setaffinity / getcpu / madvise)
 // ---------------------------------------------------------------------------
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod nr {
+    pub const MADVISE: i64 = 28;
     pub const SCHED_SETAFFINITY: i64 = 203;
     pub const SCHED_GETAFFINITY: i64 = 204;
     pub const GETCPU: i64 = 309;
@@ -85,6 +90,7 @@ mod nr {
 
 #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
 mod nr {
+    pub const MADVISE: i64 = 233;
     pub const SCHED_SETAFFINITY: i64 = 122;
     pub const SCHED_GETAFFINITY: i64 = 123;
     pub const GETCPU: i64 = 168;
@@ -95,6 +101,7 @@ mod nr {
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
 mod nr {
+    pub const MADVISE: i64 = 0;
     pub const SCHED_SETAFFINITY: i64 = 0;
     pub const SCHED_GETAFFINITY: i64 = 0;
     pub const GETCPU: i64 = 0;
@@ -147,7 +154,8 @@ unsafe fn syscall3(num: i64, a1: i64, a2: i64, a3: i64) -> i64 {
 
 // Miri cannot execute inline assembly, so under it — as on unsupported
 // targets — the shim reports ENOSYS and every caller degrades (no mask,
-// no pinning, no getcpu), exercising exactly the graceful-fallback path.
+// no pinning, no getcpu, no huge-page advice), exercising exactly the
+// graceful-fallback path.
 #[cfg(any(
     miri,
     not(all(
@@ -221,6 +229,56 @@ pub fn current_cpu() -> Option<usize> {
     // node and cache pointers are null (documented as optional).
     let ret = unsafe { syscall3(nr::GETCPU, &mut cpu as *mut u32 as i64, 0, 0) };
     (ret == 0).then_some(cpu as usize)
+}
+
+/// Bytes in one transparent huge page (a PMD mapping over 4 KiB base pages
+/// on x86_64 and aarch64).
+pub(crate) const HUGE_PAGE: usize = 2 << 20;
+
+/// `MADV_HUGEPAGE` from `<asm-generic/mman-common.h>`.
+const MADV_HUGEPAGE: i64 = 14;
+
+/// The whole huge pages inside `[addr, addr + len)`, as an address range,
+/// or `None` when the range is shorter than two huge pages (4 MiB) — too
+/// small for the TLB to notice — or its end overflows the address space.
+/// From 4 MiB on the interior holds at least one whole huge page.
+pub(crate) fn huge_page_interior(addr: usize, len: usize) -> Option<std::ops::Range<usize>> {
+    if len < 2 * HUGE_PAGE {
+        return None;
+    }
+    let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = addr.checked_add(len)? / HUGE_PAGE * HUGE_PAGE;
+    (start < end).then_some(start..end)
+}
+
+/// Ask for transparent huge pages on the [`huge_page_interior`] of the `len`
+/// bytes at `ptr`, which should not be touched yet: pages faulted in
+/// afterwards come as 2 MiB pages where the kernel has them free. Returns
+/// the bytes advised — 0 when the range is too small, or when the kernel
+/// refuses (`EINVAL` without THP support, `ENOSYS` under Miri and off
+/// Linux x86_64/aarch64). Advice never changes contents, so a refusal
+/// only leaves the range on base pages.
+pub(crate) fn advise_huge_pages(ptr: *const u8, len: usize) -> usize {
+    let Some(interior) = huge_page_interior(ptr as usize, len) else {
+        return 0;
+    };
+    let bytes = interior.end - interior.start;
+    // SAFETY: `madvise` reads no user memory; the range lies inside the
+    // caller's allocation, and MADV_HUGEPAGE changes only how its future
+    // page faults are served, never what the memory holds.
+    let ret = unsafe {
+        syscall3(
+            nr::MADVISE,
+            interior.start as i64,
+            bytes as i64,
+            MADV_HUGEPAGE,
+        )
+    };
+    if ret == 0 {
+        bytes
+    } else {
+        0
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -616,6 +674,28 @@ mod tests {
             }
         );
         assert_eq!(t.plan(PinPolicy::Compact, 2), vec![Some(3), Some(5)]);
+    }
+
+    #[test]
+    fn huge_page_interior_keeps_whole_huge_pages_only() {
+        const H: usize = HUGE_PAGE;
+        // Empty, and under one huge page.
+        assert_eq!(huge_page_interior(H, 0), None);
+        assert_eq!(huge_page_interior(H + 64, H - 4096), None);
+        // Straddling one boundary but shorter than two huge pages.
+        assert_eq!(huge_page_interior(H - 4096, H + 8192), None);
+        // Straddling one boundary at the 4 MiB threshold: the single whole
+        // huge page inside.
+        assert_eq!(huge_page_interior(H - 4096, 2 * H), Some(H..2 * H));
+        // Exactly aligned: all of it.
+        assert_eq!(huge_page_interior(4 * H, 3 * H), Some(4 * H..7 * H));
+        // 4 MiB ± 1.
+        assert_eq!(huge_page_interior(H, 2 * H - 1), None);
+        assert_eq!(huge_page_interior(H, 2 * H), Some(H..3 * H));
+        assert_eq!(huge_page_interior(H, 2 * H + 1), Some(H..3 * H));
+        assert_eq!(huge_page_interior(H + 1, 2 * H + 1), Some(2 * H..3 * H));
+        // An end past the address space is no range at all.
+        assert_eq!(huge_page_interior(usize::MAX - H, 2 * H), None);
     }
 
     /// The graceful-degradation contract: detection and planning work (or
