@@ -420,7 +420,7 @@ mod tests {
     #[test]
     fn default_threads_respects_affinity_mask() {
         let d = default_threads();
-        assert!(d >= 1 && d <= 4);
+        assert!((1..=4).contains(&d));
         assert!(d <= affinity_core_count().max(1));
     }
 

@@ -606,7 +606,7 @@ mod tests {
                 let exec = cfg.make_executor();
                 let clock = EventClock::ungated();
                 let outs = run_part_on(&r, &s, &cfg, &clock, 63, &exec);
-                let mut got: Vec<_> = outs.iter().flat_map(|o| canonical(o)).collect();
+                let mut got: Vec<_> = outs.iter().flat_map(canonical).collect();
                 got.sort_unstable();
                 assert_eq!(got, expect, "seed={seed} threads={threads}");
             }

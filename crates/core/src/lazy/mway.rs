@@ -50,6 +50,23 @@ pub fn run_on(
     arrive_by: Ts,
     exec: &Executor,
 ) -> Vec<WorkerOut> {
+    sort_merge_join(r, s, cfg, clock, arrive_by, exec, kway_merge_loser)
+}
+
+/// The sort-merge join MWay and MPass share; they differ only in `merge`,
+/// which turns one key range's segments of all sorted runs into one sorted
+/// run. Every worker sorts its chunk of R and of S, lane 0 samples
+/// key-aligned range splitters over all runs, then every worker merges its
+/// own range's segments and merge-joins its R and S ranges.
+pub(crate) fn sort_merge_join(
+    r: &[Tuple],
+    s: &[Tuple],
+    cfg: &RunConfig,
+    clock: &EventClock,
+    arrive_by: Ts,
+    exec: &Executor,
+    merge: impl Fn(&[&[u64]]) -> Vec<u64> + Sync,
+) -> Vec<WorkerOut> {
     let threads = cfg.threads;
     let r_runs: Slots<Vec<u64>> = Slots::new(threads);
     let s_runs: Slots<Vec<u64>> = Slots::new(threads);
@@ -95,8 +112,8 @@ pub fn run_on(
             ));
         }
 
-        // Multi-way merge output range `tid` from all runs; key alignment
-        // may have merged it away.
+        // Merge output range `tid` from all runs; key alignment may have
+        // merged it away.
         if tid < bounds.len() {
             let mut emit = EmitClock::new(clock);
             timer.switch_to(Phase::Merge);
@@ -106,8 +123,8 @@ pub fn run_on(
             let s_segs: Vec<&[u64]> = (0..threads)
                 .map(|i| segment(s_runs.get(i), &bounds, tid))
                 .collect();
-            let r_sorted = kway_merge_loser(&r_segs);
-            let s_sorted = kway_merge_loser(&s_segs);
+            let r_sorted = merge(&r_segs);
+            let s_sorted = merge(&s_segs);
 
             timer.switch_to(Phase::Probe);
             iawj_exec::mergejoin::merge_join(&r_sorted, &s_sorted, |k, rts, sts| {

@@ -17,8 +17,8 @@
 //! the watermark is *late* — counted, journaled (`stream:late`), and
 //! dropped. An exhausted source's contribution to the `min` becomes +∞, so
 //! when both sources end the watermark jumps to +∞ and every remaining
-//! window (exactly the set [`windows_for`] realizes over the final
-//! streams) flushes.
+//! window (exactly the set [`crate::windowing::windows_for`] realizes over
+//! the final streams) flushes.
 //!
 //! ## Pane sharing: one ledger of pane-pair cells
 //!

@@ -58,10 +58,8 @@ fn assert_agrees(
     spec: WindowSpec,
     engine: Algorithm,
     threads: usize,
-    r: &[Tuple],
-    s: &[Tuple],
-    arrival_r: Vec<Tuple>,
-    arrival_s: Vec<Tuple>,
+    (r, s): (&[Tuple], &[Tuple]),
+    (arrival_r, arrival_s): (Vec<Tuple>, Vec<Tuple>),
     lateness: u32,
     ctx: &str,
 ) {
@@ -114,7 +112,15 @@ fn streaming_matches_batch_oracle_in_order() {
                         let ctx = format!(
                             "{spec:?} {engine:?} seed={seed} theta={theta} threads={threads}"
                         );
-                        assert_agrees(spec, engine, threads, &r, &s, r.clone(), s.clone(), 0, &ctx);
+                        assert_agrees(
+                            spec,
+                            engine,
+                            threads,
+                            (&r, &s),
+                            (r.clone(), s.clone()),
+                            0,
+                            &ctx,
+                        );
                     }
                 }
             }
@@ -142,7 +148,13 @@ fn streaming_matches_batch_oracle_out_of_order() {
                 );
                 let ctx = format!("{spec:?} {engine:?} seed={seed} out-of-order");
                 assert_agrees(
-                    spec, engine, 2, &r, &s, shuffled_r, shuffled_s, lateness, &ctx,
+                    spec,
+                    engine,
+                    2,
+                    (&r, &s),
+                    (shuffled_r, shuffled_s),
+                    lateness,
+                    &ctx,
                 );
             }
         }

@@ -1,6 +1,6 @@
 //! The persistent worker-pool executor.
 //!
-//! [`run_workers`](crate::pool::run_workers) spawns and joins fresh OS
+//! [`run_workers`] spawns and joins fresh OS
 //! threads per call. For one multi-millisecond batch join that cost is
 //! noise, but the streaming service runs an engine *per window close* —
 //! thousands of times per second at sustained rates — and then thread

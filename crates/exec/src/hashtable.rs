@@ -339,7 +339,7 @@ impl Arena {
     }
 }
 
-/// NPJ's shared table: one flat arena of cache-line [`Bucket`]s. Build-phase
+/// NPJ's shared table: one flat arena of cache-line buckets. Build-phase
 /// inserts take the head bucket's latch; probe-phase reads also take it
 /// (briefly), which models the access-conflict behaviour of a latched
 /// shared table faithfully.

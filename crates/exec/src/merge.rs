@@ -2,10 +2,13 @@
 //! pairwise merging behind MPass, and the provenance-tagged merge PMJ's
 //! merge phase relies on.
 
+use crate::sort::{merge_into, SortBackend};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Merge two sorted slices into `out` (appended).
+/// Merge two sorted slices into `out` (appended), branching on every
+/// comparison.
 pub fn merge_two_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     out.reserve(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
@@ -17,25 +20,6 @@ pub fn merge_two_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
             out.push(b[j]);
             j += 1;
         }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
-
-/// Branch-free variant of [`merge_two_into`]: the element selection and
-/// cursor advances are arithmetic on the comparison result, compiling to
-/// conditional moves — the stand-in for the AVX bitonic two-way merge used
-/// by MPass when SIMD is enabled (Figure 21).
-pub fn merge_two_into_branchless(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
-    out.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let av = a[i];
-        let bv = b[j];
-        let take_a = av <= bv;
-        out.push(if take_a { av } else { bv });
-        i += take_a as usize;
-        j += !take_a as usize;
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
@@ -87,28 +71,40 @@ pub fn kway_merge_tagged(runs: &[&[u64]]) -> (Vec<u64>, Vec<u32>) {
     (out, tags)
 }
 
-/// Successive two-way merging (the MPass shuffle): pairs of runs are merged
-/// each pass until one run remains. Returns an empty vector for no runs.
-pub fn pairwise_merge(mut runs: Vec<Vec<u64>>) -> Vec<u64> {
-    if runs.is_empty() {
-        return Vec::new();
-    }
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
+/// Successive two-way merging (the MPass shuffle): pairs of runs are
+/// merged each pass until one run remains, the first pass reading the
+/// borrowed runs. `Vectorized` merges with the bitonic kernel
+/// ([`merge_into`]), `Scalar` with the branching [`merge_two_into`] (the
+/// Figure 21 no-SIMD merge). Returns an empty vector for no runs.
+pub fn merge_passes(runs: &[&[u64]], backend: SortBackend) -> Vec<u64> {
+    let mut level: Vec<Cow<[u64]>> = runs.iter().map(|&r| Cow::Borrowed(r)).collect();
+    while level.len() > 1 {
+        let mut next = Vec::with_capacity(level.len().div_ceil(2));
+        let mut it = level.into_iter();
         while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => {
-                    let mut merged = Vec::new();
-                    merge_two_into(&a, &b, &mut merged);
-                    next.push(merged);
+            next.push(match (it.next(), backend) {
+                (None, _) => a,
+                (Some(b), SortBackend::Vectorized) => {
+                    let mut out = vec![0; a.len() + b.len()];
+                    merge_into(&a, &b, &mut out);
+                    Cow::Owned(out)
                 }
-                None => next.push(a),
-            }
+                (Some(b), SortBackend::Scalar) => {
+                    let mut out = Vec::new();
+                    merge_two_into(&a, &b, &mut out);
+                    Cow::Owned(out)
+                }
+            });
         }
-        runs = next;
+        level = next;
     }
-    runs.pop().expect("non-empty by construction")
+    level.pop().map(Cow::into_owned).unwrap_or_default()
+}
+
+/// [`merge_passes`] over owned runs with the vectorized backend.
+pub fn pairwise_merge(runs: Vec<Vec<u64>>) -> Vec<u64> {
+    let refs: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
+    merge_passes(&refs, SortBackend::Vectorized)
 }
 
 /// The half-open segment of a sorted run whose values lie in `[lo, hi)` —

@@ -202,8 +202,8 @@ impl PhaseTimer {
         self.since = now;
     }
 
-    /// Record an instant event (barrier release, merge-pass boundary,
-    /// window flush) in the journal. No-op without a journal.
+    /// Record an instant event (barrier release, window flush) in the
+    /// journal. No-op without a journal.
     #[inline]
     pub fn instant(&mut self, name: &'static str) {
         if self.journal.enabled() {

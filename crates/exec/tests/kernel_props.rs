@@ -6,10 +6,10 @@ use iawj_common::kernel::{hash_batch8, hash_keys_into, tuple_buckets_into, HASH_
 use iawj_common::{KernelBackend, Tuple};
 use iawj_exec::hashtable::{LocalTable, SharedTable};
 use iawj_exec::merge::{
-    choose_splitters, kway_merge, kway_merge_loser, kway_merge_tagged, merge_two_into,
-    merge_two_into_branchless, pairwise_merge, run_segment, splitter_bounds,
+    choose_splitters, kway_merge, kway_merge_loser, kway_merge_tagged, merge_passes,
+    merge_two_into, pairwise_merge, run_segment, splitter_bounds,
 };
-use iawj_exec::sort::{sort_packed, sort_packed_kernel, SortBackend};
+use iawj_exec::sort::{merge_into, sort_packed, sort_packed_kernel, SortBackend};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -59,14 +59,14 @@ fn packed_for(n: usize, seed: u64, skew: f64) -> Vec<u64> {
 
 proptest! {
     #[test]
-    fn merge_two_variants_agree(a in proptest::collection::vec(any::<u64>(), 0..500),
-                                b in proptest::collection::vec(any::<u64>(), 0..500)) {
+    fn merge_two_into_agrees_with_merge_into(a in proptest::collection::vec(any::<u64>(), 0..500),
+                                             b in proptest::collection::vec(any::<u64>(), 0..500)) {
         let a = sorted(a);
         let b = sorted(b);
         let mut out1 = Vec::new();
         merge_two_into(&a, &b, &mut out1);
-        let mut out2 = Vec::new();
-        merge_two_into_branchless(&a, &b, &mut out2);
+        let mut out2 = vec![0; a.len() + b.len()];
+        merge_into(&a, &b, &mut out2);
         prop_assert_eq!(&out1, &out2);
         let expect = sorted(a.iter().chain(b.iter()).copied().collect());
         prop_assert_eq!(out1, expect);
@@ -81,6 +81,8 @@ proptest! {
         let expect = sorted(runs.iter().flatten().copied().collect());
         prop_assert_eq!(&k, &expect);
         prop_assert_eq!(&kway_merge_loser(&refs), &expect);
+        prop_assert_eq!(&merge_passes(&refs, SortBackend::Scalar), &expect);
+        prop_assert_eq!(&merge_passes(&refs, SortBackend::Vectorized), &expect);
         prop_assert_eq!(pairwise_merge(runs.clone()), expect);
         // Tagged merge yields the same values with valid provenance.
         let (vals, tags) = kway_merge_tagged(&refs);
@@ -220,6 +222,18 @@ proptest! {
                     sort_packed_kernel(&mut v, backend, kernel);
                     prop_assert_eq!(&v, &expect, "{:?}/{:?} n={}", backend, kernel, n);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn sort_packed_kernel_equals_sort_unstable(data in proptest::collection::vec(any::<u64>(), 0..2000)) {
+        let expect = sorted(data.clone());
+        for backend in [SortBackend::Scalar, SortBackend::Vectorized] {
+            for kernel in [KernelBackend::Scalar, KernelBackend::Simd] {
+                let mut v = data.clone();
+                sort_packed_kernel(&mut v, backend, kernel);
+                prop_assert_eq!(&v, &expect, "{:?}/{:?}", backend, kernel);
             }
         }
     }

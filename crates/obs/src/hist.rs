@@ -216,7 +216,7 @@ mod tests {
             let i = bucket_index(v);
             let (lo, hi) = bucket_bounds(i);
             assert!(
-                lo <= v && v < hi || (v == u64::MAX && v >= lo),
+                lo <= v && (v < hi || v == u64::MAX),
                 "v={v} i={i} lo={lo} hi={hi}"
             );
             assert!(i < BUCKETS, "v={v} i={i}");

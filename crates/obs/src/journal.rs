@@ -2,7 +2,7 @@
 //!
 //! Each worker owns one [`SpanJournal`]: a preallocated ring buffer of
 //! `(name, begin_ns, end_ns)` spans plus instant [`Mark`]s (barrier
-//! releases, merge-pass boundaries, window flushes). All timestamps are
+//! releases, window flushes). All timestamps are
 //! nanoseconds since a shared epoch `Instant` so the lanes of every worker
 //! line up in one trace. A journal built with [`SpanJournal::disabled`]
 //! allocates nothing and rejects records with a single branch, which is
@@ -76,7 +76,7 @@ pub struct Span {
 /// A point event: something that happened, with no duration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Mark {
-    /// Static label, e.g. `"barrier:build_done"` or `"merge-pass"`.
+    /// Static label, e.g. `"barrier:build_done"` or `"flush"`.
     pub name: &'static str,
     /// Nanoseconds since the journal epoch.
     pub at_ns: u64,

@@ -8,7 +8,7 @@
 //!
 //! - [`SpanJournal`] — a low-overhead per-worker journal of `(name,
 //!   begin_ns, end_ns)` span events plus instant marks (barrier releases,
-//!   merge-pass boundaries, window flushes). Ring-buffered over a
+//!   window flushes). Ring-buffered over a
 //!   preallocated buffer; a disabled journal allocates nothing and every
 //!   record call is a single predictable branch.
 //! - [`LogHistogram`] — an HDR-style log-bucketed histogram with ≤ 1%

@@ -537,12 +537,12 @@ mod tests {
 
     #[test]
     fn measure_ghz_is_plausible_or_none() {
-        match measure_ghz(2) {
-            Some(ghz) => assert!(
+        // `None`: no counters on this host — the degraded path.
+        if let Some(ghz) = measure_ghz(2) {
+            assert!(
                 (0.1..20.0).contains(&ghz),
                 "implausible clock estimate: {ghz} GHz"
-            ),
-            None => {} // no counters on this host — the degraded path
+            );
         }
     }
 }
