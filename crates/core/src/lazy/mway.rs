@@ -5,13 +5,21 @@
 //! key-range splitters are sampled, and every thread merges its own output
 //! range from all runs at once, ending with a single-pass merge join of its
 //! R and S ranges.
+//!
+//! The merge is `iawj_exec::merge::merge_multiway` on the same two-way
+//! vector kernel as MPass. With two runs per range (two threads) that is
+//! one two-way merge straight into the range's output. With more, the
+//! range is cut into cache-sized sub-ranges whose segments merge pairwise
+//! inside L2, so each tuple is still written to memory once: that, not a
+//! per-element k-way tournament, is what keeps MWay multi-way next to
+//! MPass's ⌈log₂ k⌉ passes over memory.
 
 use crate::clock::EventClock;
 use crate::config::RunConfig;
 use crate::lazy::{EmitClock, Slots};
 use crate::output::WorkerOut;
 use iawj_common::{Phase, Ts, Tuple};
-use iawj_exec::merge::{choose_splitters, kway_merge_loser, splitter_bounds};
+use iawj_exec::merge::{choose_splitters, merge_multiway, splitter_bounds};
 use iawj_exec::pool::{barrier, chunk_range};
 use iawj_exec::sort::{pack_tuples, sort_packed};
 use iawj_exec::Executor;
@@ -50,7 +58,9 @@ pub fn run_on(
     arrive_by: Ts,
     exec: &Executor,
 ) -> Vec<WorkerOut> {
-    sort_merge_join(r, s, cfg, clock, arrive_by, exec, kway_merge_loser)
+    sort_merge_join(r, s, cfg, clock, arrive_by, exec, |segs| {
+        merge_multiway(segs, cfg.sort)
+    })
 }
 
 /// The sort-merge join MWay and MPass share; they differ only in `merge`,
@@ -141,6 +151,7 @@ mod tests {
     use super::*;
     use crate::reference::nested_loop_join;
     use iawj_common::{Rng, Window};
+    use iawj_exec::sort::SortBackend;
 
     fn random_stream(n: usize, keys: u32, seed: u64) -> Vec<Tuple> {
         let mut rng = Rng::new(seed);
@@ -162,13 +173,40 @@ mod tests {
     fn matches_reference() {
         let r = random_stream(1000, 300, 1);
         let s = random_stream(1200, 300, 2);
-        let cfg = RunConfig::with_threads(4).record_all();
-        let clock = EventClock::ungated();
-        let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
-        assert_eq!(
-            canonical(&outs),
-            nested_loop_join(&r, &s, Window::of_len(64))
-        );
+        for threads in [1usize, 2, 3, 4, 8] {
+            let cfg = RunConfig::with_threads(threads).record_all();
+            let clock = EventClock::ungated();
+            let outs = run_on(&r, &s, &cfg, &clock, 0, &cfg.make_executor());
+            assert_eq!(
+                canonical(&outs),
+                nested_loop_join(&r, &s, Window::of_len(64)),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn scalar_backend_matches_too() {
+        let r = random_stream(500, 64, 3);
+        let s = random_stream(500, 64, 4);
+        for threads in [1usize, 2, 3, 4, 8] {
+            let cfg = RunConfig::with_threads(threads)
+                .record_all()
+                .sort(SortBackend::Scalar);
+            let outs = run_on(
+                &r,
+                &s,
+                &cfg,
+                &EventClock::ungated(),
+                0,
+                &cfg.make_executor(),
+            );
+            assert_eq!(
+                canonical(&outs),
+                nested_loop_join(&r, &s, Window::of_len(64)),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,35 @@
-//! Merging sorted runs: the k-way merge behind MWay, the successive
+//! Merging sorted runs: the multi-way merge behind MWay, the successive
 //! pairwise merging behind MPass, and the provenance-tagged merge PMJ's
 //! merge phase relies on.
+//!
+//! MWay and MPass both merge with the two-way vector kernel
+//! ([`merge_into`]). What keeps MWay multi-way is how often an element
+//! goes to memory: [`merge_multiway`] cuts its runs into cache-sized
+//! sub-ranges and merges each sub-range's segments pairwise inside two
+//! reused L2-sized buffers, so every element is written to memory once
+//! whatever the number of runs, while [`merge_passes`] writes it once per
+//! pass, ⌈log₂ k⌉ times for k runs.
 
-use crate::sort::{merge_into, SortBackend};
+use crate::sort::{merge_branching, merge_into, SortBackend};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// A slice-to-slice two-way merge: `out.len() == a.len() + b.len()`.
+type Merge = fn(&[u64], &[u64], &mut [u64]);
+
+/// The two-way merge of `backend`: the bitonic kernel ([`merge_into`]),
+/// or the branching merge of the Figure 21 no-SIMD build.
+fn two_way(backend: SortBackend) -> Merge {
+    match backend {
+        SortBackend::Vectorized => merge_into,
+        SortBackend::Scalar => merge_branching,
+    }
+}
+
+/// Elements per sub-range of [`merge_multiway`]: 32 Ki (256 KiB), so a
+/// sub-range's two buffers (512 KiB) stay in a 2 MiB L2.
+const SUB_RANGE: usize = 1 << 15;
 
 /// Merge two sorted slices into `out` (appended), branching on every
 /// comparison.
@@ -25,9 +49,12 @@ pub fn merge_two_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Multi-way merge of sorted runs into one sorted vector (the MWay shuffle).
-/// Uses a binary heap keyed on `(value, run)`; ties resolve to the lower run
-/// index, making the output deterministic.
+/// Multi-way merge of sorted runs into one sorted vector through a binary
+/// heap keyed on `(value, run)`; ties resolve to the lower run index,
+/// making the output deterministic. No engine merges with it: it is the
+/// scalar reference the merge tests compare against, and the benchmark's
+/// `exec.merge.kway_ns_pt` layer probe (`benchmark/src/probes.rs`) times
+/// it.
 pub fn kway_merge(runs: &[&[u64]]) -> Vec<u64> {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let mut out = Vec::with_capacity(total);
@@ -74,24 +101,20 @@ pub fn kway_merge_tagged(runs: &[&[u64]]) -> (Vec<u64>, Vec<u32>) {
 /// Successive two-way merging (the MPass shuffle): pairs of runs are
 /// merged each pass until one run remains, the first pass reading the
 /// borrowed runs. `Vectorized` merges with the bitonic kernel
-/// ([`merge_into`]), `Scalar` with the branching [`merge_two_into`] (the
-/// Figure 21 no-SIMD merge). Returns an empty vector for no runs.
+/// ([`merge_into`]), `Scalar` with the branching merge (the Figure 21
+/// no-SIMD merge). Returns an empty vector for no runs.
 pub fn merge_passes(runs: &[&[u64]], backend: SortBackend) -> Vec<u64> {
+    let merge = two_way(backend);
     let mut level: Vec<Cow<[u64]>> = runs.iter().map(|&r| Cow::Borrowed(r)).collect();
     while level.len() > 1 {
         let mut next = Vec::with_capacity(level.len().div_ceil(2));
         let mut it = level.into_iter();
         while let Some(a) = it.next() {
-            next.push(match (it.next(), backend) {
-                (None, _) => a,
-                (Some(b), SortBackend::Vectorized) => {
+            next.push(match it.next() {
+                None => a,
+                Some(b) => {
                     let mut out = vec![0; a.len() + b.len()];
-                    merge_into(&a, &b, &mut out);
-                    Cow::Owned(out)
-                }
-                (Some(b), SortBackend::Scalar) => {
-                    let mut out = Vec::new();
-                    merge_two_into(&a, &b, &mut out);
+                    merge(&a, &b, &mut out);
                     Cow::Owned(out)
                 }
             });
@@ -99,6 +122,89 @@ pub fn merge_passes(runs: &[&[u64]], backend: SortBackend) -> Vec<u64> {
         level = next;
     }
     level.pop().map(Cow::into_owned).unwrap_or_default()
+}
+
+/// Multi-way merge of sorted runs in one pass over memory (the MWay
+/// shuffle). One or two runs merge straight into the output. More are cut
+/// by sampled value splitters into sub-ranges of about `SUB_RANGE`
+/// elements; each sub-range's segments are merged pairwise through two
+/// reused cache-sized buffers, the last pass into the output. Same
+/// backends as [`merge_passes`].
+pub fn merge_multiway(runs: &[&[u64]], backend: SortBackend) -> Vec<u64> {
+    let merge = two_way(backend);
+    let runs: Vec<&[u64]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
+    let total = runs.iter().map(|r| r.len()).sum();
+    let mut out = vec![0u64; total];
+    let splitters = if runs.len() > 2 {
+        choose_splitters(&runs, total.div_ceil(SUB_RANGE))
+    } else {
+        Vec::new()
+    };
+    let mut bufs = [Vec::new(), Vec::new()];
+    let mut starts = vec![0usize; runs.len()];
+    let mut at = 0;
+    for hi in splitters.iter().map(Some).chain([None]) {
+        let segs: Vec<&[u64]> = runs
+            .iter()
+            .zip(&mut starts)
+            .map(|(run, start)| {
+                let end = hi.map_or(run.len(), |&s| run.partition_point(|&v| v < s));
+                let seg = &run[*start..end];
+                *start = end;
+                seg
+            })
+            .collect();
+        let n: usize = segs.iter().map(|s| s.len()).sum();
+        merge_tree(&segs, &mut out[at..at + n], &mut bufs, merge);
+        at += n;
+    }
+    out
+}
+
+/// Merge the sorted `segs` into `out` by pairwise passes that ping-pong
+/// between `bufs` (grown to `out`'s length); only the last pass writes
+/// `out`.
+fn merge_tree(segs: &[&[u64]], out: &mut [u64], bufs: &mut [Vec<u64>; 2], merge: Merge) {
+    if segs.len() <= 2 {
+        merge(
+            segs.first().copied().unwrap_or(&[]),
+            segs.get(1).copied().unwrap_or(&[]),
+            out,
+        );
+        return;
+    }
+    let n = out.len();
+    for buf in bufs.iter_mut() {
+        if buf.len() < n {
+            buf.resize(n, 0);
+        }
+    }
+    let [src, dst] = bufs;
+    let (mut src, mut dst) = (&mut src[..n], &mut dst[..n]);
+    // First pass: the borrowed segments, pairwise into `src`.
+    let mut at = 0;
+    for pair in segs.chunks(2) {
+        let (a, b) = (pair[0], pair.get(1).copied().unwrap_or(&[]));
+        merge(a, b, &mut src[at..at + a.len() + b.len()]);
+        at += a.len() + b.len();
+    }
+    let mut lens: Vec<usize> = segs
+        .chunks(2)
+        .map(|p| p.iter().map(|s| s.len()).sum())
+        .collect();
+    while lens.len() > 2 {
+        let mut at = 0;
+        for pair in lens.chunks(2) {
+            let (la, lb) = (pair[0], pair.get(1).copied().unwrap_or(0));
+            let (a, b) = src[at..at + la + lb].split_at(la);
+            merge(a, b, &mut dst[at..at + la + lb]);
+            at += la + lb;
+        }
+        lens = lens.chunks(2).map(|p| p.iter().sum()).collect();
+        std::mem::swap(&mut src, &mut dst);
+    }
+    let (a, b) = src.split_at(lens[0]);
+    merge(a, b, out);
 }
 
 /// [`merge_passes`] over owned runs with the vectorized backend.
@@ -156,108 +262,6 @@ pub fn splitter_bounds(splitters: &[u64]) -> Vec<(u64, u64)> {
     }
     bounds.push((lo, u64::MAX));
     bounds
-}
-
-/// A tournament loser tree over `k` sorted runs — the classic DBMS k-way
-/// merge structure. Each pop costs ⌈log2 k⌉ comparisons against *losers*
-/// only (a binary heap re-compares against winners too), which is why
-/// multi-way merges in database engines use it. `kway_merge_loser` is the
-/// drop-in counterpart of [`kway_merge`]; the `kernels` bench compares
-/// them.
-pub struct LoserTree<'a> {
-    runs: Vec<&'a [u64]>,
-    /// Cursor per run.
-    pos: Vec<usize>,
-    /// Internal nodes: index of the losing run at each tree node.
-    tree: Vec<usize>,
-    /// Current overall winner run, or `usize::MAX` when drained.
-    winner: usize,
-    k: usize,
-}
-
-impl<'a> LoserTree<'a> {
-    /// Build the tree over the given sorted runs with one recursive
-    /// tournament: each internal node keeps the *loser* of its subtrees'
-    /// final, its winner moves up.
-    pub fn new(runs: &[&'a [u64]]) -> Self {
-        let k = runs.len().next_power_of_two().max(1);
-        let mut t = LoserTree {
-            runs: runs.to_vec(),
-            pos: vec![0; runs.len()],
-            tree: vec![usize::MAX; k],
-            winner: usize::MAX,
-            k,
-        };
-        t.winner = t.build(1);
-        t
-    }
-
-    /// Play the subtree rooted at `node`; store losers, return the winner.
-    fn build(&mut self, node: usize) -> usize {
-        if node >= self.k {
-            let leaf = node - self.k;
-            return if leaf < self.runs.len() {
-                leaf
-            } else {
-                usize::MAX
-            };
-        }
-        let l = self.build(2 * node);
-        let r = self.build(2 * node + 1);
-        let (win, lose) = if self.beats(l, r) { (l, r) } else { (r, l) };
-        self.tree[node] = lose;
-        win
-    }
-
-    /// Current head value of run `r`, or `None` when exhausted.
-    #[inline]
-    fn head(&self, r: usize) -> Option<u64> {
-        if r == usize::MAX {
-            return None;
-        }
-        self.runs[r].get(self.pos[r]).copied()
-    }
-
-    /// Does run `a` beat (sort before) run `b`? Exhausted runs lose; ties
-    /// resolve to the lower run index for determinism.
-    #[inline]
-    fn beats(&self, a: usize, b: usize) -> bool {
-        match (self.head(a), self.head(b)) {
-            (Some(x), Some(y)) => x < y || (x == y && a < b),
-            (Some(_), None) => true,
-            _ => false,
-        }
-    }
-
-    /// Pop the smallest value across all runs.
-    #[inline]
-    pub fn pop(&mut self) -> Option<u64> {
-        let w = self.winner;
-        let value = self.head(w)?;
-        self.pos[w] += 1;
-        // Replay w's path from its leaf to the root.
-        let mut contender = w;
-        let mut node = (self.k + w) / 2;
-        while node > 0 {
-            if self.beats(self.tree[node], contender) {
-                std::mem::swap(&mut self.tree[node], &mut contender);
-            }
-            node /= 2;
-        }
-        self.winner = contender;
-        Some(value)
-    }
-}
-
-/// K-way merge via a loser tree; output identical to [`kway_merge`].
-pub fn kway_merge_loser(runs: &[&[u64]]) -> Vec<u64> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut tree = LoserTree::new(runs);
-    while let Some(v) = tree.pop() {
-        out.push(v);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -323,21 +327,46 @@ mod tests {
     }
 
     #[test]
-    fn loser_tree_equals_heap_merge() {
-        for k in [0usize, 1, 2, 3, 5, 8, 13] {
-            let runs: Vec<Vec<u64>> = (0..k).map(|i| sorted_run(37 * (i + 1), i as u64)).collect();
-            let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-            assert_eq!(kway_merge_loser(&refs), kway_merge(&refs), "k={k}");
+    fn multiway_equals_heap_merge() {
+        for backend in [SortBackend::Vectorized, SortBackend::Scalar] {
+            for k in [0usize, 1, 2, 3, 5, 8, 13] {
+                let runs: Vec<Vec<u64>> =
+                    (0..k).map(|i| sorted_run(37 * (i + 1), i as u64)).collect();
+                let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
+                assert_eq!(
+                    merge_multiway(&refs, backend),
+                    kway_merge(&refs),
+                    "k={k} {backend:?}"
+                );
+            }
         }
     }
 
     #[test]
-    fn loser_tree_handles_empty_and_duplicate_runs() {
+    fn multiway_handles_empty_and_duplicate_runs() {
         let a = vec![1u64, 1, 1];
         let b: Vec<u64> = vec![];
         let c = vec![1u64, 2];
         let refs: Vec<&[u64]> = vec![&a, &b, &c];
-        assert_eq!(kway_merge_loser(&refs), vec![1, 1, 1, 1, 2]);
+        assert_eq!(
+            merge_multiway(&refs, SortBackend::Vectorized),
+            vec![1, 1, 1, 1, 2]
+        );
+    }
+
+    #[test]
+    fn multiway_cuts_large_merges_into_sub_ranges() {
+        // Enough elements for several sub-ranges, with an odd run count so
+        // a lone run rides through the passes, and a run of one value.
+        let mut runs: Vec<Vec<u64>> = (0..5)
+            .map(|i| sorted_run(SUB_RANGE / 2 + i, 50 + i as u64))
+            .collect();
+        runs.push(vec![1 << 40; SUB_RANGE]);
+        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
+        assert_eq!(
+            merge_multiway(&refs, SortBackend::Vectorized),
+            kway_merge(&refs)
+        );
     }
 
     #[test]

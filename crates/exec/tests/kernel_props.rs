@@ -6,8 +6,8 @@ use iawj_common::kernel::{hash_batch8, hash_keys_into, tuple_buckets_into, HASH_
 use iawj_common::{KernelBackend, Tuple};
 use iawj_exec::hashtable::{LocalTable, SharedTable};
 use iawj_exec::merge::{
-    choose_splitters, kway_merge, kway_merge_loser, kway_merge_tagged, merge_passes,
-    merge_two_into, pairwise_merge, run_segment, splitter_bounds,
+    choose_splitters, kway_merge, kway_merge_tagged, merge_multiway, merge_passes, merge_two_into,
+    pairwise_merge, run_segment, splitter_bounds,
 };
 use iawj_exec::sort::{merge_into, sort_packed, sort_packed_kernel, SortBackend};
 use proptest::prelude::*;
@@ -80,7 +80,6 @@ proptest! {
         let k = kway_merge(&refs);
         let expect = sorted(runs.iter().flatten().copied().collect());
         prop_assert_eq!(&k, &expect);
-        prop_assert_eq!(&kway_merge_loser(&refs), &expect);
         prop_assert_eq!(&merge_passes(&refs, SortBackend::Scalar), &expect);
         prop_assert_eq!(&merge_passes(&refs, SortBackend::Vectorized), &expect);
         prop_assert_eq!(pairwise_merge(runs.clone()), expect);
@@ -89,6 +88,25 @@ proptest! {
         prop_assert_eq!(&vals, &k);
         for (&v, &t) in vals.iter().zip(tags.iter()) {
             prop_assert!(runs[t as usize].contains(&v));
+        }
+    }
+
+    #[test]
+    fn merge_multiway_agrees_with_kway_merge(
+        shapes in proptest::collection::vec((0usize..120, 0u8..3, any::<u64>()), 0..10)) {
+        // k in 0..=9 runs, each random, empty or one repeated value.
+        let runs: Vec<Vec<u64>> = shapes
+            .iter()
+            .map(|&(len, kind, seed)| match kind {
+                0 => sorted(packed_for(len, seed, 0.0)),
+                1 => Vec::new(),
+                _ => vec![seed % 3; len],
+            })
+            .collect();
+        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
+        let expect = kway_merge(&refs);
+        for backend in [SortBackend::Scalar, SortBackend::Vectorized] {
+            prop_assert_eq!(&merge_multiway(&refs, backend), &expect, "{:?}", backend);
         }
     }
 
@@ -227,13 +245,20 @@ proptest! {
     }
 
     #[test]
-    fn sort_packed_kernel_equals_sort_unstable(data in proptest::collection::vec(any::<u64>(), 0..2000)) {
+    fn sort_packed_kernel_equals_sort_unstable(len in 0usize..100_000, kind in 0u8..3, seed in any::<u64>()) {
+        // Lengths across several cache blocks; full-range, all-equal and
+        // 3-distinct-key vectors.
+        let data: Vec<u64> = match kind {
+            0 => packed_for(len, seed, 0.0),
+            1 => vec![seed; len],
+            _ => packed_for(len, seed, 0.0).iter().map(|x| (x % 3) << 32).collect(),
+        };
         let expect = sorted(data.clone());
         for backend in [SortBackend::Scalar, SortBackend::Vectorized] {
             for kernel in [KernelBackend::Scalar, KernelBackend::Simd] {
                 let mut v = data.clone();
                 sort_packed_kernel(&mut v, backend, kernel);
-                prop_assert_eq!(&v, &expect, "{:?}/{:?}", backend, kernel);
+                prop_assert_eq!(&v, &expect, "{:?}/{:?} len={}", backend, kernel, len);
             }
         }
     }
