@@ -18,7 +18,7 @@ pub mod summary;
 pub mod workload;
 
 use args::{ArgError, Args};
-use iawj_core::adaptive::sniff;
+use iawj_core::adaptive::{prefix_len, sniff};
 use iawj_core::decision::{calibrate, recommend, Objective, Thresholds};
 use iawj_core::{execute, trace};
 use iawj_obs::{diff, BenchSnapshot, DiffThresholds};
@@ -97,8 +97,6 @@ RUN OPTIONS (run, sweep, trace):
   --index-epochs N   IBWJ_PART repartition epochs per run (default 8, must be >0)
   --repart-factor F  IBWJ_PART imbalance trigger: rebalance when the heaviest
                      worker exceeds the ideal share by F (default 1.5)
-  --evict-horizon N  index engines: evict entries more than N ms behind the
-                     newest arrival (default: keep the whole window)
   --json             machine-readable output
   --perf             sample hardware counters per phase (perf_event; falls
                      back silently where unavailable)
@@ -273,10 +271,15 @@ fn cmd_recommend(args: &Args) -> Result<String, ArgError> {
     } else {
         Thresholds::default()
     };
-    let descriptor = sniff(&ds, 0.05, cores);
+    let frac = 0.05;
+    let descriptor = sniff(&ds, frac, cores);
     let pick = recommend(&descriptor, objective, &thresholds);
+    let (n_r, n_s) = (ds.r.len(), ds.s.len());
     Ok(format!(
         "workload: rate_r={} rate_s={} dupe={:.1} skew_key={:.2} tuples={}\n\
+         sniffed: rates from the first {} + {} tuples; dupe = n / distinct keys, \
+         exact over all {n_r} + {n_s}; skew_key = Zipf fit, only where key counts \
+         are over-dispersed\n\
          bands: low<{:.0} t/ms, high>={:.0} t/ms\n\
          recommendation ({objective:?}): {pick}",
         descriptor.rate_r,
@@ -284,6 +287,8 @@ fn cmd_recommend(args: &Args) -> Result<String, ArgError> {
         descriptor.dupe,
         descriptor.skew_key,
         descriptor.total_tuples,
+        prefix_len(n_r, frac),
+        prefix_len(n_s, frac),
         thresholds.rate_low,
         thresholds.rate_high,
     ))
@@ -765,6 +770,27 @@ mod tests {
         .unwrap();
         assert!(out.contains("recommendation"), "{out}");
         assert!(out.contains("MPASS") || out.contains("MWAY"), "{out}");
+        assert!(out.contains("dupe=50.0"), "{out}");
+        assert!(
+            out.contains("rates from the first 100 + 100 tuples")
+                && out.contains("exact over all 2000 + 2000"),
+            "the sample sizes and the estimator are printed: {out}"
+        );
+        // The at-rest benchmark shape, dupe 4 at over 2^20 tuples, is on
+        // the hash side of the tree, where PRJ wins.
+        let out = run_cli_str(&[
+            "recommend",
+            "--static",
+            "--count-r",
+            "600000",
+            "--count-s",
+            "600000",
+            "--dupe",
+            "4",
+        ])
+        .unwrap();
+        assert!(out.contains("dupe=4.0 skew_key=0.00"), "{out}");
+        assert!(out.contains("recommendation (Throughput): PRJ"), "{out}");
         let out = run_cli_str(&[
             "recommend",
             "--rate-r",
@@ -872,7 +898,8 @@ mod tests {
         assert!(err.contains("bogus"), "{err}");
         // Flags of deleted knobs are unknown options now: the spawn
         // executor, the lock-free NPJ table, the global kernel switch,
-        // PRJ's write-combining scatter and the morsel-stealing scheduler.
+        // PRJ's write-combining scatter, the morsel-stealing scheduler and
+        // the index engines' at-rest eviction horizon.
         for (flag, value) in [
             ("--executor", "spawn"),
             ("--npj-table", "lockfree"),
@@ -881,9 +908,20 @@ mod tests {
             ("--scatter", "direct"),
             ("--scheduler", "steal"),
             ("--morsel-size", "1024"),
+            ("--evict-horizon", "500"),
         ] {
             let err = run_cli_str(&["run", "--algo", "NPJ", flag, value]).unwrap_err();
             assert!(err.contains(&format!("unknown option {flag}")), "{err}");
+            assert!(!USAGE.contains(flag), "help still names {flag}");
+        }
+        // The deleted hybrid engine is an unknown engine on both
+        // executing paths, and the error lists the eleven that remain.
+        let engines = "NPJ|PRJ|MWAY|MPASS|SHJ_JM|SHJ_JB|PMJ_JM|PMJ_JB|HANDSHAKE|IBWJ|IBWJ_PART";
+        assert_eq!(engines.split('|').count(), 11);
+        for cmd in ["run", "serve"] {
+            let err = run_cli_str(&[cmd, "--algo", "HYBRID_SHJ"]).unwrap_err();
+            assert!(err.contains("--algo HYBRID_SHJ"), "{cmd}: {err}");
+            assert!(err.contains(engines), "{cmd}: {err}");
         }
     }
 

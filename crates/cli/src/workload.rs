@@ -26,7 +26,6 @@ pub const RUN_OPTS: &[&str] = &[
     "index-partitions",
     "index-epochs",
     "repart-factor",
-    "evict-horizon",
     "json",
     "perf",
     "trace-out",
@@ -250,13 +249,6 @@ pub fn build_config(args: &Args) -> Result<RunConfig, ArgError> {
             expected: "a finite imbalance factor >= 1.0",
         });
     }
-    if let Some(v) = args.get("evict-horizon") {
-        cfg.index.evict_horizon_ms = Some(v.parse().map_err(|_| ArgError::Invalid {
-            key: "evict-horizon".into(),
-            value: v.into(),
-            expected: "a horizon in ms",
-        })?);
-    }
     // Trace and metrics export need per-worker span journals.
     cfg.journal = args.get("trace-out").is_some() || args.get("metrics-out").is_some();
     // Hardware counters: explicit opt-in, and implied by the metrics
@@ -289,18 +281,15 @@ mod tests {
         let cfg = build_config(&parse("")).unwrap();
         assert_eq!(cfg.index.partitions, 0);
         assert_eq!(cfg.index.epochs, 8);
-        assert_eq!(cfg.index.evict_horizon_ms, None);
         let cfg = build_config(&parse(
-            "--index-partitions 32 --index-epochs 4 --repart-factor 2.0 --evict-horizon 500",
+            "--index-partitions 32 --index-epochs 4 --repart-factor 2.0",
         ))
         .unwrap();
         assert_eq!(cfg.index.partitions, 32);
         assert_eq!(cfg.index.epochs, 4);
         assert!((cfg.index.repart_factor - 2.0).abs() < 1e-9);
-        assert_eq!(cfg.index.evict_horizon_ms, Some(500));
         assert!(build_config(&parse("--index-epochs 0")).is_err());
         assert!(build_config(&parse("--repart-factor 0.5")).is_err());
-        assert!(build_config(&parse("--evict-horizon soon")).is_err());
     }
 
     #[test]

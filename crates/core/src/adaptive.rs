@@ -3,12 +3,20 @@
 //! factors including workload, metrics and hardware"*.
 //!
 //! This is the straightforward realisation the decision tree enables: sniff
-//! the workload characteristics from a prefix of each stream (the part a
-//! router has seen before committing to a plan), feed them through the
-//! Figure 4 tree, and dispatch to the recommended algorithm. It is a
-//! baseline for that research direction, not a contribution claim — but it
-//! already never loses badly, because each leaf of the tree is the paper's
-//! measured winner for that region.
+//! the workload characteristics of each stream, feed them through the
+//! Figure 4 tree, and dispatch to the recommended algorithm. The arrival
+//! rate is read off a prefix (the part a router has seen before committing
+//! to a plan); duplication and key skew are counted over the whole stream,
+//! which the harness holds in memory. It is a baseline for that research
+//! direction, not a contribution claim — but it already never loses badly,
+//! because each leaf of the tree is the paper's measured winner for that
+//! region.
+//!
+//! Duplication is `n / distinct keys`, counted exactly: from a 5 % prefix
+//! no estimator lands within ×1.5 of it across uniform and Zipf keys (GEE
+//! reads dupe 1 as 4.5, Chao1 reads dupe 2 as 0.9–1.0 — EXPERIMENTS.md,
+//! *Fig. 4 inputs*), while the exact count costs 61–144 ms per 4M-tuple
+//! stream.
 
 use crate::algo::Algorithm;
 use crate::config::RunConfig;
@@ -18,46 +26,77 @@ use crate::runner::execute;
 use iawj_common::zipf::estimate_theta;
 use iawj_common::{Rate, Tuple};
 use iawj_datagen::Dataset;
-use std::collections::HashMap;
 
-/// Workload characteristics estimated from a stream prefix.
+/// Keys seen fewer times than this sit in the Poisson noise and the
+/// seen-once floor of the rank-frequency curve, where a Zipf(0.99) stream
+/// at dupe 1 fits as 0.72–0.75; the keys seen at least this often fit
+/// 0.97–1.01 (EXPERIMENTS.md, *Fig. 4 inputs*).
+const SKEW_FIT_MIN_COUNT: u64 = 8;
+
+/// Tuples in the `frac` prefix of an `n`-tuple stream that the rate is
+/// read from: at least one, at most all.
+pub fn prefix_len(n: usize, frac: f64) -> usize {
+    ((n as f64 * frac).ceil() as usize).clamp(1, n.max(1))
+}
+
+/// Rate from the `frac` prefix; duplication and skew from [`key_profile`].
 fn sniff_stream(tuples: &[Tuple], frac: f64) -> (Rate, f64, f64) {
     if tuples.is_empty() {
         return (Rate::Infinite, 0.0, 0.0);
     }
-    let n = ((tuples.len() as f64 * frac).ceil() as usize).clamp(1, tuples.len());
-    let prefix = &tuples[..n];
-    let span_ms = prefix.last().map(|t| t.ts).unwrap_or(0) as f64;
+    let n = prefix_len(tuples.len(), frac);
+    let span_ms = tuples[n - 1].ts as f64;
     let rate = if span_ms <= 0.0 {
         Rate::Infinite
     } else {
         Rate::PerMs(n as f64 / span_ms)
     };
-    let mut freq: HashMap<u32, u64> = HashMap::new();
-    for t in prefix {
-        *freq.entry(t.key).or_insert(0) += 1;
-    }
-    // Duplication must be extrapolated, not read off the prefix: a short
-    // prefix of a high-duplication stream shows few repeats per key even
-    // though it covers most of the (small) key domain. If the prefix saw no
-    // repeats at all, treat the stream as unique-keyed; otherwise assume
-    // the prefix covered the domain and spread the full stream over it.
-    let dupe = if freq.len() == n {
-        1.0
-    } else {
-        tuples.len() as f64 / freq.len().max(1) as f64
-    };
-    let mut counts: Vec<u64> = freq.into_values().collect();
-    let skew = estimate_theta(&mut counts);
+    let (dupe, skew) = key_profile(tuples);
     (rate, dupe, skew)
 }
 
-/// Estimate the Figure 4 inputs from a prefix of both streams.
+/// `n / distinct keys` of a non-empty stream, and the Zipf exponent of its
+/// key counts: 0 unless the counts are over-dispersed against uniform keys.
+fn key_profile(tuples: &[Tuple]) -> (f64, f64) {
+    let mut keys: Vec<u32> = tuples.iter().map(|t| t.key).collect();
+    keys.sort_unstable();
+    let mut counts: Vec<u64> = keys
+        .chunk_by(|a, b| a == b)
+        .map(|run| run.len() as u64)
+        .collect();
+    let dupe = tuples.len() as f64 / counts.len() as f64;
+    let skew = if over_dispersed(&counts, dupe) {
+        counts.retain(|&c| c >= SKEW_FIT_MIN_COUNT);
+        estimate_theta(&mut counts)
+    } else {
+        0.0
+    };
+    (dupe, skew)
+}
+
+/// Do the per-key counts (mean `mean`) spread wider than uniform keys'?
+/// Uniform keys give a dispersion index (variance / mean) of 0 when every
+/// key repeats equally and about 1 for independent draws, with a sampling
+/// spread of √(2/(k − 1)) over `k` keys; Zipf(0.99) keys read hundreds.
+fn over_dispersed(counts: &[u64], mean: f64) -> bool {
+    let k = counts.len() as f64;
+    if k < 2.0 {
+        return false;
+    }
+    let var = counts
+        .iter()
+        .map(|&c| (c as f64 - mean).powi(2))
+        .sum::<f64>()
+        / k;
+    var / mean > 1.0 + 6.0 * (2.0 / (k - 1.0)).sqrt()
+}
+
+/// Estimate the Figure 4 inputs of both streams.
 ///
-/// `sample_frac` is the fraction of each stream inspected (an adaptive
-/// router would buffer about this much before committing to a plan). Note
-/// the total-tuple estimate extrapolates the prefix rate over the window,
-/// so data-at-rest inputs use their true cardinalities. `cores` is clamped
+/// `sample_frac` is the fraction of each stream the rates are read from
+/// (an adaptive router would buffer about this much before committing to
+/// a plan). Duplication and skew are counted over the whole streams, and
+/// the total is their true cardinality. `cores` is clamped
 /// to the affinity mask ([`crate::decision::effective_cores`]): the tree's
 /// `cores_large` comparison must reason about cores the process can
 /// actually use, not the raw thread request.

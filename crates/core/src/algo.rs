@@ -24,10 +24,6 @@ pub enum Algorithm {
     PmjJb,
     /// Handshake join (§6 validation strawman; not part of the eight).
     Handshake,
-    /// Hybrid eager/lazy SHJ under the join-matrix scheme — this repo's
-    /// realisation of the paper's §5.2/§7 orchestration direction (an
-    /// extension, not part of the eight).
-    HybridShj,
     /// Index-Based Window Join — maintains an evictable hash index over
     /// resident window content and probes it per arrival (engines 9+;
     /// the family the paper deliberately excludes).
@@ -81,7 +77,6 @@ impl Algorithm {
             Algorithm::PmjJm => "PMJ_JM",
             Algorithm::PmjJb => "PMJ_JB",
             Algorithm::Handshake => "HANDSHAKE",
-            Algorithm::HybridShj => "HYBRID_SHJ",
             Algorithm::Ibwj => "IBWJ",
             Algorithm::IbwjPart => "IBWJ_PART",
         }
@@ -163,9 +158,9 @@ mod tests {
 
     #[test]
     fn extensions_classified_as_eager() {
-        assert!(Algorithm::HybridShj.is_eager());
-        assert!(!Algorithm::HybridShj.is_sort_based());
-        assert!(!Algorithm::STUDIED.contains(&Algorithm::HybridShj));
+        assert!(Algorithm::Handshake.is_eager());
+        assert!(!Algorithm::Handshake.is_sort_based());
+        assert!(!Algorithm::STUDIED.contains(&Algorithm::Handshake));
     }
 
     #[test]

@@ -76,24 +76,6 @@ pub struct JmConfig {
     pub physical_partition: bool,
 }
 
-/// Hybrid-engine knobs (the eager/lazy orchestration extension).
-#[derive(Clone, Copy, Debug)]
-pub struct HybridConfig {
-    /// A single pull delivering a batch at least this full counts as
-    /// dispatcher saturation and flips the engine into deferred (bulk)
-    /// mode. Defaults to the pull batch size, so the engine stays eager
-    /// under light load and goes bulk under backlog.
-    pub defer_at_batch: usize,
-}
-
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            defer_at_batch: crate::eager::BATCH,
-        }
-    }
-}
-
 /// Index-engine knobs (the IBWJ family; see DESIGN.md).
 #[derive(Clone, Copy, Debug)]
 pub struct IndexConfig {
@@ -107,10 +89,6 @@ pub struct IndexConfig {
     /// Repartition when the most-loaded worker's assigned tuple share
     /// exceeds the ideal share by this factor.
     pub repart_factor: f64,
-    /// Evict index entries older than this horizon behind the newest
-    /// arrival (`None` keeps the whole window resident — correct for the
-    /// single-window harness, where every pair is in range).
-    pub evict_horizon_ms: Option<u32>,
 }
 
 impl Default for IndexConfig {
@@ -119,7 +97,6 @@ impl Default for IndexConfig {
             partitions: 0,
             epochs: 8,
             repart_factor: 1.5,
-            evict_horizon_ms: None,
         }
     }
 }
@@ -159,8 +136,6 @@ pub struct RunConfig {
     pub jb: JbConfig,
     /// JM knobs.
     pub jm: JmConfig,
-    /// Hybrid-extension knobs.
-    pub hybrid: HybridConfig,
     /// Index-engine knobs.
     pub index: IndexConfig,
 }
@@ -181,7 +156,6 @@ impl Default for RunConfig {
             pmj: PmjConfig::default(),
             jb: JbConfig::default(),
             jm: JmConfig::default(),
-            hybrid: HybridConfig::default(),
             index: IndexConfig::default(),
         }
     }

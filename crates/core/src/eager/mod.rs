@@ -7,8 +7,8 @@
 //! has nothing available the worker reads from the other, and when neither
 //! does it stalls (the Wait phase), exactly the behaviour §4.2.2 describes.
 //!
-//! Work distribution note: engines driven by this loop (SHJ, PMJ, hybrid,
-//! and IBWJ's key-ownership workers) never hand work between workers. The
+//! Work distribution note: engines driven by this loop (SHJ, PMJ and
+//! IBWJ's key-ownership workers) never hand work between workers. The
 //! distribution schemes are ownership contracts — a JB worker's state only
 //! joins tuples of its key classes, a JM worker covers a fixed matrix cell
 //! — so migrating a pulled tuple to another worker would silently drop its
@@ -16,7 +16,6 @@
 //! (PanJoin-style, as IBWJ_PART does between epochs).
 
 pub mod handshake;
-pub mod hybrid;
 pub mod pmj;
 pub mod shj;
 

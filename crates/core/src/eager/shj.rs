@@ -34,37 +34,12 @@ impl ShjEngine {
         }
     }
 
-    /// The R-side table (the hybrid engine's bulk phase probes it).
-    pub fn r_table(&self) -> &BucketTable {
-        &self.r_table
-    }
-
-    /// The S-side table.
-    pub fn s_table(&self) -> &BucketTable {
-        &self.s_table
-    }
-
     /// Put the head line of every batch tuple's key in flight, in both
     /// tables, ahead of the insert and probe passes.
     fn prefetch_heads(&self, batch: &[Tuple]) {
         for t in batch {
             self.r_table.prefetch(t.key);
             self.s_table.prefetch(t.key);
-        }
-    }
-
-    /// Bulk-insert R tuples without probing (the hybrid engine folds its
-    /// joined backlog in through here).
-    pub fn insert_r_bulk(&mut self, tuples: &[Tuple]) {
-        for t in tuples {
-            self.r_table.insert(t.key, t.ts);
-        }
-    }
-
-    /// Bulk-insert S tuples without probing.
-    pub fn insert_s_bulk(&mut self, tuples: &[Tuple]) {
-        for t in tuples {
-            self.s_table.insert(t.key, t.ts);
         }
     }
 }

@@ -35,7 +35,7 @@ use iawj_common::hash::hash_key;
 use iawj_common::kernel::tuple_buckets_into;
 use iawj_common::{KernelBackend, Phase, Ts, Tuple, DEFAULT_PREFETCH_DIST};
 use iawj_exec::{Executor, PhaseTimer, WindowIndex};
-use iawj_obs::{MARK_INDEX_EVICT, MARK_INDEX_INSERT, MARK_INDEX_REPART};
+use iawj_obs::{MARK_INDEX_INSERT, MARK_INDEX_REPART};
 use std::sync::{Barrier, Mutex};
 
 /// Ownership hash: taken from the high half of the key hash so it stays
@@ -61,9 +61,6 @@ pub struct IbwjEngine {
     s_index: WindowIndex,
     tid: usize,
     workers: usize,
-    evict_horizon: Option<u32>,
-    max_ts: Ts,
-    evicted_below: Ts,
     owned: Vec<Tuple>,
     buckets: Vec<usize>,
 }
@@ -77,28 +74,17 @@ impl IbwjEngine {
             s_index: WindowIndex::with_capacity(expected_s.max(16)),
             tid,
             workers: workers.max(1),
-            evict_horizon: None,
-            max_ts: 0,
-            evicted_below: 0,
             owned: Vec::new(),
             buckets: Vec::new(),
         }
     }
 
-    /// Builder: evict entries older than `horizon_ms` behind the newest
-    /// arrival (streaming use; `None` keeps the whole window resident).
-    pub fn evict_horizon(mut self, horizon_ms: Option<u32>) -> Self {
-        self.evict_horizon = horizon_ms;
-        self
-    }
-
-    /// Keep only the tuples this worker owns, tracking the newest ts.
+    /// Keep only the tuples this worker owns.
     fn filter_owned(&mut self, batch: &[Tuple]) {
         self.owned.clear();
         for t in batch {
             if owner_hash(t.key) % self.workers == self.tid {
                 self.owned.push(*t);
-                self.max_ts = self.max_ts.max(t.ts);
             }
         }
     }
@@ -111,22 +97,6 @@ impl IbwjEngine {
                 index.prefetch_bucket(ahead);
             }
             index.insert_at(buckets[i], t.key, t.ts);
-        }
-    }
-
-    /// Evict both indexes once the newest arrival has moved far enough
-    /// past the last horizon (quarter-horizon granularity keeps the sweep
-    /// at window-close cadence rather than per batch).
-    fn maybe_evict(&mut self, timer: &mut PhaseTimer) {
-        let Some(h) = self.evict_horizon else { return };
-        let target = self.max_ts.saturating_sub(h);
-        let step = (h / 4).max(1);
-        if target >= self.evicted_below.saturating_add(step) {
-            let n = self.r_index.evict_before(target) + self.s_index.evict_before(target);
-            self.evicted_below = target;
-            if n > 0 {
-                timer.instant(MARK_INDEX_EVICT);
-            }
         }
     }
 }
@@ -143,9 +113,6 @@ impl Engine for IbwjEngine {
         if self.owned.is_empty() {
             return;
         }
-        // Expired entries must leave before this batch probes: the horizon
-        // stands in for the window bound.
-        self.maybe_evict(timer);
         timer.switch_to(Phase::BuildSort);
         Self::insert_owned(&mut self.r_index, &self.owned, &mut self.buckets);
         timer.instant(MARK_INDEX_INSERT);
@@ -178,7 +145,6 @@ impl Engine for IbwjEngine {
         if self.owned.is_empty() {
             return;
         }
-        self.maybe_evict(timer);
         timer.switch_to(Phase::BuildSort);
         Self::insert_owned(&mut self.s_index, &self.owned, &mut self.buckets);
         timer.instant(MARK_INDEX_INSERT);
@@ -422,10 +388,7 @@ pub fn run_part_on(
                 if ep.assignment[p] != w {
                     continue;
                 }
-                if owned_r[p].is_empty()
-                    && owned_s[p].is_empty()
-                    && cfg.index.evict_horizon_ms.is_none()
-                {
+                if owned_r[p].is_empty() && owned_s[p].is_empty() {
                     continue;
                 }
                 let mut st = parts[p].lock().unwrap();
@@ -437,13 +400,6 @@ pub fn run_part_on(
                     &mut emit,
                     &mut out,
                 );
-                if let Some(h) = cfg.index.evict_horizon_ms {
-                    let horizon = ep.wait_ts.saturating_sub(h);
-                    timer.switch_to(Phase::Other);
-                    if st.r.evict_before(horizon) + st.s.evict_before(horizon) > 0 {
-                        timer.instant(MARK_INDEX_EVICT);
-                    }
-                }
                 state_bytes += st.r.bytes() + st.s.bytes();
             }
             if cfg.mem_sample_every > 0 {
@@ -526,23 +482,6 @@ mod tests {
         }
         got.sort_unstable();
         assert_eq!(got, nested_loop_join(&r, &s, Window::of_len(64)));
-    }
-
-    #[test]
-    fn eviction_drops_out_of_horizon_pairs_only() {
-        let clock = EventClock::ungated();
-        let mut e = IbwjEngine::new(16, 16, 0, 1).evict_horizon(Some(10));
-        let mut emit = EmitClock::new(&clock);
-        let mut timer = PhaseTimer::start(Phase::Other);
-        let mut out = WorkerOut::new(1);
-        e.on_r(&[Tuple::new(7, 0)], &mut timer, &mut emit, &mut out);
-        // Advance far past the horizon: the ts-0 entry is evicted.
-        e.on_s(&[Tuple::new(7, 100)], &mut timer, &mut emit, &mut out);
-        e.on_s(&[Tuple::new(7, 101)], &mut timer, &mut emit, &mut out);
-        assert_eq!(out.sink.count(), 0, "r@0 left the horizon before s@100");
-        e.on_r(&[Tuple::new(7, 102)], &mut timer, &mut emit, &mut out);
-        assert_eq!(out.sink.count(), 2, "in-horizon s@100/s@101 both match");
-        assert!(e.state_bytes() > 0);
     }
 
     #[test]

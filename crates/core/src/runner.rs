@@ -5,7 +5,6 @@ use crate::algo::Algorithm;
 use crate::clock::EventClock;
 use crate::config::RunConfig;
 use crate::distribute::{jb, jm, View};
-use crate::eager::hybrid::HybridEngine;
 use crate::eager::pmj::PmjEngine;
 use crate::eager::shj::ShjEngine;
 use crate::eager::{drive_worker, handshake};
@@ -141,31 +140,23 @@ fn run_algorithm(
         // cores fed by the caller) and is the §6 strawman, not one of the
         // eight studied engines — it keeps per-run scoped threads.
         Algorithm::Handshake => handshake::run(r, s, cfg, clock, arrive_by),
-        Algorithm::ShjJm | Algorithm::PmjJm | Algorithm::HybridShj => {
+        Algorithm::ShjJm | Algorithm::PmjJm => {
             let (rows, cols) = cfg.jm_shape();
             exec.run(cfg.threads, |w| {
                 let (rv, sv) = jm::worker_views(r, s, rows, cols, w);
                 // Per-worker expected load: its stripe of each stream.
                 let exp_r = r.len() / rows + 1;
                 let exp_s = s.len() / cols + 1;
-                match algorithm {
-                    Algorithm::ShjJm => {
-                        drive_worker(ShjEngine::new(exp_r, exp_s), rv, sv, cfg, clock)
-                    }
-                    Algorithm::HybridShj => {
-                        let engine =
-                            HybridEngine::new(exp_r, exp_s, cfg.hybrid.defer_at_batch, cfg.sort);
-                        drive_worker(engine, rv, sv, cfg, clock)
-                    }
-                    _ => {
-                        let engine = PmjEngine::with_eager_merge(
-                            exp_r.max(exp_s),
-                            cfg.pmj.delta,
-                            cfg.sort,
-                            cfg.pmj.eager_merge,
-                        );
-                        drive_worker(engine, rv, sv, cfg, clock)
-                    }
+                if algorithm == Algorithm::ShjJm {
+                    drive_worker(ShjEngine::new(exp_r, exp_s), rv, sv, cfg, clock)
+                } else {
+                    let engine = PmjEngine::with_eager_merge(
+                        exp_r.max(exp_s),
+                        cfg.pmj.delta,
+                        cfg.sort,
+                        cfg.pmj.eager_merge,
+                    );
+                    drive_worker(engine, rv, sv, cfg, clock)
                 }
             })
         }
@@ -174,8 +165,7 @@ fn run_algorithm(
         Algorithm::Ibwj => exec.run(cfg.threads, |w| {
             let exp_r = r.len() / cfg.threads + 1;
             let exp_s = s.len() / cfg.threads + 1;
-            let engine = IbwjEngine::new(exp_r, exp_s, w, cfg.threads)
-                .evict_horizon(cfg.index.evict_horizon_ms);
+            let engine = IbwjEngine::new(exp_r, exp_s, w, cfg.threads);
             drive_worker(
                 engine,
                 View::strided(r, 0, 1),
@@ -278,18 +268,6 @@ mod tests {
             let cfg = RunConfig::with_threads(2).speedup(200.0);
             let result = execute(algo, &ds, &cfg);
             assert_eq!(result.matches, expect, "{algo}");
-        }
-    }
-
-    #[test]
-    fn hybrid_extension_agrees_with_reference() {
-        let ds = small_static();
-        let expect = match_count(&ds.r, &ds.s, ds.window);
-        for defer_at in [1usize, 64, usize::MAX] {
-            let mut cfg = RunConfig::with_threads(4).record_all();
-            cfg.hybrid.defer_at_batch = defer_at;
-            let result = execute(Algorithm::HybridShj, &ds, &cfg);
-            assert_eq!(result.matches, expect, "defer_at={defer_at}");
         }
     }
 

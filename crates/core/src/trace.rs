@@ -402,14 +402,10 @@ pub fn profile_with(
         | Algorithm::ShjJb
         | Algorithm::PmjJm
         | Algorithm::PmjJb
-        | Algorithm::HybridShj
         | Algorithm::Ibwj
         | Algorithm::IbwjPart => {
-            // The hybrid extension's eager half shares SHJ^JM's access
-            // pattern; its bulk tail is a minority of the trace. The index
-            // engines are symmetric insert-then-probe too — their eviction
-            // sweeps are amortised to window-close cadence and below the
-            // trace's resolution.
+            // The index engines are symmetric insert-then-probe like SHJ;
+            // at rest they keep the whole window resident and never evict.
             profile_eager(
                 algorithm,
                 ds,

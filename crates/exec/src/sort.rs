@@ -59,7 +59,7 @@ pub fn unpack_tuples(packed: &[u64]) -> Vec<Tuple> {
 }
 
 /// Sort packed values ascending with the chosen backend — the entry point
-/// of every sort-based engine (MWAY, MPASS, PMJ, hybrid). It takes the
+/// of every sort-based engine (MWAY, MPASS, PMJ). It takes the
 /// register kernels wherever the CPU has them: at 4M × 4M on 2 threads
 /// the sort phase takes 257.2 ms (MWAY) and 286.4 ms (MPASS) with the
 /// 16-lane AVX-512 kernel, 542.0 and 508.3 ms with the AVX2 one and 699.8

@@ -1,6 +1,6 @@
 //! The adaptive IaWJ operator (the paper's §7 future-work direction (i),
-//! built in `iawj_core::adaptive`): sniff a prefix of each stream, estimate
-//! the workload characteristics, calibrate the rate bands to this host,
+//! built in `iawj_core::adaptive`): sniff the workload characteristics of
+//! each stream, calibrate the rate bands to this host,
 //! and let the Figure 4 decision tree dispatch — one operator that is never
 //! far from the per-region winner.
 //!

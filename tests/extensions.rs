@@ -1,31 +1,18 @@
-//! Integration tests of the beyond-the-paper extensions: the hybrid
-//! operator, the windowing layer, and the adaptive dispatcher — including
-//! property-based checks that they never disagree with the oracle.
+//! Integration tests of the beyond-the-paper extensions: the windowing
+//! layer and the adaptive dispatcher — including property-based checks
+//! that they never disagree with the oracle.
 
 use iawj_study::common::{Tuple, Window};
 use iawj_study::core::reference::{match_count, nested_loop_join};
 use iawj_study::core::windowing::{execute_windowed, windows_for, WindowSpec};
-use iawj_study::core::{execute, Algorithm, RunConfig};
+use iawj_study::core::{Algorithm, RunConfig};
 use iawj_study::datagen::MicroSpec;
 use proptest::prelude::*;
 
+mod common;
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
-
-    #[test]
-    fn hybrid_matches_oracle_for_any_threshold(
-        n in 50usize..500,
-        dupe in 1usize..10,
-        defer_at in 1usize..100,
-        threads in 1usize..5,
-        seed in 0u64..200,
-    ) {
-        let ds = MicroSpec::static_counts(n, n).dupe(dupe).seed(seed).generate();
-        let mut cfg = RunConfig::with_threads(threads).record_all();
-        cfg.hybrid.defer_at_batch = defer_at;
-        let result = execute(Algorithm::HybridShj, &ds, &cfg);
-        prop_assert_eq!(result.matches, match_count(&ds.r, &ds.s, ds.window));
-    }
 
     #[test]
     fn tumbling_windows_equal_filtered_oracle(
@@ -79,29 +66,6 @@ proptest! {
             prop_assert_eq!(covering, 1, "tuple at {} covered {} times", t.ts, covering);
         }
     }
-}
-
-#[test]
-fn hybrid_progressiveness_tracks_shj_under_light_load() {
-    use iawj_study::core::metrics::time_to_fraction_ms;
-    // Slow streams, moderately compressed: both eager operators deliver
-    // matches inside the window while NPJ waits it out. (At much higher
-    // compression the eager workers become CPU-bound on a time-sliced
-    // host and their mid-window head start shrinks to scheduler noise.)
-    let ds = MicroSpec::with_rates(10.0, 10.0).dupe(2).seed(9).generate();
-    let cfg = RunConfig::with_threads(2).record_all().speedup(50.0);
-    let shj = execute(Algorithm::ShjJm, &ds, &cfg);
-    let hybrid = execute(Algorithm::HybridShj, &ds, &cfg);
-    let lazy = execute(Algorithm::Npj, &ds, &cfg);
-    let t50 = |r: &iawj_study::core::RunResult| time_to_fraction_ms(r, 0.5).unwrap();
-    assert!(
-        t50(&hybrid) < t50(&lazy),
-        "hybrid {} must reach 50% before the lazy join {}",
-        t50(&hybrid),
-        t50(&lazy)
-    );
-    // And it must not be wildly behind plain SHJ.
-    assert!(t50(&hybrid) < t50(&shj) * 3.0 + 100.0);
 }
 
 #[test]
@@ -159,4 +123,9 @@ fn adaptive_never_loses_badly_across_regimes() {
             "{leaf} via the adaptive dispatcher"
         );
     }
+}
+
+#[test]
+fn sniffed_fig4_inputs_match_the_exact_profile() {
+    common::check_sniff_grid(1 << 16);
 }

@@ -50,7 +50,6 @@ proptest! {
             Algorithm::ShjJb,
             Algorithm::PmjJm,
             Algorithm::PmjJb,
-            Algorithm::HybridShj,
             Algorithm::Npj,
             Algorithm::MPass,
         ] {
